@@ -416,6 +416,11 @@ class _Runner:
             "cross": res.report.cross,
             "lambda1": lam.lambda1,
             "lambda2": lam.lambda2,
+            "converged": res.converged,
+            "iterations": res.iterations,
+            "final_residual": res.final_residual,
+            "final_dt": res.diagnostics["final_dt"],
+            "step_cuts": res.diagnostics["step_cuts"],
         }
         self.tray.write_json("solve.json", payload)
         rows = ["iter,energy,residual"]

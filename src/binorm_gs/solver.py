@@ -1,14 +1,27 @@
-"""Constrained ground-state solver: normalized gradient flow.
+"""Constrained ground-state solver: projected, preconditioned gradient descent.
 
 The minimizer of the energy over the two-mass constraint set is found by
-discrete normalized gradient flow: each iteration takes one semi-implicit
-step of u_t = -G(u) (potential and interaction terms explicit, the
-Laplacian inverted in frequency space through 1 / (1 + dt |k|^2)) and
-then rescales each component exactly back to its target mass.  The step
-size halves whenever a step would raise the energy, so the accepted
-energy sequence is nonincreasing up to roundoff.  A run halts when both
-the update residual |u_new - u_old|_inf / dt and the energy decrement
-fall below their tolerances.
+a projected, preconditioned gradient method (after Antoine, Levitt and
+Tang, J. Comput. Phys. 343, 2017).  Each iteration moves every component
+along
+
+    d = P G - (<u, P G> / <u, P u>) P u,    P = S (a - lap)^-1 S,
+
+where G is the L2 gradient of the energy (see ``energy.gradient``),
+S = (1 + max(V, 0))^(-1/2) and the shift a is the larger of 1 and the
+current multiplier estimate, and then rescales the component exactly
+back to its target mass.  The direction is orthogonal
+to u and vanishes exactly when G = -lambda u, so a converged state solves
+the Euler-Lagrange system itself, whatever the step size.  Where the
+potential is bounded above by 0, S = 1 and the whole step is done on the
+real-FFT half spectrum: one forward transform of the potential and
+interaction force and one inverse transform of the candidate per step.
+
+The step size halves whenever a step would raise the energy, so the
+accepted energy sequence is nonincreasing up to roundoff, and grows by a
+factor 1.1 after every accepted step, up to 1.  A run halts when both the
+update residual |u_new - u_old|_inf / dt and the energy decrement fall
+below their tolerances.
 
 Several starts with randomized bump initializations are run and the
 lowest final energy wins; ties go to the earliest start.
@@ -30,7 +43,7 @@ from .energy import (
     gradient,
     multipliers,
 )
-from .grid import Field, Grid, State, inner, make_grid, norm_sq
+from .grid import Field, Grid, State, _rfft_k2, inner, make_grid, norm_sq
 from .model import ProblemSpec, PotentialSpec, sample_potential, validate
 
 __all__ = [
@@ -46,14 +59,26 @@ __all__ = [
 
 TRAJECTORY_CAP = 2000
 
+# Smallest shift a of the preconditioner P = S (a - lap)^-1 S; it also sets
+# S = (a / (a + max(V, 0)))^(1/2).
+_PRECOND_SHIFT = 1.0
+# Step growth after each accepted step, and its cap.  The high-frequency
+# eigenvalues of P times the energy Hessian tend to 1, so steps below 2 are
+# stable; without a cap the step keeps being cut and regrown and the
+# descent stalls.
+_STEP_GROWTH = 1.1
+_STEP_CAP = 1.0
+
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs of the normalized gradient flow.
+    """Knobs of the projected, preconditioned gradient descent.
 
-    dt is the initial step; it only shrinks (halving on energy increase).
-    Convergence requires the update residual below tol_residual and the
-    per-step energy decrement below tol_energy on the same step.  When
+    dt is the initial step.  It halves whenever a step would raise the
+    energy and grows by 1.1 after every accepted step, up to 1; the fixed
+    point does not depend on it.  Convergence requires the update
+    residual below tol_residual and the per-step energy decrement below
+    tol_energy on the same step.  When
     symmetrize_every is a positive integer, the density centroid is
     re-centered to the origin every that many accepted steps (whole-cell
     shifts only), which pins down translation-invariant problems.
@@ -145,15 +170,6 @@ def default_grid(dim: int) -> Grid:
     return make_grid(2, 256, 32.0)
 
 
-def _rfft_k2(grid: Grid) -> np.ndarray:
-    k1 = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.h)
-    kr = 2.0 * np.pi * np.fft.rfftfreq(grid.n, d=grid.h)
-    if grid.dim == 1:
-        return kr * kr
-    kx, ky = np.meshgrid(k1, kr, indexing="ij")
-    return kx * kx + ky * ky
-
-
 def _rfft_weights(grid: Grid) -> np.ndarray:
     """Multiplicities of the half-spectrum bins in full-spectrum sums."""
     w_last = np.full(grid.n // 2 + 1, 2.0)
@@ -189,6 +205,8 @@ class _FlowInfo:
     max_energy_increase: float
     max_mass_error: float
     max_grad_ratio: float
+    final_dt: float
+    step_cuts: int
 
 
 def _decimate(rows: list[tuple[int, float, float]]) -> list[tuple[int, float, float]]:
@@ -201,6 +219,21 @@ def _decimate(rows: list[tuple[int, float, float]]) -> list[tuple[int, float, fl
     return out
 
 
+def _non_finite(values: np.ndarray, component: int, iteration: int) -> ValueError:
+    """Error naming the first node where a flow iterate is not finite.
+
+    Finite values whose squared sum overflows are located at their largest
+    magnitude.
+    """
+    flat = np.flatnonzero(~np.isfinite(values))
+    index = int(flat[0]) if flat.size else int(np.argmax(np.abs(values)))
+    node = tuple(int(j) for j in np.unravel_index(index, values.shape))
+    return ValueError(
+        f"solver: non-finite value in u{component + 1} at node {node}, "
+        f"iteration {iteration}"
+    )
+
+
 def _flow(
     grid: Grid,
     spec: ProblemSpec,
@@ -208,9 +241,10 @@ def _flow(
     init: tuple[np.ndarray, np.ndarray],
     config: SolverConfig,
 ) -> tuple[tuple[np.ndarray, np.ndarray], _FlowInfo]:
-    """Run the normalized gradient flow from one initialization."""
+    """Run the projected, preconditioned gradient descent from one start."""
     cell = grid.cell_volume
     npts = grid.n**grid.dim
+    axes = tuple(range(grid.dim))
     k2 = _rfft_k2(grid)
     wgt = _rfft_weights(grid)
     spectral_scale = cell / npts
@@ -222,10 +256,24 @@ def _flow(
     s3 = spec.p3 - 1.0
     alpha = (spec.alpha1, spec.alpha2)
     active = tuple(a > 0.0 for a in alpha)
+    # S, or None where V <= 0, so that S == 1 and the whole step stays in the
+    # half spectrum.
+    sandwich = [
+        np.sqrt(_PRECOND_SHIFT / (_PRECOND_SHIFT + np.maximum(v[i], 0.0)))
+        if active[i] and float(np.max(v[i])) > 0.0
+        else None
+        for i in (0, 1)
+    ]
 
     u = [np.array(init[0], dtype=np.float64), np.array(init[1], dtype=np.float64)]
     for i in (0, 1):
-        u[i] = _scaled_to_mass(u[i], alpha[i], cell) if active[i] else np.zeros(grid.shape)
+        if not active[i]:
+            u[i] = np.zeros(grid.shape)
+            continue
+        if not np.all(np.isfinite(u[i])):
+            raise _non_finite(u[i], i, 0)
+        u[i] = _scaled_to_mass(u[i], alpha[i], cell)
+    u_hat = [np.fft.rfftn(u[i]) if active[i] else None for i in (0, 1)]
 
     def terms(ua: list[np.ndarray], kin: tuple[float, float]) -> float:
         m0, m1 = np.abs(ua[0]), np.abs(ua[1])
@@ -240,16 +288,43 @@ def _flow(
             e -= spec.beta / q3 * cell * float(np.sum(m0**q3 * m1**q3))
         return e
 
-    def kinetic_of(ua: np.ndarray) -> float:
-        spec_a = np.fft.rfftn(ua)
-        return 0.5 * spectral_scale * float(np.sum(wgt * k2 * np.abs(spec_a) ** 2))
+    def kinetic_of(spectrum: np.ndarray) -> float:
+        return 0.5 * spectral_scale * float(np.sum(wgt * k2 * np.abs(spectrum) ** 2))
 
-    kin = tuple(kinetic_of(u[i]) if active[i] else 0.0 for i in (0, 1))
+    def direction(i: int, force_i: np.ndarray) -> np.ndarray:
+        """Spectrum of d = P G - (<u, P G> / <u, P u>) P u, P = S (a - lap)^-1 S.
+
+        The shift a is raised to the current multiplier estimate
+        lambda = -<G, u> / |u|^2 when that exceeds 1: in the tails, where
+        the energy Hessian is -lap + V + lambda, this keeps the eigenvalues
+        of P times the Hessian at most 1, so that steps up to the cap stay
+        stable for components with lambda > 1.
+        """
+        g_hat = k2 * u_hat[i] + np.fft.rfftn(force_i)
+        lam = -spectral_scale * np.vdot(u_hat[i], wgt * g_hat).real / alpha[i]
+        resolvent = 1.0 / (max(_PRECOND_SHIFT, lam) + k2)
+        w_resolvent = wgt * resolvent
+        su_hat = u_hat[i]
+        s_i = sandwich[i]
+        if s_i is not None:
+            g_hat = np.fft.rfftn(s_i * np.fft.irfftn(g_hat, s=grid.shape, axes=axes))
+            su_hat = np.fft.rfftn(s_i * u[i])
+        coef = (
+            np.vdot(su_hat, w_resolvent * g_hat).real
+            / np.vdot(su_hat, w_resolvent * su_hat).real
+        )
+        d_hat = resolvent * (g_hat - coef * su_hat)
+        if s_i is not None:
+            d_hat = np.fft.rfftn(s_i * np.fft.irfftn(d_hat, s=grid.shape, axes=axes))
+        return d_hat
+
+    kin = tuple(kinetic_of(u_hat[i]) if active[i] else 0.0 for i in (0, 1))
     kin0 = kin
     e_old = terms(u, kin)
 
-    dt = config.dt
-    denom = 1.0 + dt * k2
+    tau = config.dt
+    step = tau
+    cuts = 0
     residual = math.inf
     converged = False
     it = 0
@@ -261,54 +336,51 @@ def _flow(
     while it < config.max_iters:
         it += 1
         m0, m1 = np.abs(u[0]), np.abs(u[1])
-        force = [None, None]
+        d_hat = [None, None]
         if active[0]:
             f = mu[0] * m0 ** pw[0] * u[0]
             if active[1]:
                 f = f + spec.beta * m1**q3 * _signed_power(u[0], m0, s3)
-            force[0] = v[0] * u[0] - f
+            d_hat[0] = direction(0, v[0] * u[0] - f)
         if active[1]:
             f = mu[1] * m1 ** pw[1] * u[1]
             if active[0]:
                 f = f + spec.beta * m0**q3 * _signed_power(u[1], m1, s3)
-            force[1] = v[1] * u[1] - f
+            d_hat[1] = direction(1, v[1] * u[1] - f)
 
         while True:
             new = [u[0], u[1]]
+            new_hat = [u_hat[0], u_hat[1]]
             kin_new = [0.0, 0.0]
             mass_err = 0.0
             for i in (0, 1):
                 if not active[i]:
                     continue
-                spec_i = np.fft.rfftn(u[i] - dt * force[i]) / denom
-                cand = np.fft.irfftn(
-                    spec_i, s=grid.shape, axes=tuple(range(grid.dim))
-                )
+                cand_hat = u_hat[i] - tau * d_hat[i]
+                cand = np.fft.irfftn(cand_hat, s=grid.shape, axes=axes)
                 m_star = cell * float(np.sum(cand**2))
+                if not math.isfinite(m_star):
+                    raise _non_finite(cand, i, it)
                 scale = math.sqrt(alpha[i] / m_star)
                 new[i] = cand * scale
-                kin_new[i] = (
-                    0.5
-                    * spectral_scale
-                    * scale**2
-                    * float(np.sum(wgt * k2 * np.abs(spec_i) ** 2))
-                )
+                new_hat[i] = cand_hat * scale
+                kin_new[i] = scale**2 * kinetic_of(cand_hat)
                 mass_err = max(
                     mass_err,
                     abs(cell * float(np.sum(new[i] ** 2)) - alpha[i]) / alpha[i],
                 )
             e_new = terms(new, (kin_new[0], kin_new[1]))
             slack = 1e-13 * max(1.0, abs(e_old))
-            if e_new <= e_old + slack or dt <= 1e-12:
+            if e_new <= e_old + slack or tau <= 1e-12:
                 break
-            dt *= 0.5
-            denom = 1.0 + dt * k2
+            tau *= 0.5
+            cuts += 1
 
         residual = 0.0
         for i in (0, 1):
             if active[i]:
                 residual = max(
-                    residual, float(np.max(np.abs(new[i] - u[i]))) / dt
+                    residual, float(np.max(np.abs(new[i] - u[i]))) / tau
                 )
         max_inc = max(max_inc, e_new - e_old)
         max_mass_err = max(max_mass_err, mass_err)
@@ -318,12 +390,17 @@ def _flow(
                     max_grad_ratio, math.sqrt(kin_new[i] / kin0[i])
                 )
         delta_e = abs(e_new - e_old)
-        u = new
+        u, u_hat = new, new_hat
         e_old = e_new
         rows.append((it, e_new, residual))
+        step = tau
+        tau = min(_STEP_GROWTH * tau, _STEP_CAP)
 
         if config.symmetrize_every and it % config.symmetrize_every == 0:
-            u = [_recenter(grid, u[0], u[1], active)[i] for i in (0, 1)]
+            shifted = _recenter(grid, u[0], u[1], active)
+            if shifted[0] is not u[0]:
+                u = list(shifted)
+                u_hat = [np.fft.rfftn(u[i]) if active[i] else None for i in (0, 1)]
 
         if residual < config.tol_residual and delta_e < config.tol_energy:
             converged = True
@@ -338,6 +415,8 @@ def _flow(
         max_energy_increase=max_inc,
         max_mass_error=max_mass_err,
         max_grad_ratio=max_grad_ratio,
+        final_dt=step,
+        step_cuts=cuts,
     )
     return (u[0], u[1]), info
 
@@ -454,7 +533,7 @@ def minimize(
             final_residual=0.0,
             converged=True,
             trajectory_energies=[(0, 0.0, 0.0)],
-            diagnostics={"starts": 0, "best_start": 0},
+            diagnostics={"starts": 0, "best_start": 0, "final_dt": None, "step_cuts": 0},
         )
 
     best: tuple[float, int, tuple[np.ndarray, np.ndarray], _FlowInfo] | None = None
@@ -482,6 +561,8 @@ def minimize(
             "max_energy_increase": info.max_energy_increase,
             "max_mass_error": info.max_mass_error,
             "max_grad_ratio": info.max_grad_ratio,
+            "final_dt": info.final_dt,
+            "step_cuts": info.step_cuts,
         },
     )
 

@@ -1,10 +1,10 @@
 """Shared benchmark problems and solver protocols used across the tests.
 
 Each constructor returns a fresh frozen spec, so tests may pass them
-around or `replace` fields without coupling to each other.  The solver
-configs encode the step-size protocol: the semi-implicit flow freezes an
-O(dt) bias into multipliers and tails, so accuracy-sensitive checks use
-small steps while structural checks (signs, orderings) use fast ones.
+around or `replace` fields without coupling to each other.  The solver's
+fixed point does not depend on its step size, so the protocols differ
+only in tolerance and start count: structural checks (signs, orderings)
+use the loose ones and quantitative targets the tight one.
 """
 
 from __future__ import annotations
@@ -18,12 +18,8 @@ from binorm_gs.solver import SolverConfig
 # Fast protocol: structural facts only (signs, orderings, negativity).
 SCAN = SolverConfig(dt=0.25, tol_residual=1e-8, multi_start=2)
 QUICK = SolverConfig(dt=0.25, tol_residual=1e-8, multi_start=1)
-# Reference protocol: quantitative targets with ~0.1% bias headroom.
+# Reference protocol: quantitative targets (energies, multipliers, tails).
 REFERENCE = SolverConfig(dt=0.1, tol_residual=1e-9, multi_start=1)
-# Tail protocol: decay-rate fits; the frozen bias scales with dt * lambda.
-DECAY = SolverConfig(dt=0.02, tol_residual=1e-9, multi_start=1)
-# Soft-exponent protocol: p well below 1 amplifies the step bias.
-SOFT = SolverConfig(dt=0.005, tol_residual=1e-9, multi_start=1)
 
 
 def wells_spec() -> ProblemSpec:

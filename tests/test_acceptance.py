@@ -8,6 +8,7 @@ stdout (capture is suspended for the line) and then asserts, so a plain
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,13 +28,12 @@ from binorm_gs.inequalities import (
     min_constant_34i,
     sufficient_constant_34ii,
 )
+from binorm_gs.model import ProblemSpec
 from binorm_gs.solver import minimize, minimize_scalar, scan_subadditivity
 
 from _cases import (
-    DECAY,
     REFERENCE,
     SCAN,
-    SOFT,
     anomalous_decay_spec,
     bounded_matrix,
     gluing_spec,
@@ -88,7 +88,7 @@ def decay_results():
         ("standard", standard_decay_spec()),
         ("anomalous", anomalous_decay_spec()),
     ):
-        out[label] = (spec, minimize(spec, config=DECAY))
+        out[label] = (spec, minimize(spec, config=REFERENCE))
     return out
 
 
@@ -233,13 +233,13 @@ def test_criterion_09_virial_identity(crit1, grid_1d, report):
     cases = {
         "1d cubic": (crit1, 1.0, 1.0),
         "1d p=0.6": (
-            minimize_scalar(1.0, 0.6, 1.0, config=SOFT, grid=grid_1d),
+            minimize_scalar(1.0, 0.6, 1.0, config=REFERENCE, grid=grid_1d),
             1.0,
             0.6,
         ),
         "2d p=0.6": (
             minimize_scalar(
-                4.0, 0.6, 1.0, dim=2, config=DECAY, grid=make_grid(2, 128, 32.0)
+                4.0, 0.6, 1.0, dim=2, config=REFERENCE, grid=make_grid(2, 128, 32.0)
             ),
             4.0,
             0.6,
@@ -331,4 +331,29 @@ def test_criterion_12_solver_trust_checks(crit1, grid_small, report):
         f"mass error {diag['max_mass_error']:.1e} (<= 1e-12), "
         f"energy increase {diag['max_energy_increase']:.1e} (<= 1e-13), "
         f"grid-refinement drift {drift:.2e} (< 1e-6)",
+    )
+
+
+def test_criterion_13_euler_lagrange_residual(crit1, grid_1d, report):
+    # the problem minimize_scalar(mu=1, p=1, gamma=1) solves
+    spec = ProblemSpec(
+        dim=1, p1=1.0, p2=1.0, p3=1.0, mu1=1.0, mu2=1.0, beta=1.0,
+        alpha1=1.0, alpha2=0.0,
+    )
+    g1 = gradient(crit1.state, spec).u1.values
+    u1 = crit1.state.u1.values
+    lam = crit1.multipliers.lambda1
+    el = float(np.max(np.abs(g1 + lam * u1)) / np.max(np.abs(g1)))
+    totals = {REFERENCE.dt: crit1.report.total}
+    for dt in (0.02, 0.25):
+        res = minimize_scalar(
+            1.0, 1.0, 1.0, config=replace(REFERENCE, dt=dt), grid=grid_1d
+        )
+        totals[dt] = res.report.total
+    spread = (max(totals.values()) - min(totals.values())) / abs(crit1.report.total)
+    report(
+        13,
+        el <= 1e-6 and spread <= 1e-10,
+        f"EL residual |G+lambda u|/|G| {el:.2e} (<= 1e-6), energy spread over "
+        f"dt {sorted(totals)} {spread:.1e} (<= 1e-10)",
     )

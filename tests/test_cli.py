@@ -26,6 +26,7 @@ from binorm_gs.grid import read_field_csv
 SOLVE_KEYS = {
     "total", "kinetic1", "kinetic2", "potential1", "potential2",
     "self1", "self2", "cross", "lambda1", "lambda2",
+    "converged", "iterations", "final_residual", "final_dt", "step_cuts",
 }
 
 FAST_LINES = """
@@ -157,10 +158,15 @@ def test_solve_run_writes_contracted_artifacts(tmp_path):
     assert set(payload) == SOLVE_KEYS
     assert payload["total"] < 0.0
     assert payload["lambda1"] > 0.0
+    assert payload["converged"] is True
+    assert payload["final_residual"] < 1e-6
+    assert 0.0 < payload["final_dt"] <= 1.0
+    assert payload["step_cuts"] >= 0
 
     lines = (out / "trajectory.csv").read_text().splitlines()
     assert lines[0] == "iter,energy,residual"
     assert 2 <= len(lines) <= 2001
+    assert int(lines[-1].split(",")[0]) == payload["iterations"]
     energies = [float(line.split(",")[1]) for line in lines[1:]]
     assert all(b <= a + 1e-12 for a, b in zip(energies, energies[1:]))
 

@@ -1,4 +1,4 @@
-"""Constrained gradient flow: convergence anchors and conservation accounting."""
+"""Constrained gradient descent: convergence anchors and conservation accounting."""
 
 from __future__ import annotations
 
@@ -19,7 +19,14 @@ from binorm_gs.solver import (
     scan_subadditivity,
 )
 
-from _cases import QUICK, REFERENCE, symmetric_cubic, wells_spec
+from _cases import (
+    QUICK,
+    REFERENCE,
+    bounded_matrix,
+    symmetric_cubic,
+    trapping_matrix,
+    wells_spec,
+)
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -210,3 +217,48 @@ def test_trapped_regime_converges_with_positive_multipliers():
     assert res.converged
     assert res.multipliers.lambda1 > 0.0
     assert res.multipliers.lambda2 > 0.0
+
+
+@pytest.mark.parametrize(
+    "name, spec",
+    [*bounded_matrix().items(), *trapping_matrix().items()],
+)
+def test_matrix_problems_converge_within_500_iterations(name, spec):
+    res = minimize(spec, config=QUICK)
+    assert res.converged, name
+    assert res.iterations <= 500, (name, res.iterations)
+
+
+def test_nan_in_start_raises_at_its_node():
+    grid = make_grid(1, 512, 32.0)
+    bump = np.exp(-grid.radius() ** 2 / 8.0)
+    bad = bump.copy()
+    bad[100] = np.nan
+    init = State(Field(grid, bad), Field(grid, bump))
+    cfg = SolverConfig(multi_start=1, max_iters=5)
+    with pytest.raises(ValueError, match=r"u1 at node \(100,\), iteration 0"):
+        minimize(wells_spec(), config=cfg, grid=grid, init=init)
+
+
+def test_overflowing_candidate_raises_at_first_iteration():
+    spec = replace(symmetric_cubic(0.5), alpha1=1e200, alpha2=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=r"non-finite value in u1 .* iteration 1$"):
+            minimize(spec, config=SolverConfig(multi_start=1, max_iters=5))
+
+
+def test_recentering_keeps_the_descent_consistent():
+    # symmetric_cubic is translation invariant: an off-center start must be
+    # rolled back to the origin and still reach the centered minimum
+    spec = symmetric_cubic(0.5)
+    grid = make_grid(1, 1024, 64.0)
+    bump = np.exp(-((grid.axes[0] - 5.0) ** 2) / 8.0)
+    f = Field(grid, bump)
+    cfg = replace(QUICK, symmetrize_every=7)
+    res = minimize(spec, config=cfg, grid=grid, init=State(f, f))
+    centered = minimize(spec, config=QUICK, grid=grid)
+    assert res.converged
+    rho = res.state.u1.values ** 2 + res.state.u2.values ** 2
+    centroid = float(np.sum(grid.axes[0] * rho) / np.sum(rho))
+    assert abs(centroid) <= grid.h
+    assert res.report.total == pytest.approx(centered.report.total, rel=1e-10)
