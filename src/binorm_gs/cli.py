@@ -11,10 +11,11 @@ Each task writes one JSON result file into the output directory.  Every
 run also writes a trajectory CSV for solver tasks, a human-readable
 ``summary.txt`` and a ``manifest.json`` listing the sha256 of every
 written file; the manifest timestamp is the only thing that varies
-between reruns with the same seed.
+between reruns with the same seed.  Both are written even when a task
+raises; the manifest then also names the failing task and its error.
 
-Exit codes: 0 success, 1 invalid config or hypothesis violation,
-2 a required solve failed to converge.
+Exit codes: 0 success, 1 invalid config, hypothesis violation or a task
+that raised, 2 a required solve failed to converge.
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import asdict, dataclass, field as dc_field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any
@@ -67,8 +67,6 @@ __all__ = [
     "emit_plot_data",
     "main",
 ]
-
-THREADS_ENV = "BINORM_GS_THREADS"
 
 TASK_NAMES = (
     "solve",
@@ -284,15 +282,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         "problem": prob,
         "potential1": v1,
         "potential2": v2,
-        "solver": {
-            "dt": cfg.solver.dt,
-            "tol_residual": cfg.solver.tol_residual,
-            "tol_energy": cfg.solver.tol_energy,
-            "max_iters": cfg.solver.max_iters,
-            "multi_start": cfg.solver.multi_start,
-            "symmetrize_every": cfg.solver.symmetrize_every,
-            "rng_seed": cfg.solver.rng_seed,
-        },
+        "solver": asdict(cfg.solver),
         "run": {"tasks": list(cfg.tasks), "output_dir": cfg.output_dir},
     }
     if cfg.grid_n:
@@ -374,13 +364,13 @@ class _OutputTray:
 
 
 class _Runner:
-    def __init__(self, cfg: ExperimentConfig, out_dir: Path, threads: int) -> None:
+    def __init__(self, cfg: ExperimentConfig, out_dir: Path) -> None:
         self.cfg = cfg
         self.grid = cfg.grid()
-        self.threads = threads
         self.tray = _OutputTray(out_dir)
         self.summary: list[str] = []
         self.failed_required: list[str] = []
+        self.error: str | None = None
         self._solve_cache = None
 
     def params(self, task: str) -> dict:
@@ -406,16 +396,8 @@ class _Runner:
         res = self.main_solve()
         lam = res.multipliers
         payload = {
-            "total": res.report.total,
-            "kinetic1": res.report.kinetic1,
-            "kinetic2": res.report.kinetic2,
-            "potential1": res.report.potential1,
-            "potential2": res.report.potential2,
-            "self1": res.report.self1,
-            "self2": res.report.self2,
-            "cross": res.report.cross,
-            "lambda1": lam.lambda1,
-            "lambda2": lam.lambda2,
+            **asdict(res.report),
+            **asdict(lam),
             "converged": res.converged,
             "iterations": res.iterations,
             "final_residual": res.final_residual,
@@ -447,27 +429,9 @@ class _Runner:
             for t2 in np.linspace(0.0, 1.0, steps)
         ]
         report = scan_subadditivity(
-            self.cfg.problem,
-            thetas,
-            config=self.cfg.solver,
-            grid=self.grid,
-            threads=self.threads,
+            self.cfg.problem, thetas, config=self.cfg.solver, grid=self.grid
         )
-        payload = {
-            "e_total": report.e_total,
-            "points": [
-                {
-                    "theta1": pt.theta1,
-                    "theta2": pt.theta2,
-                    "e_inner": pt.e_inner,
-                    "e_outer": pt.e_outer,
-                    "gap": pt.gap,
-                    "trusted": pt.trusted,
-                }
-                for pt in report.points
-            ],
-        }
-        self.tray.write_json("scan_subadd.json", payload)
+        self.tray.write_json("scan_subadd.json", asdict(report))
         trusted = [pt for pt in report.points if pt.trusted]
         worst = max((pt.gap for pt in trusted), default=math.nan)
         self.mark("scan_subadd", len(trusted) == len(report.points))
@@ -582,11 +546,7 @@ class _Runner:
             "p": pexp,
             "gamma": gamma,
             "lambda": lam1,
-            "residual": check.residual,
-            "kinetic_term": check.kinetic_term,
-            "mass_term": check.mass_term,
-            "focusing_term": check.focusing_term,
-            "degenerate": check.degenerate,
+            **asdict(check),
             "converged": res.converged,
         }
         self.tray.write_json("pohozaev.json", payload)
@@ -671,16 +631,7 @@ class _Runner:
             f, g, poly_power, g_rate, 1.0, self.grid, r_values, f_rate=f_rate
         )
         payload = {
-            "rows": [
-                {
-                    "r": row.r,
-                    "omega": list(row.omega),
-                    "scaled": row.scaled,
-                    "limit": row.limit,
-                    "ratio": row.ratio,
-                }
-                for row in rows
-            ],
+            "rows": [asdict(row) for row in rows],
             "max_ratio_error": max(abs(row.ratio - 1.0) for row in rows),
         }
         self.tray.write_json("conv_limit.json", payload)
@@ -707,16 +658,22 @@ class _Runner:
             "emit_plots": self.task_emit_plots,
         }
         for task in tasks:
-            handlers[task]()
+            try:
+                handlers[task]()
+            except Exception as exc:
+                self.error = f"{task}: {exc}"
+                self.note(f"{task}: error: {exc}")
+                raise
 
     def finish(self, seed: int) -> int:
         self.tray.write_text("summary.txt", "\n".join(self.summary) + "\n")
         manifest = {
             "seed": seed,
-            "threads": self.threads,
             "files": dict(sorted(self.tray.files.items())),
             "timestamp": datetime.now(timezone.utc).isoformat(),
         }
+        if self.error is not None:
+            manifest["error"] = self.error
         (self.tray.out_dir / "manifest.json").write_text(_dumps(manifest))
         if self.failed_required:
             return 2
@@ -728,11 +685,11 @@ def run(
     tasks: list[str] | None = None,
     out_dir: str | Path | None = None,
     seed: int | None = None,
-    threads: int | None = None,
 ) -> int:
     """Execute a config's tasks; returns the process exit code.
 
-    tasks, out_dir, seed and threads override the config when given.
+    tasks, out_dir and seed override the config when given.  If a task raises,
+    summary.txt and manifest.json are still written and the error propagates.
     """
     cfg = load_config(config_path)
     if seed is not None:
@@ -742,12 +699,13 @@ def run(
         for v in violations:
             print(f"hypothesis violation: {v}", file=sys.stderr)
         return 1
-    if threads is None:
-        threads = int(os.environ.get(THREADS_ENV, "1"))
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
-    runner = _Runner(cfg, out, threads)
-    runner.run_tasks(tasks if tasks is not None else cfg.tasks)
-    return runner.finish(cfg.solver.rng_seed)
+    runner = _Runner(cfg, out)
+    try:
+        runner.run_tasks(tasks if tasks is not None else cfg.tasks)
+    finally:
+        exit_code = runner.finish(cfg.solver.rng_seed)
+    return exit_code
 
 
 # ---------------------------------------------------------------------------
@@ -842,11 +800,6 @@ def main(argv: list[str] | None = None) -> int:
             p.add_argument("--config", required=True)
         p.add_argument("--out", help="output directory (overrides the config)")
         p.add_argument("--seed", type=int, help="solver rng seed override")
-        p.add_argument(
-            "--threads",
-            type=int,
-            help=f"worker threads for independent solves (or ${THREADS_ENV})",
-        )
     args = parser.parse_args(argv)
 
     try:
@@ -861,7 +814,6 @@ def main(argv: list[str] | None = None) -> int:
             tasks=_SUBCOMMANDS[args.command],
             out_dir=args.out,
             seed=args.seed,
-            threads=args.threads,
         )
     except (ValueError, OSError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

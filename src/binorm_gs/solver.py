@@ -30,20 +30,20 @@ lowest final energy wins; ties go to the earliest start.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
 from .energy import (
     EnergyReport,
     Multipliers,
+    _component_multiplier,
     _signed_power,
     energy,
     gradient,
     multipliers,
 )
-from .grid import Field, Grid, State, _rfft_k2, inner, make_grid, norm_sq
+from .grid import Field, Grid, State, _rfft_k2, make_grid
 from .model import ProblemSpec, PotentialSpec, sample_potential, validate
 
 __all__ = [
@@ -459,7 +459,7 @@ def _multipliers_of(
     lam = [float("nan"), float("nan")]
     for i, (gi, ui) in enumerate(((grad.u1, state.u1), (grad.u2, state.u2))):
         if (m1, m2)[i] > 0.0:
-            lam[i] = -float(np.real(inner(gi, ui))) / norm_sq(ui)
+            lam[i] = _component_multiplier(gi, ui)
     return Multipliers(lambda1=lam[0], lambda2=lam[1])
 
 
@@ -628,7 +628,6 @@ def scan_subadditivity(
     theta_grid: list[tuple[float, float]],
     config: SolverConfig | None = None,
     grid: Grid | None = None,
-    threads: int = 1,
 ) -> SubaddReport:
     """Compare e(alpha) with every split e(theta alpha) + e_inf((1-theta) alpha).
 
@@ -646,20 +645,7 @@ def scan_subadditivity(
         for (t1, t2) in theta_grid
         if not (t1 == 1.0 and t2 == 1.0)
     ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            points = list(
-                pool.map(
-                    lambda th: _scan_point(spec, th, e_total, config, grid), todo
-                )
-            )
-    else:
-        points = [_scan_point(spec, th, e_total, config, grid) for th in todo]
+    points = [_scan_point(spec, th, e_total, config, grid) for th in todo]
     if not full.converged:
-        points = [
-            SubaddPoint(
-                p.theta1, p.theta2, p.e_inner, p.e_outer, p.gap, trusted=False
-            )
-            for p in points
-        ]
+        points = [replace(p, trusted=False) for p in points]
     return SubaddReport(e_total=e_total, points=points)

@@ -160,7 +160,7 @@ def test_criterion_04_multipliers_positive(bounded_results, trapping_results, re
 
 def test_criterion_05_strict_subadditivity_scan(report):
     thetas = [(i / 4.0, j / 4.0) for i in range(5) for j in range(5)]
-    rep = scan_subadditivity(wells_spec(), thetas, config=SCAN, threads=4)
+    rep = scan_subadditivity(wells_spec(), thetas, config=SCAN)
     trusted = [pt for pt in rep.points if pt.trusted]
     worst = max(pt.gap for pt in rep.points)
     report(

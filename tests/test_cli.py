@@ -181,7 +181,7 @@ def test_solve_run_writes_contracted_artifacts(tmp_path):
 
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 3
-    assert manifest["threads"] == 1
+    assert set(manifest) == {"seed", "files", "timestamp"}
     assert set(manifest["files"]) == {
         "solve.json", "trajectory.csv", "solve_u1.csv", "solve_u2.csv",
         "summary.txt",
@@ -232,6 +232,31 @@ def test_unrequired_failure_keeps_exit_zero(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(nested))
     assert run(cfg_path, out_dir=tmp_path / "out") == 0
+
+
+def test_raising_task_leaves_summary_and_manifest(tmp_path, capsys):
+    cfg_path = write_config(
+        tmp_path, "solve, conv_limit", extra="task.conv_limit.f_rate = 1.0\n"
+    )
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="f decaying strictly faster"):
+        run(cfg_path, out_dir=out, seed=2)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["seed"] == 2
+    assert manifest["error"].startswith("conv_limit: conv_limit needs f decaying")
+    assert set(manifest["files"]) == {
+        "solve.json", "trajectory.csv", "solve_u1.csv", "solve_u2.csv",
+        "summary.txt",
+    }
+    for name, digest in manifest["files"].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert summary[0].startswith("solve: energy")
+    assert summary[1].startswith("conv_limit: error: conv_limit needs")
+    assert not (out / "conv_limit.json").exists()
+    # the command line still reports the error with exit code 1
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert "error: conv_limit needs f decaying" in capsys.readouterr().err
 
 
 def test_scan_subadd_artifacts(tmp_path):
@@ -382,15 +407,6 @@ def test_main_run_uses_config_task_list(tmp_path):
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert (out / "solve.json").exists()
     assert (out / "conv_limit.json").exists()
-
-
-def test_threads_env_is_recorded(tmp_path, monkeypatch):
-    monkeypatch.setenv("BINORM_GS_THREADS", "2")
-    cfg_path = write_config(tmp_path, "solve")
-    out = tmp_path / "out"
-    assert run(cfg_path, out_dir=out) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["threads"] == 2
 
 
 def test_experiment_config_is_plain_data():

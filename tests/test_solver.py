@@ -193,15 +193,6 @@ def test_scan_subadd_origin_point(wells_result):
     assert report.e_total == pytest.approx(wells_result.report.total, rel=1e-6)
 
 
-def test_scan_subadd_threads_match_serial():
-    thetas = [(0.0, 0.0), (0.5, 0.5), (1.0, 0.5)]
-    serial = scan_subadditivity(wells_spec(), thetas, config=QUICK, threads=1)
-    threaded = scan_subadditivity(wells_spec(), thetas, config=QUICK, threads=3)
-    assert serial.thetas == threaded.thetas
-    assert serial.gaps == pytest.approx(threaded.gaps, rel=1e-12)
-    assert serial.untrusted == threaded.untrusted
-
-
 def test_scan_subadd_rejects_bad_theta():
     with pytest.raises(ValueError):
         scan_subadditivity(wells_spec(), [(0.0, 1.5)], config=QUICK)
