@@ -403,6 +403,7 @@ class _Runner:
             "final_residual": res.final_residual,
             "final_dt": res.diagnostics["final_dt"],
             "step_cuts": res.diagnostics["step_cuts"],
+            "starts": res.diagnostics["per_start"],
         }
         self.tray.write_json("solve.json", payload)
         rows = ["iter,energy,residual"]

@@ -1,27 +1,42 @@
-"""Constrained ground-state solver: projected, preconditioned gradient descent.
+"""Constrained ground-state solver: projected, preconditioned nonlinear CG.
 
 The minimizer of the energy over the two-mass constraint set is found by
-a projected, preconditioned gradient method (after Antoine, Levitt and
-Tang, J. Comput. Phys. 343, 2017).  Each iteration moves every component
-along
+a projected, preconditioned nonlinear conjugate-gradient method (after
+Antoine, Levitt and Tang, J. Comput. Phys. 343, 2017, and Danaila and
+Protas, SIAM J. Sci. Comput. 39, 2017).  Each component has the
+preconditioned, projected gradient
 
     d = P G - (<u, P G> / <u, P u>) P u,    P = S (a - lap)^-1 S,
 
 where G is the L2 gradient of the energy (see ``energy.gradient``),
 S = (1 + max(V, 0))^(-1/2) and the shift a is the larger of 1 and the
-current multiplier estimate, and then rescales the component exactly
-back to its target mass.  The direction is orthogonal
-to u and vanishes exactly when G = -lambda u, so a converged state solves
-the Euler-Lagrange system itself, whatever the step size.  Where the
-potential is bounded above by 0, S = 1 and the whole step is done on the
-real-FFT half spectrum: one forward transform of the potential and
-interaction force and one inverse transform of the candidate per step.
+current multiplier estimate.  d is orthogonal to u and vanishes exactly
+when G = -lambda u, so a converged state solves the Euler-Lagrange system
+itself, whatever the step size.
 
-The step size halves whenever a step would raise the energy, so the
-accepted energy sequence is nonincreasing up to roundoff, and grows by a
-factor 1.1 after every accepted step, up to 1.  A run halts when both the
-update residual |u_new - u_old|_inf / dt and the energy decrement fall
-below their tolerances.
+The search direction is s = d + beta s_prev, with s_prev projected onto
+the tangent space at the current u and one Polak-Ribiere+ coefficient
+for both components,
+
+    beta = max(0, <r - r_prev, d> / <r_prev, d_prev>),    r = G + lambda u.
+
+It restarts as s = d when <G, s> <= 0, after a recentering, and when
+backtracking along s reaches the step floor.  Each component then moves
+to u - tau s and is rescaled exactly back to its target mass.
+
+The step tau comes from a quadratic model of the energy along s: one
+trial at the last accepted step (dt on the first iteration), and, when
+the parabola through E(0), E'(0) = -<G, s> and E(trial) curves upward
+and its predicted decrease is above the energy's rounding, one more
+evaluation at its minimizer, clamped to [0.1, 5] times the trial.  The
+lower of the two energies is kept.  A step that would still raise the
+energy is halved, so the accepted energy sequence is nonincreasing up to
+roundoff.  A run halts when both the update residual
+|u_new - u_old|_inf / tau and the energy decrement fall below their
+tolerances.  Where the potential is bounded above by 0, S = 1 and the
+whole step is done on the real-FFT half spectrum: one forward transform
+of the potential and interaction force and one inverse transform per
+energy evaluation.
 
 Several starts with randomized bump initializations are run and the
 lowest final energy wins; ties go to the earliest start.
@@ -62,26 +77,28 @@ TRAJECTORY_CAP = 2000
 # Smallest shift a of the preconditioner P = S (a - lap)^-1 S; it also sets
 # S = (a / (a + max(V, 0)))^(1/2).
 _PRECOND_SHIFT = 1.0
-# Step growth after each accepted step, and its cap.  The high-frequency
-# eigenvalues of P times the energy Hessian tend to 1, so steps below 2 are
-# stable; without a cap the step keeps being cut and regrown and the
-# descent stalls.
-_STEP_GROWTH = 1.1
-_STEP_CAP = 1.0
+# Range, as multiples of the trial step, of the second step tried at the
+# minimizer of the quadratic energy model along the search direction.
+_QUAD_CLAMP = (0.1, 5.0)
+# Relative size of the energy's rounding noise.  When the decrease predicted
+# along the search direction is below it, the quadratic model would be fitted
+# to roundoff and the trial step is kept: otherwise noise drives the step
+# toward 0, where the update, and so the residual test, is lost to rounding.
+_ENERGY_RESOLUTION = 1e-14
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs of the projected, preconditioned gradient descent.
+    """Knobs of the projected, preconditioned nonlinear CG descent.
 
-    dt is the initial step.  It halves whenever a step would raise the
-    energy and grows by 1.1 after every accepted step, up to 1; the fixed
-    point does not depend on it.  Convergence requires the update
-    residual below tol_residual and the per-step energy decrement below
-    tol_energy on the same step.  When
-    symmetrize_every is a positive integer, the density centroid is
-    re-centered to the origin every that many accepted steps (whole-cell
-    shifts only), which pins down translation-invariant problems.
+    dt is the first trial step; later steps come from the quadratic
+    energy model along the search direction, and the fixed point does not
+    depend on dt.  Convergence requires the update residual below
+    tol_residual and the per-step energy decrement below tol_energy on
+    the same step.  When symmetrize_every is a positive integer, the
+    density centroid is re-centered to the origin every that many
+    accepted steps (whole-cell shifts only), which pins down
+    translation-invariant problems.
     """
 
     dt: float = 0.01
@@ -109,6 +126,8 @@ class SolveResult:
 
     trajectory_energies holds (iteration, energy, residual) rows of the
     winning run, decimated to at most TRAJECTORY_CAP entries.
+    diagnostics["per_start"] lists the iterations, final energy,
+    convergence flag and step cuts of every start, in start order.
     """
 
     state: State
@@ -241,7 +260,7 @@ def _flow(
     init: tuple[np.ndarray, np.ndarray],
     config: SolverConfig,
 ) -> tuple[tuple[np.ndarray, np.ndarray], _FlowInfo]:
-    """Run the projected, preconditioned gradient descent from one start."""
+    """Run the projected, preconditioned nonlinear CG descent from one start."""
     cell = grid.cell_volume
     npts = grid.n**grid.dim
     axes = tuple(range(grid.dim))
@@ -256,6 +275,7 @@ def _flow(
     s3 = spec.p3 - 1.0
     alpha = (spec.alpha1, spec.alpha2)
     active = tuple(a > 0.0 for a in alpha)
+    comps = [i for i in (0, 1) if active[i]]
     # S, or None where V <= 0, so that S == 1 and the whole step stays in the
     # half spectrum.
     sandwich = [
@@ -288,42 +308,69 @@ def _flow(
             e -= spec.beta / q3 * cell * float(np.sum(m0**q3 * m1**q3))
         return e
 
+    def dot(a_hat: np.ndarray, b_hat: np.ndarray) -> float:
+        """L2 inner product of two real fields given by their half spectra."""
+        return spectral_scale * float(np.vdot(a_hat, wgt * b_hat).real)
+
     def kinetic_of(spectrum: np.ndarray) -> float:
         return 0.5 * spectral_scale * float(np.sum(wgt * k2 * np.abs(spectrum) ** 2))
 
-    def direction(i: int, force_i: np.ndarray) -> np.ndarray:
-        """Spectrum of d = P G - (<u, P G> / <u, P u>) P u, P = S (a - lap)^-1 S.
+    def direction(
+        i: int, force_i: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Spectra of G, of the residual G + lambda u and of the direction d.
 
-        The shift a is raised to the current multiplier estimate
+        d = P G - (<u, P G> / <u, P u>) P u with P = S (a - lap)^-1 S.  The
+        shift a is raised to the current multiplier estimate
         lambda = -<G, u> / |u|^2 when that exceeds 1: in the tails, where
         the energy Hessian is -lap + V + lambda, this keeps the eigenvalues
-        of P times the Hessian at most 1, so that steps up to the cap stay
-        stable for components with lambda > 1.
+        of P times the Hessian at most 1 for components with lambda > 1.
         """
         g_hat = k2 * u_hat[i] + np.fft.rfftn(force_i)
-        lam = -spectral_scale * np.vdot(u_hat[i], wgt * g_hat).real / alpha[i]
+        lam = -dot(u_hat[i], g_hat) / alpha[i]
         resolvent = 1.0 / (max(_PRECOND_SHIFT, lam) + k2)
         w_resolvent = wgt * resolvent
+        sg_hat = g_hat
         su_hat = u_hat[i]
         s_i = sandwich[i]
         if s_i is not None:
-            g_hat = np.fft.rfftn(s_i * np.fft.irfftn(g_hat, s=grid.shape, axes=axes))
+            sg_hat = np.fft.rfftn(s_i * np.fft.irfftn(g_hat, s=grid.shape, axes=axes))
             su_hat = np.fft.rfftn(s_i * u[i])
         coef = (
-            np.vdot(su_hat, w_resolvent * g_hat).real
+            np.vdot(su_hat, w_resolvent * sg_hat).real
             / np.vdot(su_hat, w_resolvent * su_hat).real
         )
-        d_hat = resolvent * (g_hat - coef * su_hat)
+        d_hat = resolvent * (sg_hat - coef * su_hat)
         if s_i is not None:
             d_hat = np.fft.rfftn(s_i * np.fft.irfftn(d_hat, s=grid.shape, axes=axes))
-        return d_hat
+        return g_hat, g_hat + lam * u_hat[i], d_hat
 
-    kin = tuple(kinetic_of(u_hat[i]) if active[i] else 0.0 for i in (0, 1))
-    kin0 = kin
-    e_old = terms(u, kin)
+    def candidate(step_size: float, s_hat: list) -> tuple:
+        """Energy and fields of N[u - step_size * s], rescaled to the masses."""
+        new = [u[0], u[1]]
+        new_hat = [u_hat[0], u_hat[1]]
+        kin_new = [0.0, 0.0]
+        mass_err = 0.0
+        for i in comps:
+            cand_hat = u_hat[i] - step_size * s_hat[i]
+            cand = np.fft.irfftn(cand_hat, s=grid.shape, axes=axes)
+            m_star = cell * float(np.sum(cand**2))
+            if not math.isfinite(m_star):
+                raise _non_finite(cand, i, it)
+            scale = math.sqrt(alpha[i] / m_star)
+            new[i] = cand * scale
+            new_hat[i] = cand_hat * scale
+            kin_new[i] = scale**2 * kinetic_of(cand_hat)
+            mass_err = max(
+                mass_err,
+                abs(cell * float(np.sum(new[i] ** 2)) - alpha[i]) / alpha[i],
+            )
+        return terms(new, (kin_new[0], kin_new[1])), new, new_hat, kin_new, mass_err
+
+    kin0 = tuple(kinetic_of(u_hat[i]) if active[i] else 0.0 for i in (0, 1))
+    e_old = terms(u, kin0)
 
     tau = config.dt
-    step = tau
     cuts = 0
     residual = math.inf
     converged = False
@@ -332,75 +379,94 @@ def _flow(
     max_mass_err = 0.0
     max_grad_ratio = 1.0
     rows: list[tuple[int, float, float]] = [(0, e_old, math.inf)]
+    # (residual, <residual, direction>, search direction) of the previous
+    # step, or None after a recentering or a vanishing direction.
+    prev = None
 
     while it < config.max_iters:
         it += 1
         m0, m1 = np.abs(u[0]), np.abs(u[1])
-        d_hat = [None, None]
+        g_hat: list = [None, None]
+        r_hat: list = [None, None]
+        d_hat: list = [None, None]
         if active[0]:
             f = mu[0] * m0 ** pw[0] * u[0]
             if active[1]:
                 f = f + spec.beta * m1**q3 * _signed_power(u[0], m0, s3)
-            d_hat[0] = direction(0, v[0] * u[0] - f)
+            g_hat[0], r_hat[0], d_hat[0] = direction(0, v[0] * u[0] - f)
         if active[1]:
             f = mu[1] * m1 ** pw[1] * u[1]
             if active[0]:
                 f = f + spec.beta * m0**q3 * _signed_power(u[1], m1, s3)
-            d_hat[1] = direction(1, v[1] * u[1] - f)
+            g_hat[1], r_hat[1], d_hat[1] = direction(1, v[1] * u[1] - f)
 
+        # Polak-Ribiere+ with one beta for both components; the previous
+        # search direction is projected onto the tangent space at u.
+        # Since <u, d> = 0, <G, d> = <r, d>: the slope along d.
+        rd = sum(dot(r_hat[i], d_hat[i]) for i in comps)
+        s_hat, slope = d_hat, rd
+        if prev is not None:
+            r_prev, rd_prev, s_prev = prev
+            beta = (rd - sum(dot(r_prev[i], d_hat[i]) for i in comps)) / rd_prev
+            if beta > 0.0:
+                cg_hat: list = [None, None]
+                for i in comps:
+                    along = dot(u_hat[i], s_prev[i]) / alpha[i]
+                    cg_hat[i] = d_hat[i] + beta * (s_prev[i] - along * u_hat[i])
+                cg_slope = sum(dot(g_hat[i], cg_hat[i]) for i in comps)
+                if cg_slope > 0.0:
+                    s_hat, slope = cg_hat, cg_slope
+
+        # One trial at the last accepted step, then the minimizer of the
+        # parabola through E(0), E'(0) = -slope and E(trial); halve on a rise.
+        first_trial = trial = tau
+        slack = 1e-13 * max(1.0, abs(e_old))
+        resolution = _ENERGY_RESOLUTION * abs(e_old)
         while True:
-            new = [u[0], u[1]]
-            new_hat = [u_hat[0], u_hat[1]]
-            kin_new = [0.0, 0.0]
-            mass_err = 0.0
-            for i in (0, 1):
-                if not active[i]:
-                    continue
-                cand_hat = u_hat[i] - tau * d_hat[i]
-                cand = np.fft.irfftn(cand_hat, s=grid.shape, axes=axes)
-                m_star = cell * float(np.sum(cand**2))
-                if not math.isfinite(m_star):
-                    raise _non_finite(cand, i, it)
-                scale = math.sqrt(alpha[i] / m_star)
-                new[i] = cand * scale
-                new_hat[i] = cand_hat * scale
-                kin_new[i] = scale**2 * kinetic_of(cand_hat)
-                mass_err = max(
-                    mass_err,
-                    abs(cell * float(np.sum(new[i] ** 2)) - alpha[i]) / alpha[i],
+            tau = trial
+            best = candidate(trial, s_hat)
+            curvature = (best[0] - e_old + slope * trial) / trial**2
+            if curvature > 0.0 and slope * trial > resolution:
+                t_quad = min(
+                    max(slope / (2.0 * curvature), _QUAD_CLAMP[0] * trial),
+                    _QUAD_CLAMP[1] * trial,
                 )
-            e_new = terms(new, (kin_new[0], kin_new[1]))
-            slack = 1e-13 * max(1.0, abs(e_old))
-            if e_new <= e_old + slack or tau <= 1e-12:
+                other = candidate(t_quad, s_hat)
+                if other[0] < best[0]:
+                    tau, best = t_quad, other
+            if best[0] <= e_old + slack:
                 break
-            tau *= 0.5
+            if tau <= 1e-12:
+                if s_hat is d_hat:
+                    break
+                # a stale CG direction: restart along d from the same trial
+                s_hat, slope = d_hat, rd
+                trial = first_trial
+                continue
+            trial = 0.5 * tau
             cuts += 1
+        e_new, new, new_hat, kin_new, mass_err = best
 
         residual = 0.0
-        for i in (0, 1):
-            if active[i]:
-                residual = max(
-                    residual, float(np.max(np.abs(new[i] - u[i]))) / tau
-                )
+        for i in comps:
+            residual = max(residual, float(np.max(np.abs(new[i] - u[i]))) / tau)
         max_inc = max(max_inc, e_new - e_old)
         max_mass_err = max(max_mass_err, mass_err)
-        for i in (0, 1):
-            if active[i] and kin0[i] > 0.0:
-                max_grad_ratio = max(
-                    max_grad_ratio, math.sqrt(kin_new[i] / kin0[i])
-                )
+        for i in comps:
+            if kin0[i] > 0.0:
+                max_grad_ratio = max(max_grad_ratio, math.sqrt(kin_new[i] / kin0[i]))
         delta_e = abs(e_new - e_old)
         u, u_hat = new, new_hat
         e_old = e_new
         rows.append((it, e_new, residual))
-        step = tau
-        tau = min(_STEP_GROWTH * tau, _STEP_CAP)
+        prev = (r_hat, rd, s_hat) if rd > 0.0 else None
 
         if config.symmetrize_every and it % config.symmetrize_every == 0:
             shifted = _recenter(grid, u[0], u[1], active)
             if shifted[0] is not u[0]:
                 u = list(shifted)
                 u_hat = [np.fft.rfftn(u[i]) if active[i] else None for i in (0, 1)]
+                prev = None
 
         if residual < config.tol_residual and delta_e < config.tol_energy:
             converged = True
@@ -415,7 +481,7 @@ def _flow(
         max_energy_increase=max_inc,
         max_mass_error=max_mass_err,
         max_grad_ratio=max_grad_ratio,
-        final_dt=step,
+        final_dt=float(tau),
         step_cuts=cuts,
     )
     return (u[0], u[1]), info
@@ -533,12 +599,27 @@ def minimize(
             final_residual=0.0,
             converged=True,
             trajectory_energies=[(0, 0.0, 0.0)],
-            diagnostics={"starts": 0, "best_start": 0, "final_dt": None, "step_cuts": 0},
+            diagnostics={
+                "starts": 0,
+                "best_start": 0,
+                "final_dt": None,
+                "step_cuts": 0,
+                "per_start": [],
+            },
         )
 
     best: tuple[float, int, tuple[np.ndarray, np.ndarray], _FlowInfo] | None = None
+    per_start = []
     for idx, start in enumerate(_initializations(grid, spec, config, init)):
         pair, info = _flow(grid, spec, pots, start, config)
+        per_start.append(
+            {
+                "iterations": info.iterations,
+                "energy": info.energy,
+                "converged": info.converged,
+                "step_cuts": info.step_cuts,
+            }
+        )
         if best is None or info.energy < best[0] - 1e-12:
             best = (info.energy, idx, pair, info)
     assert best is not None
@@ -563,6 +644,7 @@ def minimize(
             "max_grad_ratio": info.max_grad_ratio,
             "final_dt": info.final_dt,
             "step_cuts": info.step_cuts,
+            "per_start": per_start,
         },
     )
 

@@ -27,6 +27,7 @@ SOLVE_KEYS = {
     "total", "kinetic1", "kinetic2", "potential1", "potential2",
     "self1", "self2", "cross", "lambda1", "lambda2",
     "converged", "iterations", "final_residual", "final_dt", "step_cuts",
+    "starts",
 }
 
 FAST_LINES = """
@@ -160,8 +161,14 @@ def test_solve_run_writes_contracted_artifacts(tmp_path):
     assert payload["lambda1"] > 0.0
     assert payload["converged"] is True
     assert payload["final_residual"] < 1e-6
-    assert 0.0 < payload["final_dt"] <= 1.0
+    assert math.isfinite(payload["final_dt"]) and payload["final_dt"] > 0.0
     assert payload["step_cuts"] >= 0
+    (start,) = payload["starts"]
+    assert set(start) == {"iterations", "energy", "converged", "step_cuts"}
+    assert start["iterations"] == payload["iterations"]
+    assert start["energy"] == pytest.approx(payload["total"], rel=1e-12)
+    assert start["converged"] is True
+    assert start["step_cuts"] == payload["step_cuts"]
 
     lines = (out / "trajectory.csv").read_text().splitlines()
     assert lines[0] == "iter,energy,residual"
