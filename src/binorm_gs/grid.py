@@ -265,38 +265,65 @@ def radial_profile(f: Field) -> tuple[np.ndarray, np.ndarray]:
 def write_field_csv(f: Field, path: str) -> None:
     """Dump a field to CSV: header line '# dim,n,L', rows 'index,re,im'.
 
-    Floats are written with repr so the dump round-trips bit-exactly.
+    Floats are written with repr so the dump round-trips bit-exactly;
+    real fields get 0.0 as the imaginary part.
     """
     flat = np.ravel(f.values)
+    rows = [
+        f"{i},{re!r},{im!r}\n"
+        for i, (re, im) in enumerate(zip(flat.real.tolist(), flat.imag.tolist()))
+    ]
     with open(path, "w", newline="") as fh:
         fh.write(f"# {f.grid.dim},{f.grid.n},{f.grid.length!r}\n")
-        for i in range(flat.size):
-            z = complex(flat[i])
-            fh.write(f"{i},{z.real!r},{z.imag!r}\n")
+        fh.write("".join(rows))
 
 
 def read_field_csv(path: str) -> Field:
-    """Load a field written by write_field_csv."""
+    """Load a field written by write_field_csv.
+
+    Every node must appear exactly once.  A malformed header, or a row
+    that does not have three fields, does not parse, or carries an index
+    outside [0, n**dim) or one already seen, raises ValueError naming its
+    line (and index).
+    """
     with open(path, newline="") as fh:
         header = fh.readline()
         if not header.startswith("#"):
-            raise ValueError("missing '# dim,n,L' header line")
-        parts = header[1:].strip().split(",")
-        if len(parts) != 3:
-            raise ValueError(f"malformed header {header!r}")
-        dim, n, length = int(parts[0]), int(parts[1]), float(parts[2])
+            raise ValueError(f"{path}, line 1: missing '# dim,n,L' header line")
+        try:
+            dim_s, n_s, length_s = header[1:].strip().split(",")
+            dim, n, length = int(dim_s), int(n_s), float(length_s)
+        except ValueError:
+            raise ValueError(f"{path}, line 1: malformed header {header!r}") from None
         grid = make_grid(dim, n, length)
-        re = np.empty(n**dim)
-        im = np.empty(n**dim)
-        seen = 0
-        for row in csv.reader(fh):
+        size = n**dim
+        re = np.empty(size)
+        im = np.empty(size)
+        seen = np.zeros(size, dtype=bool)
+        for line, row in enumerate(csv.reader(fh), start=2):
             if not row:
                 continue
-            i = int(row[0])
-            re[i] = float(row[1])
-            im[i] = float(row[2])
-            seen += 1
-    if seen != n**dim:
-        raise ValueError(f"expected {n ** dim} rows, found {seen}")
+            where = f"{path}, line {line}"
+            if len(row) != 3:
+                raise ValueError(
+                    f"{where}: expected 3 fields 'index,re,im', got {len(row)}"
+                )
+            try:
+                i = int(row[0])
+                re_i, im_i = float(row[1]), float(row[2])
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            if not 0 <= i < size:
+                raise ValueError(f"{where}: index {i} outside [0, {size})")
+            if seen[i]:
+                raise ValueError(f"{where}: index {i} repeats an earlier row")
+            seen[i] = True
+            re[i] = re_i
+            im[i] = im_i
+    if not seen.all():
+        raise ValueError(
+            f"{path}: expected {size} rows, found {int(seen.sum())}; "
+            f"index {int(np.argmin(seen))} is missing"
+        )
     values = re if not im.any() else re + 1j * im
     return Field(grid, values.reshape(grid.shape))

@@ -16,6 +16,10 @@ Three families are checked numerically on dense scans:
 A scan point is a violation only when the defect drops below
 -1e-12 max(1, leading term), which absorbs cancellation roundoff at
 large arguments.
+
+The four-variable scan never forms the full 2D grid: on its slice the
+defect is evaluated from broadcast x-row and y-column views, a block of
+rows at a time, and gives exactly the results of a whole-grid scan.
 """
 
 from __future__ import annotations
@@ -39,6 +43,9 @@ __all__ = [
 
 SLACK = 1e-12
 MAX_RECORDED = 50
+# 32 rows of a 1001-point axis make 256 KB float64 temporaries, which
+# stay in cache across the dozen passes the defect makes over a block.
+_ROW_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -203,28 +210,40 @@ def check_lemma34ii(
     samples: int = 1000,
 ) -> InequalityReport:
     """Scan the corrected product expansion on a 2D log grid plus axes,
-    over the slice b1 = b2 = 1 (exhaustive by bihomogeneity)."""
+    over the slice b1 = b2 = 1 (exhaustive by bihomogeneity).
+
+    On that slice every term of the defect and of its normalizer is a
+    product of a function of x and one of y, so the grid is evaluated
+    from broadcast row and column views, _ROW_BLOCK rows at a time.
+    Each point goes through the same operations as on the full grid, so
+    the report equals a whole-grid scan's exactly: the worst defect is a
+    min over blocks, and violations are collected in row-major order.
+    """
     if not (0.0 < eta < p):
         raise ValueError(f"need 0 < eta < p, got eta={eta}, p={p}")
     ax = _axis(x_max, samples)
-    x, y = np.meshgrid(ax, ax, indexing="ij")
-    d = defect_34ii(p, eta, constant, x, y)
-    lead = (x + 1.0) ** (p + 1.0) * (y + 1.0) ** (p + 1.0)
-    tol = SLACK * np.maximum(1.0, lead)
-    bad = d < -tol
-    worst = float(np.min(d / np.maximum(1.0, lead)))
-    idx = np.argwhere(bad)[:MAX_RECORDED]
-    viol = tuple(
-        (float(x[i, j]), float(y[i, j]), float(d[i, j])) for i, j in idx
-    )
+    y = ax[None, :]
+    worst = math.inf
+    viol: list[tuple[float, float, float]] = []
+    for start in range(0, ax.size, _ROW_BLOCK):
+        x = ax[start:start + _ROW_BLOCK, None]
+        d = defect_34ii(p, eta, constant, x, y)
+        lead = (x + 1.0) ** (p + 1.0) * (y + 1.0) ** (p + 1.0)
+        norm = np.maximum(1.0, lead)
+        worst = np.minimum(worst, np.min(d / norm))
+        if len(viol) < MAX_RECORDED:
+            idx = np.argwhere(d < -SLACK * norm)[: MAX_RECORDED - len(viol)]
+            viol.extend(
+                (float(ax[start + i]), float(ax[j]), float(d[i, j])) for i, j in idx
+            )
     return InequalityReport(
         which="L34ii",
         params={"p": p, "eta": eta, "x_max": x_max},
         constant_tested=constant,
         resolution=float(samples),
-        points=int(x.size),
-        worst_defect=worst,
-        violations=viol,
+        points=int(ax.size**2),
+        worst_defect=float(worst),
+        violations=tuple(viol),
     )
 
 

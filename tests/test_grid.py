@@ -213,7 +213,97 @@ def test_field_csv_real_round_trip(tmp_path):
 def test_read_field_csv_rejects_missing_header(tmp_path):
     path = tmp_path / "junk.csv"
     path.write_text("0,1.0,0.0\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="line 1: missing"):
+        read_field_csv(str(path))
+
+
+@pytest.mark.parametrize("header", ["# 1,8", "# 1,eight,4.0", "# 1,8,4.0,0"])
+def test_read_field_csv_rejects_malformed_header(tmp_path, header):
+    path = tmp_path / "junk.csv"
+    path.write_text(header + "\n0,1.0,0.0\n")
+    with pytest.raises(ValueError, match="line 1: malformed header"):
+        read_field_csv(str(path))
+
+
+def test_field_csv_text_format(tmp_path):
+    g = make_grid(1, 8, 4.0)
+    real = np.array([0.0, -0.0, 5e-324, 0.1, 1.0 / 3.0, -2.5, 1e300, 123456789.0])
+    path = tmp_path / "real.csv"
+    write_field_csv(Field(g, real), str(path))
+    assert path.read_text() == (
+        "# 1,8,4.0\n"
+        "0,0.0,0.0\n"
+        "1,-0.0,0.0\n"
+        "2,5e-324,0.0\n"
+        "3,0.1,0.0\n"
+        "4,0.3333333333333333,0.0\n"
+        "5,-2.5,0.0\n"
+        "6,1e+300,0.0\n"
+        "7,123456789.0,0.0\n"
+    )
+    cplx = np.zeros(8, dtype=complex)
+    cplx[0] = complex(1.0 / 3.0, -0.0)
+    cplx[1] = complex(-0.0, 5e-324)
+    cplx[2] = complex(2.0, -1e-7)
+    path = tmp_path / "complex.csv"
+    write_field_csv(Field(g, cplx), str(path))
+    lines = path.read_text().splitlines()
+    assert lines[:4] == [
+        "# 1,8,4.0",
+        "0,0.3333333333333333,-0.0",
+        "1,-0.0,5e-324",
+        "2,2.0,-1e-07",
+    ]
+    assert lines[4:] == [f"{i},0.0,0.0" for i in range(3, 8)]
+
+
+def _csv_rows(rows):
+    return "# 1,8,4.0\n" + "".join(f"{r}\n" for r in rows)
+
+
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        # node 5 missing, node 2 listed twice: the row count still matches
+        (
+            [f"{i},1.0,0.0" for i in (0, 1, 2, 3, 4, 2, 6, 7)],
+            r"line 7: index 2 repeats",
+        ),
+        # -1 would wrap to the last node
+        (
+            [f"{i},1.0,0.0" for i in (0, 1, 2, 3, 4, 5, 6, -1)],
+            r"line 9: index -1 outside \[0, 8\)",
+        ),
+        (
+            [f"{i},1.0,0.0" for i in (0, 1, 2, 3, 4, 5, 6, 8)],
+            r"line 9: index 8 outside \[0, 8\)",
+        ),
+        (
+            [f"{i},1.0,0.0" for i in range(8)][:3] + ["3,1.0"],
+            r"line 5: expected 3 fields",
+        ),
+        (
+            [f"{i},1.0,0.0" for i in range(8)] + ["8,1.0,0.0,0.0"],
+            r"line 10: expected 3 fields",
+        ),
+        (
+            [f"{i},1.0,0.0" for i in range(7)] + ["7,one,0.0"],
+            r"line 9: could not convert",
+        ),
+        (
+            [f"{i},1.0,0.0" for i in range(8) if i != 5],
+            r"found 7; index 5 is missing",
+        ),
+    ],
+    ids=[
+        "repeat", "negative", "past-end", "short-row", "long-row", "non-numeric",
+        "missing",
+    ],
+)
+def test_read_field_csv_rejects_bad_rows(tmp_path, rows, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(_csv_rows(rows))
+    with pytest.raises(ValueError, match=message):
         read_field_csv(str(path))
 
 

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binorm_gs.inequalities import (
+    MAX_RECORDED,
+    SLACK,
     check_elementary_p3,
     check_lemma34i,
     check_lemma34ii,
@@ -171,6 +173,35 @@ def test_product_bound_fails_with_negative_constant():
     x, y, defect = report.violations[0]
     assert defect < 0.0
     assert defect_34ii(0.8, 0.4, -0.5, x, y) == pytest.approx(defect, rel=1e-10)
+
+
+def _whole_grid_34ii(p, eta, constant, samples, x_max=1e2):
+    """Reference scan: the defect on full meshgrid arrays in one pass."""
+    ax = np.concatenate(([0.0], np.logspace(-6.0, math.log10(x_max), samples)))
+    x, y = np.meshgrid(ax, ax, indexing="ij")
+    d = defect_34ii(p, eta, constant, x, y)
+    lead = (x + 1.0) ** (p + 1.0) * (y + 1.0) ** (p + 1.0)
+    tol = SLACK * np.maximum(1.0, lead)
+    worst = float(np.min(d / np.maximum(1.0, lead)))
+    idx = np.argwhere(d < -tol)[:MAX_RECORDED]
+    viol = tuple((float(x[i, j]), float(y[i, j]), float(d[i, j])) for i, j in idx)
+    return int(x.size), worst, viol
+
+
+@pytest.mark.parametrize(
+    "samples,recorded",
+    [
+        (300, MAX_RECORDED),  # 301 rows: not a multiple of the row block
+        (20, 8),  # fewer rows than one block
+    ],
+)
+def test_blocked_product_scan_equals_whole_grid(samples, recorded):
+    report = check_lemma34ii(0.8, 0.4, -0.5, samples=samples)
+    points, worst, viol = _whole_grid_34ii(0.8, 0.4, -0.5, samples)
+    assert len(viol) == recorded
+    assert report.points == points
+    assert report.worst_defect == worst
+    assert report.violations == viol
 
 
 def test_product_scan_rejects_bad_eta():
