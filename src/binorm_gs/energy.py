@@ -150,6 +150,8 @@ def scalar_energy(
 
 def _signed_power(values: np.ndarray, magnitude: np.ndarray, q: float) -> np.ndarray:
     """|u|^q u with the q < 0 singularity at u = 0 removed (limit value 0)."""
+    if q == 0:
+        return values  # |u|^0 u is u exactly
     if q >= 0:
         return magnitude**q * values
     out = np.zeros_like(values)

@@ -40,12 +40,23 @@ energy evaluation.
 
 Several starts with randomized bump initializations are run and the
 lowest final energy wins; ties go to the earliest start.
+
+All starts of a solve step together as one batch: their fields are
+stacked along a leading axis, and each FFT, reduction and BLAS dot product
+acts on every row at once.  Each member keeps its own masses, step, CG
+state, step cuts, trajectory and stopping test, and its scalars stay
+Python floats, so it does exactly the arithmetic of a solve on its own
+and the results do not depend on what else is in the batch.  A member
+that converges leaves the batch.  ``scan_subadditivity`` batches the
+starts of all its subproblems that share a potential: the full problem
+with every inner split, then every potential-free outer split.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -85,6 +96,12 @@ _QUAD_CLAMP = (0.1, 5.0)
 # to roundoff and the trial step is kept: otherwise noise drives the step
 # toward 0, where the update, and so the residual test, is lost to rounding.
 _ENERGY_RESOLUTION = 1e-14
+# Largest number of grid nodes, summed over members, that one flow batch
+# steps; larger sets of starts run as several batches in turn.  Measured on
+# criterion 5's scan (48 starts per batch at n = 4096): 2^16 nodes (16
+# members) ran fastest, and both halving and doubling it were slower, as
+# was one batch of all 48.
+_NODE_BUDGET = 2**16
 
 
 @dataclass(frozen=True)
@@ -228,6 +245,105 @@ class _FlowInfo:
     step_cuts: int
 
 
+# The flow's helper records are plain classes: a dataclass costs about a
+# millisecond of import time each, which every run of the package pays.
+class _Member:
+    """One start of a flow batch: its masses, its start pair and its name in errors."""
+
+    __slots__ = ("masses", "init", "name")
+
+    def __init__(
+        self, masses: tuple[float, float], init: tuple[np.ndarray, np.ndarray], name: str
+    ) -> None:
+        self.masses, self.init, self.name = masses, init, name
+
+
+class _Run:
+    """Scalar state of one member of a flow batch while it steps.
+
+    rd_prev is <r, d> of the previous step; None after a recentering or a
+    vanishing direction, when there is no previous CG direction to continue.
+    """
+
+    __slots__ = (
+        "member", "masses", "energy", "kin0", "tau", "trajectory",
+        "rd_prev", "cuts", "max_inc", "max_mass_err", "max_grad_ratio",
+    )
+
+    def __init__(
+        self, member: int, masses: tuple[float, float], energy: float,
+        kin0: tuple[float, float], tau: float,
+    ) -> None:
+        self.member, self.masses, self.energy, self.kin0, self.tau = (
+            member, masses, energy, kin0, tau
+        )
+        self.trajectory = [(0, energy, math.inf)]
+        self.rd_prev: float | None = None
+        self.cuts = 0
+        self.max_inc = 0.0
+        self.max_mass_err = 0.0
+        self.max_grad_ratio = 1.0
+
+
+class _Layout:
+    """Batch members ordered so that each component's members are contiguous.
+
+    Members [0, end0) carry u1 and members [start1, size) carry u2, so
+    members [start1, end0) carry both.  A component's stacked fields hold
+    one row per member that carries it, in member order: row r of
+    component c is member parts[c][r].
+    """
+
+    __slots__ = ("size", "end0", "start1", "parts", "comps")
+
+    def __init__(self, size: int, end0: int, start1: int) -> None:
+        self.size, self.end0, self.start1 = size, end0, start1
+        self.parts = (range(0, end0), range(start1, size))
+        self.comps = [c for c in (0, 1) if self.parts[c]]
+
+    def take(self, idx: list[int]) -> tuple["_Layout", tuple[list[int], list[int]]]:
+        """Layout of the members idx (increasing) and their rows in each component."""
+        end0 = bisect.bisect_left(idx, self.end0)
+        start1 = bisect.bisect_left(idx, self.start1)
+        rows1 = [m - self.start1 for m in idx[start1:]]
+        return _Layout(len(idx), end0, start1), (idx[:end0], rows1)
+
+
+class _Step:
+    """Energies and rescaled fields of candidate steps of some members.
+
+    members lists their positions in the batch, or is None for all.
+    """
+
+    __slots__ = ("members", "layout", "energy", "fields", "spectra", "kinetic", "mass_error")
+
+    def __init__(
+        self, members: list[int] | None, layout: _Layout, energy: list[float],
+        fields: list, spectra: list, kinetic: list[list[float]], mass_error: list[float],
+    ) -> None:
+        self.members, self.layout, self.energy = members, layout, energy
+        self.fields, self.spectra, self.kinetic, self.mass_error = (
+            fields, spectra, kinetic, mass_error
+        )
+
+    def overwrite(self, other: "_Step", picks: list[int]) -> None:
+        """Take other's candidates at its positions picks."""
+        members = picks if other.members is None else [other.members[k] for k in picks]
+        at = members if self.members is None else [
+            bisect.bisect_left(self.members, m) for m in members
+        ]
+        _, dst = self.layout.take(at)
+        _, src = other.layout.take(picks)
+        for a, k in zip(at, picks):
+            self.energy[a] = other.energy[k]
+            self.kinetic[a] = other.kinetic[k]
+            self.mass_error[a] = other.mass_error[k]
+        for c in (0, 1):
+            if dst[c]:
+                self.fields[c][dst[c]] = other.fields[c][src[c]]
+                self.spectra[c][dst[c]] = other.spectra[c][src[c]]
+
+
 def _decimate(rows: list[tuple[int, float, float]]) -> list[tuple[int, float, float]]:
     if len(rows) <= TRAJECTORY_CAP:
         return rows
@@ -238,8 +354,8 @@ def _decimate(rows: list[tuple[int, float, float]]) -> list[tuple[int, float, fl
     return out
 
 
-def _non_finite(values: np.ndarray, component: int, iteration: int) -> ValueError:
-    """Error naming the first node where a flow iterate is not finite.
+def _non_finite(values: np.ndarray, component: int, iteration: int, name: str) -> ValueError:
+    """Error naming the start and the first node where a flow iterate is not finite.
 
     Finite values whose squared sum overflows are located at their largest
     magnitude.
@@ -248,76 +364,137 @@ def _non_finite(values: np.ndarray, component: int, iteration: int) -> ValueErro
     index = int(flat[0]) if flat.size else int(np.argmax(np.abs(values)))
     node = tuple(int(j) for j in np.unravel_index(index, values.shape))
     return ValueError(
-        f"solver: non-finite value in u{component + 1} at node {node}, "
+        f"solver: {name}: non-finite value in u{component + 1} at node {node}, "
         f"iteration {iteration}"
     )
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray, scale: float = 1.0) -> list[float]:
+    """scale * Re np.vdot(a[j], b[j]) for every row j of two stacks.
+
+    np.vecdot makes the same BLAS call for each row as np.vdot; one row
+    goes to np.vdot directly, which costs less per call.
+    """
+    if len(a) == 1:
+        return [scale * float(np.vdot(a, b).real)]
+    if a.ndim > 2:
+        a, b = a.reshape(len(a), -1), b.reshape(len(b), -1)
+    return [scale * z.real for z in np.vecdot(a, b).tolist()]
 
 
 def _flow(
     grid: Grid,
     spec: ProblemSpec,
     pots: tuple[np.ndarray, np.ndarray],
-    init: tuple[np.ndarray, np.ndarray],
+    members: list[_Member],
     config: SolverConfig,
-) -> tuple[tuple[np.ndarray, np.ndarray], _FlowInfo]:
-    """Run the projected, preconditioned nonlinear CG descent from one start."""
-    cell = grid.cell_volume
-    npts = grid.n**grid.dim
-    axes = tuple(range(grid.dim))
-    k2 = _rfft_k2(grid)
-    wgt = _rfft_weights(grid)
-    spectral_scale = cell / npts
+) -> list[tuple[tuple[np.ndarray, np.ndarray], _FlowInfo]]:
+    """Run the projected, preconditioned nonlinear CG descent on a batch of starts.
 
-    v = pots
+    Every member has its own masses (at least one positive) and start and
+    shares the exponents and couplings of spec and the sampled potentials
+    pots.  The fields of all members are stacked, one row per member that
+    carries a component, and every FFT, reduction and BLAS dot product
+    acts row by row; each member's scalars stay Python floats.  So each
+    member keeps its own step, CG state, step cuts, trajectory and
+    stopping test, and does exactly the arithmetic of a batch of one.  A
+    converged member stops, and a line-search round re-evaluates only the
+    members that need another trial.  Results come back in member order.
+    """
+    cell = grid.cell_volume
+    shape = grid.shape
+    axes = tuple(range(1, grid.dim + 1))
+    col = (slice(None),) + (None,) * grid.dim
+    # Per-grid arrays carry a leading axis of length 1, so that with one
+    # member every operation meets arrays of equal shape.
+    k2 = _rfft_k2(grid)[None]
+    wgt = _rfft_weights(grid)[None]
+    wk2 = wgt * k2
+    # Complex copies scale complex spectra without a cast on every call; the
+    # products are the same, as numpy casts a real factor to complex anyway.
+    k2_c = k2.astype(complex)
+    wgt_c = wgt.astype(complex)
+    spectral_scale = cell / grid.n**grid.dim
+
+    v = (pots[0][None], pots[1][None])
     mu = (spec.mu1, spec.mu2)
     pw = (2.0 * spec.p1, 2.0 * spec.p2)
     q3 = spec.p3 + 1.0
     s3 = spec.p3 - 1.0
-    alpha = (spec.alpha1, spec.alpha2)
-    active = tuple(a > 0.0 for a in alpha)
-    comps = [i for i in (0, 1) if active[i]]
     # S, or None where V <= 0, so that S == 1 and the whole step stays in the
     # half spectrum.
     sandwich = [
-        np.sqrt(_PRECOND_SHIFT / (_PRECOND_SHIFT + np.maximum(v[i], 0.0)))
-        if active[i] and float(np.max(v[i])) > 0.0
+        np.sqrt(_PRECOND_SHIFT / (_PRECOND_SHIFT + np.maximum(v[c], 0.0)))
+        if float(np.max(v[c])) > 0.0
         else None
-        for i in (0, 1)
+        for c in (0, 1)
     ]
 
-    u = [np.array(init[0], dtype=np.float64), np.array(init[1], dtype=np.float64)]
-    for i in (0, 1):
-        if not active[i]:
-            u[i] = np.zeros(grid.shape)
-            continue
-        if not np.all(np.isfinite(u[i])):
-            raise _non_finite(u[i], i, 0)
-        u[i] = _scaled_to_mass(u[i], alpha[i], cell)
-    u_hat = [np.fft.rfftn(u[i]) if active[i] else None for i in (0, 1)]
+    # Where a potential is 0 everywhere its energy term is an exact +0.0,
+    # and adding it would change no sum but -0.0, so it is skipped.
+    has_potential = [bool(np.any(v[c])) for c in (0, 1)]
+    add_reduce = np.add.reduce
 
-    def terms(ua: list[np.ndarray], kin: tuple[float, float]) -> float:
-        m0, m1 = np.abs(ua[0]), np.abs(ua[1])
-        e = kin[0] + kin[1]
-        if active[0]:
-            e += 0.5 * cell * float(np.sum(v[0] * ua[0] ** 2))
-            e -= mu[0] / (pw[0] + 2.0) * cell * float(np.sum(m0 ** (pw[0] + 2.0)))
-        if active[1]:
-            e += 0.5 * cell * float(np.sum(v[1] * ua[1] ** 2))
-            e -= mu[1] / (pw[1] + 2.0) * cell * float(np.sum(m1 ** (pw[1] + 2.0)))
-        if active[0] and active[1]:
-            e -= spec.beta / q3 * cell * float(np.sum(m0**q3 * m1**q3))
+    def total(x: np.ndarray) -> list[float]:
+        return add_reduce(x, axis=axes).tolist()
+
+    def kinetic_of(spectra: np.ndarray) -> list[float]:
+        return [0.5 * spectral_scale * s for s in total(wk2 * np.abs(spectra) ** 2)]
+
+    def column(values: list[float]) -> np.ndarray | float:
+        """Per-member factors shaped to scale stacked rows; one member's is a float."""
+        return values[0] if len(values) == 1 else np.array(values)[col]
+
+    def member_dots(a_hat: list, b_hat: list, weighted: bool = False) -> list:
+        """Per member, the sum over its components of the L2 products <a, b>
+        of real fields given by their half spectra.
+
+        weighted says that b_hat already carries the half-spectrum weights.
+        """
+        out = [0] * lay.size
+        for c in lay.comps:
+            b_c = b_hat[c] if weighted else wgt_c * b_hat[c]
+            for m, x in zip(lay.parts[c], _rowdot(a_hat[c], b_c, spectral_scale)):
+                out[m] += x
+        return out
+
+    def terms(lay: _Layout, ua: list, sq: list, kin: list[list[float]]) -> list[float]:
+        """Energies of the members' fields ua, given their squares sq."""
+        e = [k[0] + k[1] for k in kin]
+        mag = [None, None]
+        for c in lay.comps:
+            mag[c] = np.abs(ua[c])
+            if has_potential[c]:
+                for m, p in zip(lay.parts[c], total(v[c] * sq[c])):
+                    e[m] += 0.5 * cell * p
+            own = total(mag[c] ** (pw[c] + 2.0))
+            for m, s in zip(lay.parts[c], own):
+                e[m] -= mu[c] / (pw[c] + 2.0) * cell * s
+        lo, hi = lay.start1, lay.end0
+        if lo < hi:
+            cross = total(mag[0][lo:] ** q3 * mag[1][: hi - lo] ** q3)
+            for m, s in zip(range(lo, hi), cross):
+                e[m] -= spec.beta / q3 * cell * s
         return e
 
-    def dot(a_hat: np.ndarray, b_hat: np.ndarray) -> float:
-        """L2 inner product of two real fields given by their half spectra."""
-        return spectral_scale * float(np.vdot(a_hat, wgt * b_hat).real)
+    def forces(lay: _Layout, ua: list) -> list:
+        """V u minus the nonlinear force, for each component."""
+        mag = [None, None]
+        f = [None, None]
+        for c in lay.comps:
+            mag[c] = np.abs(ua[c])
+            f[c] = mu[c] * mag[c] ** pw[c] * ua[c]
+        lo, hi = lay.start1, lay.end0
+        if lo < hi:
+            f[0][lo:] += spec.beta * mag[1][: hi - lo] ** q3 * _signed_power(
+                ua[0][lo:], mag[0][lo:], s3
+            )
+            f[1][: hi - lo] += spec.beta * mag[0][lo:] ** q3 * _signed_power(
+                ua[1][: hi - lo], mag[1][: hi - lo], s3
+            )
+        return [None if f[c] is None else v[c] * ua[c] - f[c] for c in (0, 1)]
 
-    def kinetic_of(spectrum: np.ndarray) -> float:
-        return 0.5 * spectral_scale * float(np.sum(wgt * k2 * np.abs(spectrum) ** 2))
-
-    def direction(
-        i: int, force_i: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def direction(c: int, force: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Spectra of G, of the residual G + lambda u and of the direction d.
 
         d = P G - (<u, P G> / <u, P u>) P u with P = S (a - lap)^-1 S.  The
@@ -326,165 +503,304 @@ def _flow(
         the energy Hessian is -lap + V + lambda, this keeps the eigenvalues
         of P times the Hessian at most 1 for components with lambda > 1.
         """
-        g_hat = k2 * u_hat[i] + np.fft.rfftn(force_i)
-        lam = -dot(u_hat[i], g_hat) / alpha[i]
-        resolvent = 1.0 / (max(_PRECOND_SHIFT, lam) + k2)
-        w_resolvent = wgt * resolvent
+        u_hat = spectra[c]
+        g_hat = k2_c * u_hat + np.fft.rfftn(force, s=shape, axes=axes)
+        g_dot_u = _rowdot(u_hat, wgt_c * g_hat, spectral_scale)
+        lam = [-x / runs[m].masses[c] for m, x in zip(lay.parts[c], g_dot_u)]
+        resolvent = 1.0 / (column([max(_PRECOND_SHIFT, x) for x in lam]) + k2)
+        # complex once here, rather than cast in each product below
+        w_resolvent = (wgt * resolvent).astype(complex)
+        resolvent = resolvent.astype(complex)
         sg_hat = g_hat
-        su_hat = u_hat[i]
-        s_i = sandwich[i]
-        if s_i is not None:
-            sg_hat = np.fft.rfftn(s_i * np.fft.irfftn(g_hat, s=grid.shape, axes=axes))
-            su_hat = np.fft.rfftn(s_i * u[i])
-        coef = (
-            np.vdot(su_hat, w_resolvent * sg_hat).real
-            / np.vdot(su_hat, w_resolvent * su_hat).real
-        )
-        d_hat = resolvent * (sg_hat - coef * su_hat)
-        if s_i is not None:
-            d_hat = np.fft.rfftn(s_i * np.fft.irfftn(d_hat, s=grid.shape, axes=axes))
-        return g_hat, g_hat + lam * u_hat[i], d_hat
-
-    def candidate(step_size: float, s_hat: list) -> tuple:
-        """Energy and fields of N[u - step_size * s], rescaled to the masses."""
-        new = [u[0], u[1]]
-        new_hat = [u_hat[0], u_hat[1]]
-        kin_new = [0.0, 0.0]
-        mass_err = 0.0
-        for i in comps:
-            cand_hat = u_hat[i] - step_size * s_hat[i]
-            cand = np.fft.irfftn(cand_hat, s=grid.shape, axes=axes)
-            m_star = cell * float(np.sum(cand**2))
-            if not math.isfinite(m_star):
-                raise _non_finite(cand, i, it)
-            scale = math.sqrt(alpha[i] / m_star)
-            new[i] = cand * scale
-            new_hat[i] = cand_hat * scale
-            kin_new[i] = scale**2 * kinetic_of(cand_hat)
-            mass_err = max(
-                mass_err,
-                abs(cell * float(np.sum(new[i] ** 2)) - alpha[i]) / alpha[i],
+        su_hat = u_hat
+        s_c = sandwich[c]
+        if s_c is not None:
+            sg_hat = np.fft.rfftn(
+                s_c * np.fft.irfftn(g_hat, s=shape, axes=axes), s=shape, axes=axes
             )
-        return terms(new, (kin_new[0], kin_new[1])), new, new_hat, kin_new, mass_err
+            su_hat = np.fft.rfftn(s_c * fields[c], s=shape, axes=axes)
+        coef = [
+            x / y
+            for x, y in zip(
+                _rowdot(su_hat, w_resolvent * sg_hat), _rowdot(su_hat, w_resolvent * su_hat)
+            )
+        ]
+        d_hat = resolvent * (sg_hat - column(coef) * su_hat)
+        if s_c is not None:
+            d_hat = np.fft.rfftn(
+                s_c * np.fft.irfftn(d_hat, s=shape, axes=axes), s=shape, axes=axes
+            )
+        return g_hat, g_hat + column(lam) * u_hat, d_hat
 
-    kin0 = tuple(kinetic_of(u_hat[i]) if active[i] else 0.0 for i in (0, 1))
-    e_old = terms(u, kin0)
+    def candidates(idx: list[int] | None, steps: list[float], s_hat: list) -> _Step:
+        """Energies and fields of N[u - step s], rescaled to the masses.
 
-    tau = config.dt
-    cuts = 0
-    residual = math.inf
-    converged = False
+        idx lists the members evaluated (None for all); steps has one entry
+        for each of them.
+        """
+        if idx is None:
+            sub, rows, who = lay, (slice(None), slice(None)), runs
+        else:
+            (sub, rows), who = lay.take(idx), [runs[m] for m in idx]
+        comps = sub.comps
+        cand_hat, cand, m_star = [None, None], [None, None], [None, None]
+        for c in comps:
+            part = sub.parts[c]
+            step_c = column(steps[part.start : part.stop])
+            cand_hat[c] = spectra[c][rows[c]] - step_c * s_hat[c][rows[c]]
+            cand[c] = np.fft.irfftn(cand_hat[c], s=shape, axes=axes)
+            m_star[c] = [cell * s for s in total(cand[c] ** 2)]
+        if not all(all(map(math.isfinite, m_star[c])) for c in comps):
+            j, c, r = min(
+                (who[m].member, c, r)
+                for c in comps
+                for r, m in enumerate(sub.parts[c])
+                if not math.isfinite(m_star[c][r])
+            )
+            raise _non_finite(cand[c][r], c, it, members[j].name)
+        new, new_hat, sq = [None, None], [None, None], [None, None]
+        kin = [[0.0, 0.0] for _ in range(sub.size)]
+        mass_err = [0.0] * sub.size
+        for c in comps:
+            part = sub.parts[c]
+            alphas = [who[m].masses[c] for m in part]
+            scale = [math.sqrt(a / m) for a, m in zip(alphas, m_star[c])]
+            scale_c = column(scale)
+            new[c] = cand[c] * scale_c
+            new_hat[c] = cand_hat[c] * scale_c
+            sq[c] = new[c] ** 2
+            mass = total(sq[c])
+            for m, a, sc, k, ms in zip(part, alphas, scale, kinetic_of(cand_hat[c]), mass):
+                kin[m][c] = sc**2 * k
+                mass_err[m] = max(mass_err[m], abs(cell * ms - a) / a)
+        return _Step(idx, sub, terms(sub, new, sq, kin), new, new_hat, kin, mass_err)
+
+    # Members are ordered u1-only, both, u2-only, so that each component's
+    # members form one contiguous block of rows.
+    rank = {(True, False): 0, (True, True): 1, (False, True): 2}
+    order = sorted(
+        range(len(members)), key=lambda j: rank[tuple(a > 0.0 for a in members[j].masses)]
+    )
+    start: dict[tuple[int, int], np.ndarray] = {}
+    for j, member in enumerate(members):
+        for c in (0, 1):
+            if member.masses[c] > 0.0:
+                values = np.array(member.init[c], dtype=np.float64)
+                if not np.all(np.isfinite(values)):
+                    raise _non_finite(values, c, 0, member.name)
+                start[j, c] = _scaled_to_mass(values, member.masses[c], cell)
+    lay = _Layout(
+        len(members),
+        sum(1 for member in members if member.masses[0] > 0.0),
+        sum(1 for member in members if member.masses[1] == 0.0),
+    )
+    fields = [
+        np.array([start[j, c] for j in order if (j, c) in start]) if lay.parts[c] else None
+        for c in (0, 1)
+    ]
+    spectra = [None if x is None else np.fft.rfftn(x, s=shape, axes=axes) for x in fields]
+    kin0 = [[0.0, 0.0] for _ in order]
+    for c in lay.comps:
+        for m, k in zip(lay.parts[c], kinetic_of(spectra[c])):
+            kin0[m][c] = k
+    energy0 = terms(lay, fields, [None if x is None else x**2 for x in fields], kin0)
+    runs = [
+        _Run(j, members[j].masses, e, tuple(k), config.dt)
+        for j, e, k in zip(order, energy0, kin0)
+    ]
+    r_prev: list = [None, None]
+    s_prev: list = [None, None]
+    out: list = [None] * len(members)
+
     it = 0
-    max_inc = 0.0
-    max_mass_err = 0.0
-    max_grad_ratio = 1.0
-    rows: list[tuple[int, float, float]] = [(0, e_old, math.inf)]
-    # (residual, <residual, direction>, search direction) of the previous
-    # step, or None after a recentering or a vanishing direction.
-    prev = None
-
     while it < config.max_iters:
         it += 1
-        m0, m1 = np.abs(u[0]), np.abs(u[1])
+        comps = lay.comps
+        force = forces(lay, fields)
         g_hat: list = [None, None]
         r_hat: list = [None, None]
         d_hat: list = [None, None]
-        if active[0]:
-            f = mu[0] * m0 ** pw[0] * u[0]
-            if active[1]:
-                f = f + spec.beta * m1**q3 * _signed_power(u[0], m0, s3)
-            g_hat[0], r_hat[0], d_hat[0] = direction(0, v[0] * u[0] - f)
-        if active[1]:
-            f = mu[1] * m1 ** pw[1] * u[1]
-            if active[0]:
-                f = f + spec.beta * m0**q3 * _signed_power(u[1], m1, s3)
-            g_hat[1], r_hat[1], d_hat[1] = direction(1, v[1] * u[1] - f)
+        for c in comps:
+            g_hat[c], r_hat[c], d_hat[c] = direction(c, force[c])
 
         # Polak-Ribiere+ with one beta for both components; the previous
         # search direction is projected onto the tangent space at u.
         # Since <u, d> = 0, <G, d> = <r, d>: the slope along d.
-        rd = sum(dot(r_hat[i], d_hat[i]) for i in comps)
+        wd_hat = [None if d is None else wgt_c * d for d in d_hat]
+        rd = member_dots(r_hat, wd_hat, weighted=True)
         s_hat, slope = d_hat, rd
-        if prev is not None:
-            r_prev, rd_prev, s_prev = prev
-            beta = (rd - sum(dot(r_prev[i], d_hat[i]) for i in comps)) / rd_prev
-            if beta > 0.0:
+        on_cg = [False] * lay.size
+        if any(run.rd_prev is not None for run in runs):
+            rd_mixed = member_dots(r_prev, wd_hat, weighted=True)
+            beta = [
+                0.0 if run.rd_prev is None else (x - y) / run.rd_prev
+                for run, x, y in zip(runs, rd, rd_mixed)
+            ]
+            if any(b > 0.0 for b in beta):
                 cg_hat: list = [None, None]
-                for i in comps:
-                    along = dot(u_hat[i], s_prev[i]) / alpha[i]
-                    cg_hat[i] = d_hat[i] + beta * (s_prev[i] - along * u_hat[i])
-                cg_slope = sum(dot(g_hat[i], cg_hat[i]) for i in comps)
-                if cg_slope > 0.0:
+                for c in comps:
+                    part = lay.parts[c]
+                    along = [
+                        x / runs[m].masses[c]
+                        for m, x in zip(
+                            part, _rowdot(spectra[c], wgt_c * s_prev[c], spectral_scale)
+                        )
+                    ]
+                    cg_hat[c] = d_hat[c] + column(beta[part.start:part.stop]) * (
+                        s_prev[c] - column(along) * spectra[c]
+                    )
+                cg_slope = member_dots(g_hat, cg_hat)
+                on_cg = [b > 0.0 and x > 0.0 for b, x in zip(beta, cg_slope)]
+                if all(on_cg):
                     s_hat, slope = cg_hat, cg_slope
+                elif any(on_cg):
+                    s_hat = [
+                        None if c not in comps else np.where(
+                            column([on_cg[m] for m in lay.parts[c]]), cg_hat[c], d_hat[c]
+                        )
+                        for c in (0, 1)
+                    ]
+                    slope = [x if cg else y for cg, x, y in zip(on_cg, cg_slope, rd)]
 
         # One trial at the last accepted step, then the minimizer of the
         # parabola through E(0), E'(0) = -slope and E(trial); halve on a rise.
-        first_trial = trial = tau
-        slack = 1e-13 * max(1.0, abs(e_old))
-        resolution = _ENERGY_RESOLUTION * abs(e_old)
-        while True:
-            tau = trial
-            best = candidate(trial, s_hat)
-            curvature = (best[0] - e_old + slope * trial) / trial**2
-            if curvature > 0.0 and slope * trial > resolution:
-                t_quad = min(
-                    max(slope / (2.0 * curvature), _QUAD_CLAMP[0] * trial),
-                    _QUAD_CLAMP[1] * trial,
+        # Each round evaluates only the members still searching.
+        first_trial = [run.tau for run in runs]
+        trial = list(first_trial)
+        todo = list(range(lay.size))
+        while todo:
+            whole = len(todo) == lay.size
+            for m in todo:
+                runs[m].tau = trial[m]
+            best = candidates(None if whole else todo, [trial[m] for m in todo], s_hat)
+            quad, t_quad = [], []
+            for k, m in enumerate(todo):
+                e_old = runs[m].energy
+                curvature = (best.energy[k] - e_old + slope[m] * trial[m]) / trial[m] ** 2
+                if curvature > 0.0 and slope[m] * trial[m] > _ENERGY_RESOLUTION * abs(e_old):
+                    quad.append(k)
+                    t_quad.append(min(
+                        max(slope[m] / (2.0 * curvature), _QUAD_CLAMP[0] * trial[m]),
+                        _QUAD_CLAMP[1] * trial[m],
+                    ))
+            if quad:
+                every = len(quad) == len(todo)
+                other = candidates(
+                    (None if whole else todo) if every else [todo[k] for k in quad],
+                    t_quad,
+                    s_hat,
                 )
-                other = candidate(t_quad, s_hat)
-                if other[0] < best[0]:
-                    tau, best = t_quad, other
-            if best[0] <= e_old + slack:
-                break
-            if tau <= 1e-12:
-                if s_hat is d_hat:
-                    break
-                # a stale CG direction: restart along d from the same trial
-                s_hat, slope = d_hat, rd
-                trial = first_trial
-                continue
-            trial = 0.5 * tau
-            cuts += 1
-        e_new, new, new_hat, kin_new, mass_err = best
+                lower = [i for i, k in enumerate(quad) if other.energy[i] < best.energy[k]]
+                if every and len(lower) == len(quad):
+                    best = other
+                elif lower:
+                    best.overwrite(other, lower)
+                for i in lower:
+                    runs[todo[quad[i]]].tau = t_quad[i]
+            if whole:
+                step = best
+            else:
+                step.overwrite(best, list(range(len(todo))))
+            retry = []
+            restart = []
+            for k, m in enumerate(todo):
+                run = runs[m]
+                if best.energy[k] <= run.energy + 1e-13 * max(1.0, abs(run.energy)):
+                    continue
+                if run.tau <= 1e-12:
+                    if not on_cg[m]:
+                        continue
+                    # a stale CG direction: restart along d from the same trial
+                    on_cg[m] = False
+                    slope[m] = rd[m]
+                    trial[m] = first_trial[m]
+                    restart.append(m)
+                else:
+                    trial[m] = 0.5 * run.tau
+                    run.cuts += 1
+                retry.append(m)
+            if restart:
+                _, rows = lay.take(restart)
+                for c in comps:
+                    s_hat[c][rows[c]] = d_hat[c][rows[c]]
+            todo = retry
 
-        residual = 0.0
-        for i in comps:
-            residual = max(residual, float(np.max(np.abs(new[i] - u[i]))) / tau)
-        max_inc = max(max_inc, e_new - e_old)
-        max_mass_err = max(max_mass_err, mass_err)
-        for i in comps:
-            if kin0[i] > 0.0:
-                max_grad_ratio = max(max_grad_ratio, math.sqrt(kin_new[i] / kin0[i]))
-        delta_e = abs(e_new - e_old)
-        u, u_hat = new, new_hat
-        e_old = e_new
-        rows.append((it, e_new, residual))
-        prev = (r_hat, rd, s_hat) if rd > 0.0 else None
+        moved = [None, None]
+        for c in comps:
+            moved[c] = np.maximum.reduce(np.abs(step.fields[c] - fields[c]), axis=axes).tolist()
+        residual = [0.0] * lay.size
+        for c in comps:
+            for m, x in zip(lay.parts[c], moved[c]):
+                residual[m] = max(residual[m], x / runs[m].tau)
+        done = []
+        for m, run in enumerate(runs):
+            e_new = step.energy[m]
+            run.max_inc = max(run.max_inc, e_new - run.energy)
+            run.max_mass_err = max(run.max_mass_err, step.mass_error[m])
+            for c in comps:
+                if run.kin0[c] > 0.0:
+                    run.max_grad_ratio = max(
+                        run.max_grad_ratio, math.sqrt(step.kinetic[m][c] / run.kin0[c])
+                    )
+            delta_e = abs(e_new - run.energy)
+            run.energy = e_new
+            run.trajectory.append((it, e_new, residual[m]))
+            run.rd_prev = rd[m] if rd[m] > 0.0 else None
+            if residual[m] < config.tol_residual and delta_e < config.tol_energy:
+                done.append(m)
+        fields, spectra = step.fields, step.spectra
+        r_prev, s_prev = r_hat, s_hat
 
         if config.symmetrize_every and it % config.symmetrize_every == 0:
-            shifted = _recenter(grid, u[0], u[1], active)
-            if shifted[0] is not u[0]:
-                u = list(shifted)
-                u_hat = [np.fft.rfftn(u[i]) if active[i] else None for i in (0, 1)]
-                prev = None
+            for m, run in enumerate(runs):
+                rows = [m - lay.parts[c].start if m in lay.parts[c] else None for c in (0, 1)]
+                pair = [
+                    np.zeros(shape) if rows[c] is None else fields[c][rows[c]]
+                    for c in (0, 1)
+                ]
+                active = (rows[0] is not None, rows[1] is not None)
+                shifted = _recenter(grid, pair[0], pair[1], active)
+                if shifted[0] is not pair[0]:
+                    for c in comps:
+                        if rows[c] is not None:
+                            fields[c][rows[c]] = shifted[c]
+                            spectra[c][rows[c]] = np.fft.rfftn(shifted[c])
+                    run.rd_prev = None
 
-        if residual < config.tol_residual and delta_e < config.tol_energy:
-            converged = True
+        leaving = range(lay.size) if it == config.max_iters else done
+        for m in leaving:
+            run = runs[m]
+            pair = tuple(
+                fields[c][m - lay.parts[c].start].copy() if m in lay.parts[c] else np.zeros(shape)
+                for c in (0, 1)
+            )
+            out[run.member] = (
+                pair,
+                _FlowInfo(
+                    iterations=it,
+                    final_residual=residual[m],
+                    converged=m in done,
+                    energy=run.energy,
+                    trajectory=_decimate(run.trajectory),
+                    max_energy_increase=run.max_inc,
+                    max_mass_error=run.max_mass_err,
+                    max_grad_ratio=run.max_grad_ratio,
+                    final_dt=float(run.tau),
+                    step_cuts=run.cuts,
+                ),
+            )
+        if len(leaving) == lay.size:
             break
-
-    info = _FlowInfo(
-        iterations=it,
-        final_residual=residual,
-        converged=converged,
-        energy=e_old,
-        trajectory=_decimate(rows),
-        max_energy_increase=max_inc,
-        max_mass_error=max_mass_err,
-        max_grad_ratio=max_grad_ratio,
-        final_dt=float(tau),
-        step_cuts=cuts,
-    )
-    return (u[0], u[1]), info
+        if done:
+            keep = [m for m in range(lay.size) if m not in done]
+            new_lay, rows = lay.take(keep)
+            fields, spectra, r_prev, s_prev = (
+                [None if x is None else x[rows[c]] for c, x in enumerate(arrays)]
+                for arrays in (fields, spectra, r_prev, s_prev)
+            )
+            runs = [runs[m] for m in keep]
+            lay = new_lay
+    return out
 
 
 def _recenter(
@@ -531,7 +847,6 @@ def _multipliers_of(
 
 def _initializations(
     grid: Grid,
-    spec: ProblemSpec,
     config: SolverConfig,
     init: State | None,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -565,35 +880,64 @@ def _initializations(
     return starts
 
 
-def minimize(
-    spec: ProblemSpec,
-    config: SolverConfig | None = None,
-    grid: Grid | None = None,
-    init: State | None = None,
-) -> SolveResult:
-    """Minimize the constrained energy; best of multi_start flow runs.
-
-    Raises ValueError when the problem violates the standing hypotheses.
-    A state with both masses zero is returned immediately with zero
-    energy.
-    """
+def _check(spec: ProblemSpec) -> None:
     violations = validate(spec)
     if violations:
         raise ValueError("; ".join(violations))
-    config = config or SolverConfig()
-    grid = grid or default_grid(spec.dim)
-    pots = (
-        sample_potential(spec.v1, grid).values,
-        sample_potential(spec.v2, grid).values,
-    )
 
-    if spec.alpha1 == 0.0 and spec.alpha2 == 0.0:
+
+def _solve_all(
+    grid: Grid,
+    specs: list[ProblemSpec],
+    pots: tuple[np.ndarray, np.ndarray],
+    config: SolverConfig,
+    init: State | None = None,
+) -> list[SolveResult]:
+    """Minimize every spec, each the best of multi_start flow runs.
+
+    The specs differ only in their masses, so all their starts run as one
+    flow batch, split into batches of at most _NODE_BUDGET grid nodes;
+    pots are their sampled potentials.  A spec with both masses zero is
+    returned immediately with zero energy.
+    """
+    members: list[_Member] = []
+    owners: list[int] = []
+    if any(spec.alpha1 > 0.0 or spec.alpha2 > 0.0 for spec in specs):
+        starts = _initializations(grid, config, init)
+        for j, spec in enumerate(specs):
+            if spec.alpha1 == 0.0 and spec.alpha2 == 0.0:
+                continue
+            solve = "" if len(specs) == 1 else (
+                f" of the solve at masses ({spec.alpha1}, {spec.alpha2})"
+            )
+            for k, start in enumerate(starts):
+                members.append(_Member(spec.masses, start, f"start {k}{solve}"))
+                owners.append(j)
+    per_flow = max(1, _NODE_BUDGET // grid.n**grid.dim)
+    runs = []
+    for lo in range(0, len(members), per_flow):
+        runs += _flow(grid, specs[0], pots, members[lo : lo + per_flow], config)
+    pot_fields = (Field(grid, pots[0]), Field(grid, pots[1]))
+    return [
+        _result(grid, spec, pot_fields, config, [r for r, o in zip(runs, owners) if o == j])
+        for j, spec in enumerate(specs)
+    ]
+
+
+def _result(
+    grid: Grid,
+    spec: ProblemSpec,
+    pot_fields: tuple[Field, Field],
+    config: SolverConfig,
+    runs: list[tuple[tuple[np.ndarray, np.ndarray], _FlowInfo]],
+) -> SolveResult:
+    """The solve record of a spec from its starts' runs, in start order."""
+    if not runs:
         zero = Field(grid, np.zeros(grid.shape))
         state = State(zero, zero)
-        report = energy(state, spec, (Field(grid, pots[0]), Field(grid, pots[1])))
         return SolveResult(
             state=state,
-            report=report,
+            report=energy(state, spec, pot_fields),
             multipliers=Multipliers(float("nan"), float("nan")),
             iterations=0,
             final_residual=0.0,
@@ -607,30 +951,15 @@ def minimize(
                 "per_start": [],
             },
         )
-
-    best: tuple[float, int, tuple[np.ndarray, np.ndarray], _FlowInfo] | None = None
-    per_start = []
-    for idx, start in enumerate(_initializations(grid, spec, config, init)):
-        pair, info = _flow(grid, spec, pots, start, config)
-        per_start.append(
-            {
-                "iterations": info.iterations,
-                "energy": info.energy,
-                "converged": info.converged,
-                "step_cuts": info.step_cuts,
-            }
-        )
-        if best is None or info.energy < best[0] - 1e-12:
-            best = (info.energy, idx, pair, info)
-    assert best is not None
-    _, best_idx, pair, info = best
-
+    best_idx = 0
+    for idx, (_, info) in enumerate(runs):
+        if info.energy < runs[best_idx][1].energy - 1e-12:
+            best_idx = idx
+    pair, info = runs[best_idx]
     state = State(Field(grid, pair[0]), Field(grid, pair[1]))
-    pot_fields = (Field(grid, pots[0]), Field(grid, pots[1]))
-    report = energy(state, spec, pot_fields)
     return SolveResult(
         state=state,
-        report=report,
+        report=energy(state, spec, pot_fields),
         multipliers=_multipliers_of(state, spec, pot_fields),
         iterations=info.iterations,
         final_residual=info.final_residual,
@@ -644,9 +973,39 @@ def minimize(
             "max_grad_ratio": info.max_grad_ratio,
             "final_dt": info.final_dt,
             "step_cuts": info.step_cuts,
-            "per_start": per_start,
+            "per_start": [
+                {
+                    "iterations": run.iterations,
+                    "energy": run.energy,
+                    "converged": run.converged,
+                    "step_cuts": run.step_cuts,
+                }
+                for _, run in runs
+            ],
         },
     )
+
+
+def minimize(
+    spec: ProblemSpec,
+    config: SolverConfig | None = None,
+    grid: Grid | None = None,
+    init: State | None = None,
+) -> SolveResult:
+    """Minimize the constrained energy; best of multi_start flow runs.
+
+    The starts run as one flow batch.  Raises ValueError when the problem
+    violates the standing hypotheses.  A state with both masses zero is
+    returned immediately with zero energy.
+    """
+    _check(spec)
+    config = config or SolverConfig()
+    grid = grid or default_grid(spec.dim)
+    pots = (
+        sample_potential(spec.v1, grid).values,
+        sample_potential(spec.v2, grid).values,
+    )
+    return _solve_all(grid, [spec], pots, config, init)[0]
 
 
 def minimize_scalar(
@@ -680,31 +1039,6 @@ def minimize_scalar(
     return minimize(spec, config=config, grid=grid)
 
 
-def _scan_point(
-    spec: ProblemSpec,
-    theta: tuple[float, float],
-    e_total: float,
-    config: SolverConfig,
-    grid: Grid,
-) -> SubaddPoint:
-    t1, t2 = theta
-    inner_spec = spec.with_masses(t1 * spec.alpha1, t2 * spec.alpha2)
-    outer_spec = spec.without_potentials().with_masses(
-        (1.0 - t1) * spec.alpha1, (1.0 - t2) * spec.alpha2
-    )
-    res_in = minimize(inner_spec, config=config, grid=grid)
-    res_out = minimize(outer_spec, config=config, grid=grid)
-    gap = e_total - res_in.report.total - res_out.report.total
-    return SubaddPoint(
-        theta1=t1,
-        theta2=t2,
-        e_inner=res_in.report.total,
-        e_outer=res_out.report.total,
-        gap=gap,
-        trusted=res_in.converged and res_out.converged,
-    )
-
-
 def scan_subadditivity(
     spec: ProblemSpec,
     theta_grid: list[tuple[float, float]],
@@ -715,19 +1049,52 @@ def scan_subadditivity(
 
     The full split theta = (1, 1) is skipped: its gap is zero by
     definition.  Strict subadditivity predicts a negative gap at every
-    other point.  Points whose subproblem solves did not converge are
-    marked untrusted.
+    other point.  Points whose solves (or the full solve) did not
+    converge are marked untrusted.  Every theta must lie in [0, 1]^2;
+    all are checked, with their subproblems, before any solve runs.  The
+    full problem and every inner split e(theta alpha) run as one flow
+    batch, and every potential-free outer split as a second one.
     """
+    _check(spec)
     config = config or SolverConfig()
     grid = grid or default_grid(spec.dim)
-    full = minimize(spec, config=config, grid=grid)
+    free = spec.without_potentials()
+    thetas, inner, outer = [], [], []
+    for t1, t2 in theta_grid:
+        theta = (float(t1), float(t2))
+        if theta == (1.0, 1.0):
+            continue
+        if not all(0.0 <= t <= 1.0 for t in theta):
+            raise ValueError(
+                f"scan_subadditivity: theta {theta} must be finite and lie in [0, 1]^2"
+            )
+        split = (
+            spec.with_masses(theta[0] * spec.alpha1, theta[1] * spec.alpha2),
+            free.with_masses((1.0 - theta[0]) * spec.alpha1, (1.0 - theta[1]) * spec.alpha2),
+        )
+        for sub in split:
+            violations = validate(sub)
+            if violations:
+                raise ValueError(f"scan_subadditivity: theta {theta}: " + "; ".join(violations))
+        thetas.append(theta)
+        inner.append(split[0])
+        outer.append(split[1])
+
+    def pots_of(s: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
+        return (sample_potential(s.v1, grid).values, sample_potential(s.v2, grid).values)
+
+    full, *res_in = _solve_all(grid, [spec, *inner], pots_of(spec), config)
+    res_out = _solve_all(grid, outer, pots_of(free), config) if outer else []
     e_total = full.report.total
-    todo = [
-        (float(t1), float(t2))
-        for (t1, t2) in theta_grid
-        if not (t1 == 1.0 and t2 == 1.0)
+    points = [
+        SubaddPoint(
+            theta1=t1,
+            theta2=t2,
+            e_inner=r_in.report.total,
+            e_outer=r_out.report.total,
+            gap=e_total - r_in.report.total - r_out.report.total,
+            trusted=full.converged and r_in.converged and r_out.converged,
+        )
+        for (t1, t2), r_in, r_out in zip(thetas, res_in, res_out)
     ]
-    points = [_scan_point(spec, th, e_total, config, grid) for th in todo]
-    if not full.converged:
-        points = [replace(p, trusted=False) for p in points]
     return SubaddReport(e_total=e_total, points=points)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -10,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from binorm_gs import solver
 from binorm_gs.analysis import soliton_energy_p1
 from binorm_gs.grid import Field, State, make_grid, norm_sq
-from binorm_gs.model import PotentialSpec, ProblemSpec
+from binorm_gs.model import PotentialSpec, ProblemSpec, sample_potential
 from binorm_gs.solver import (
     SolverConfig,
     default_grid,
@@ -201,6 +203,19 @@ def test_scan_subadd_rejects_bad_theta():
         scan_subadditivity(wells_spec(), [(0.0, 1.5)], config=QUICK)
 
 
+@pytest.mark.parametrize(
+    "bad", [(0.5, 1.5), (-0.25, 0.0), (math.nan, 0.5), (0.5, math.inf)]
+)
+def test_scan_subadd_checks_every_theta_before_any_flow(monkeypatch, bad):
+    def no_flow(*args, **kwargs):
+        raise AssertionError("a flow ran before every theta was checked")
+
+    monkeypatch.setattr(solver, "_flow", no_flow)
+    thetas = [(0.0, 0.5), (0.5, 0.5), bad]
+    with pytest.raises(ValueError, match=rf"theta \({re.escape(repr(bad[0]))}, "):
+        scan_subadditivity(wells_spec(), thetas, config=QUICK, grid=make_grid(1, 128, 32.0))
+
+
 def test_trapped_regime_converges_with_positive_multipliers():
     spec = ProblemSpec(
         dim=1, p1=1.0, p2=1.0, p3=1.0, mu1=1.0, mu2=2.0, beta=0.5,
@@ -231,6 +246,19 @@ def test_nan_in_start_raises_at_its_node():
     init = State(Field(grid, bad), Field(grid, bump))
     cfg = SolverConfig(multi_start=1, max_iters=5)
     with pytest.raises(ValueError, match=r"u1 at node \(100,\), iteration 0"):
+        minimize(wells_spec(), config=cfg, grid=grid, init=init)
+
+
+def test_nan_in_a_batched_start_names_the_start():
+    grid = make_grid(1, 512, 32.0)
+    bump = np.exp(-grid.radius() ** 2 / 8.0)
+    bad = bump.copy()
+    bad[100] = np.nan
+    init = State(Field(grid, bad), Field(grid, bump))
+    cfg = SolverConfig(multi_start=2, max_iters=5)
+    with pytest.raises(
+        ValueError, match=r"start 0: non-finite value in u1 at node \(100,\), iteration 0"
+    ):
         minimize(wells_spec(), config=cfg, grid=grid, init=init)
 
 
@@ -344,3 +372,92 @@ def test_step_survives_the_energy_rounding_floor():
     assert res.converged
     assert res.final_residual > 0.0
     assert res.diagnostics["final_dt"] >= 0.1
+
+
+def _batch_and_singles(spec, masses, config, grid, init=None):
+    """Runs of one _flow batch over every start at each mass pair, and of
+    batches of one on the same members."""
+    config = replace(config, max_iters=2000)  # a broken batch fails fast
+    pots = (sample_potential(spec.v1, grid).values, sample_potential(spec.v2, grid).values)
+    starts = solver._initializations(grid, config, init)
+    members = [
+        solver._Member(m, start, f"start {k}") for m in masses for k, start in enumerate(starts)
+    ]
+    batch = solver._flow(grid, spec, pots, members, config)
+    singles = [solver._flow(grid, spec, pots, [member], config)[0] for member in members]
+    return batch, singles
+
+
+def _assert_bit_identical(batch, singles):
+    for (pair, info), (pair1, info1) in zip(batch, singles, strict=True):
+        assert pair[0].tobytes() == pair1[0].tobytes()
+        assert pair[1].tobytes() == pair1[1].tobytes()
+        # energy, iterations, step cuts, final_dt, trajectory and the rest
+        assert info == info1
+
+
+def test_batch_members_match_batches_of_one_wells():
+    # mixed masses, including a member with a zero-mass component of each
+    # kind; dt = 50 overshoots, so steps are cut
+    cfg = replace(SCAN, dt=50.0)
+    masses = [(1.0, 1.0), (0.5, 0.25), (0.7, 0.0), (0.0, 0.3)]
+    batch, singles = _batch_and_singles(wells_spec(), masses, cfg, make_grid(1, 256, 64.0))
+    _assert_bit_identical(batch, singles)
+    assert any(info.step_cuts > 0 for _, info in batch)
+    assert len({info.iterations for _, info in batch}) > 1
+
+
+def test_batch_members_match_batches_of_one_trapped():
+    # the trap makes S != 1: the sandwiched preconditioner path
+    spec = trapping_matrix()["trap-plain"]
+    masses = [(1.0, 3.0), (0.5, 1.5), (0.0, 2.0)]
+    batch, singles = _batch_and_singles(spec, masses, SCAN, make_grid(1, 256, 64.0))
+    _assert_bit_identical(batch, singles)
+
+
+def test_batch_members_match_batches_of_one_2d():
+    spec = ProblemSpec(
+        dim=2, p1=0.6, p2=0.5, p3=0.4, mu1=4.0, mu2=3.0, beta=0.5,
+        alpha1=1.0, alpha2=0.8,
+        v1=PotentialSpec.gaussian_well(depth=0.5, width=2.0),
+    )
+    masses = [(1.0, 0.8), (0.6, 0.0), (0.4, 0.5)]
+    batch, singles = _batch_and_singles(spec, masses, SCAN, make_grid(2, 32, 16.0))
+    _assert_bit_identical(batch, singles)
+
+
+def test_batch_members_match_batches_of_one_recentering():
+    grid = make_grid(1, 512, 64.0)
+    bump = Field(grid, np.exp(-((grid.axes[0] - 5.0) ** 2) / 8.0))
+    cfg = replace(SCAN, symmetrize_every=7)
+    masses = [(1.0, 1.0), (0.5, 0.8)]
+    batch, singles = _batch_and_singles(
+        symmetric_cubic(0.5), masses, cfg, grid, init=State(bump, bump)
+    )
+    _assert_bit_identical(batch, singles)
+    # the off-center start 0 only reaches the origin by recentering
+    (u1, u2), info = batch[0]
+    rho = u1**2 + u2**2
+    assert info.converged
+    assert abs(float(np.sum(grid.axes[0] * rho) / np.sum(rho))) <= grid.h
+
+
+def test_scan_matches_separate_minimize_calls():
+    spec = wells_spec()
+    grid = make_grid(1, 256, 64.0)
+    thetas = [(0.0, 0.0), (0.0, 0.5), (0.5, 1.0), (1.0, 0.0), (0.5, 0.5), (1.0, 1.0)]
+    config = replace(SCAN, max_iters=2000)  # a broken batch fails fast
+    report = scan_subadditivity(spec, thetas, config=config, grid=grid)
+    full = minimize(spec, config=config, grid=grid)
+    assert report.e_total == full.report.total
+    assert report.thetas == [th for th in thetas if th != (1.0, 1.0)]
+    for point in report.points:
+        t1, t2 = point.theta1, point.theta2
+        inner_res = minimize(spec.with_masses(t1, t2), config=config, grid=grid)
+        outer_res = minimize(
+            spec.without_potentials().with_masses(1.0 - t1, 1.0 - t2), config=config, grid=grid
+        )
+        assert point.e_inner == inner_res.report.total
+        assert point.e_outer == outer_res.report.total
+        assert point.gap == full.report.total - inner_res.report.total - outer_res.report.total
+        assert point.trusted == (full.converged and inner_res.converged and outer_res.converged)
