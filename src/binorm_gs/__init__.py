@@ -26,9 +26,7 @@ from .analysis import (
 from .energy import (
     EnergyReport,
     Multipliers,
-    constraint_values,
     energy,
-    energy_infinity,
     gradient,
     multipliers,
     scalar_energy,
@@ -61,7 +59,6 @@ from .model import (
     PotentialSpec,
     ProblemSpec,
     normalize_bounded_potential,
-    potential_varies,
     sample_potential,
     validate,
 )

@@ -27,10 +27,8 @@ __all__ = [
     "EnergyReport",
     "Multipliers",
     "energy",
-    "energy_infinity",
     "scalar_energy",
     "gradient",
-    "constraint_values",
     "multipliers",
 ]
 
@@ -132,11 +130,6 @@ def energy(
     return EnergyReport.from_parts(kin1, kin2, pot1, pot2, self1, self2, cross)
 
 
-def energy_infinity(state: State, spec: ProblemSpec) -> EnergyReport:
-    """Energy of the translation-invariant comparison problem (no potentials)."""
-    return energy(state, spec.without_potentials())
-
-
 def scalar_energy(
     u: Field, mu: float, p: float, potential: Field | None = None
 ) -> float:
@@ -199,15 +192,6 @@ def gradient(
     return State(Field(g, g1), Field(g, g2))
 
 
-def constraint_values(state: State) -> tuple[float, float]:
-    """Squared masses of the two components."""
-    return state.masses()
-
-
-def _component_multiplier(gi: Field, ui: Field) -> float:
-    return -float(np.real(inner(gi, ui))) / norm_sq(ui)
-
-
 def multipliers(
     state: State,
     spec: ProblemSpec,
@@ -216,16 +200,11 @@ def multipliers(
     """Constraint multipliers lambda_i = -Re<G_i(u), u_i> / mass_i.
 
     At a constrained minimizer both values are expected to be positive.
-
-    Raises
-    ------
-    ValueError
-        If either component has zero mass (the multiplier is undefined).
+    A component with zero mass has no multiplier: its entry is nan.
     """
     grad = gradient(state, spec, potentials)
     out = []
-    for index, (gi, ui) in enumerate(((grad.u1, state.u1), (grad.u2, state.u2))):
-        if norm_sq(ui) == 0.0:
-            raise ValueError(f"multipliers: component {index + 1} has zero mass")
-        out.append(_component_multiplier(gi, ui))
+    for gi, ui in ((grad.u1, state.u1), (grad.u2, state.u2)):
+        mass = norm_sq(ui)
+        out.append(-float(np.real(inner(gi, ui))) / mass if mass > 0.0 else float("nan"))
     return Multipliers(lambda1=out[0], lambda2=out[1])

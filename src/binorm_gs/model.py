@@ -27,7 +27,6 @@ __all__ = [
     "validate",
     "sample_potential",
     "normalize_bounded_potential",
-    "potential_varies",
 ]
 
 POTENTIAL_KINDS = ("zero", "gaussian_well", "harmonic_trap", "tabulated")
@@ -244,17 +243,6 @@ def sample_potential(pot: PotentialSpec, grid: Grid) -> Field:
     else:  # pragma: no cover - guarded by PotentialSpec
         raise ValueError(f"unknown potential kind {pot.kind!r}")
     return Field(grid, values)
-
-
-def potential_varies(field: Field) -> bool:
-    """True when some node differs from the box-corner value by > 1e-8.
-
-    A potential that is constant on the grid contributes nothing beyond
-    a mass shift, so splitting statements that need a genuine well are
-    vacuous for it; callers use this to flag such runs.
-    """
-    corner = field.values[(0,) * field.grid.dim]
-    return bool(np.any(np.abs(field.values - corner) > 1e-8))
 
 
 def normalize_bounded_potential(pot: PotentialSpec) -> tuple[PotentialSpec, float]:

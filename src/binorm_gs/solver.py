@@ -46,8 +46,10 @@ stacked along a leading axis, and each FFT, reduction and BLAS dot product
 acts on every row at once.  Each member keeps its own masses, step, CG
 state, step cuts, trajectory and stopping test, and its scalars stay
 Python floats, so it does exactly the arithmetic of a solve on its own
-and the results do not depend on what else is in the batch.  A member
-that converges leaves the batch.  ``scan_subadditivity`` batches the
+and the results do not depend on what else is in the batch.  Every
+line-search round evaluates the whole batch, and a member's candidate
+replaces its accepted step only while that member is still searching.  A
+member that converges leaves the batch.  ``scan_subadditivity`` batches the
 starts of all its subproblems that share a potential: the full problem
 with every inner split, then every potential-free outer split.
 """
@@ -56,6 +58,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -63,10 +66,9 @@ import numpy as np
 from .energy import (
     EnergyReport,
     Multipliers,
-    _component_multiplier,
     _signed_power,
     energy,
-    gradient,
+    gradient,  # noqa: F401  unused here; bench/tracing.py wraps solver.gradient
     multipliers,
 )
 from .grid import Field, Grid, State, _rfft_k2, make_grid
@@ -116,6 +118,11 @@ class SolverConfig:
     density centroid is re-centered to the origin every that many
     accepted steps (whole-cell shifts only), which pins down
     translation-invariant problems.
+
+    dt, tol_residual and tol_energy must be finite and > 0, max_iters and
+    multi_start integers >= 1, rng_seed an integer >= 0 and
+    symmetrize_every None or an integer >= 0; otherwise ValueError names
+    the field and its value.
     """
 
     dt: float = 0.01
@@ -127,14 +134,22 @@ class SolverConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (self.dt > 0):
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if self.multi_start < 1:
-            raise ValueError("multi_start must be at least 1")
-        if self.symmetrize_every is not None and self.symmetrize_every < 0:
-            raise ValueError("symmetrize_every must be nonnegative or None")
+        for name in ("dt", "tol_residual", "tol_energy"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+                math.isfinite(value) and value > 0
+            ):
+                raise ValueError(f"SolverConfig.{name} must be finite and > 0, got {value!r}")
+        for name, least in (
+            ("max_iters", 1), ("multi_start", 1), ("symmetrize_every", 0), ("rng_seed", 0)
+        ):
+            value = getattr(self, name)
+            if value is None and name == "symmetrize_every":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(
+                    f"SolverConfig.{name} must be an integer >= {least}, got {value!r}"
+                )
 
 
 @dataclass
@@ -310,38 +325,30 @@ class _Layout:
 
 
 class _Step:
-    """Energies and rescaled fields of candidate steps of some members.
+    """Energies and rescaled fields of a candidate step of every member."""
 
-    members lists their positions in the batch, or is None for all.
-    """
-
-    __slots__ = ("members", "layout", "energy", "fields", "spectra", "kinetic", "mass_error")
+    __slots__ = ("layout", "energy", "fields", "spectra", "kinetic", "mass_error")
 
     def __init__(
-        self, members: list[int] | None, layout: _Layout, energy: list[float],
-        fields: list, spectra: list, kinetic: list[list[float]], mass_error: list[float],
+        self, layout: _Layout, energy: list[float], fields: list, spectra: list,
+        kinetic: list[list[float]], mass_error: list[float],
     ) -> None:
-        self.members, self.layout, self.energy = members, layout, energy
+        self.layout, self.energy = layout, energy
         self.fields, self.spectra, self.kinetic, self.mass_error = (
             fields, spectra, kinetic, mass_error
         )
 
     def overwrite(self, other: "_Step", picks: list[int]) -> None:
-        """Take other's candidates at its positions picks."""
-        members = picks if other.members is None else [other.members[k] for k in picks]
-        at = members if self.members is None else [
-            bisect.bisect_left(self.members, m) for m in members
-        ]
-        _, dst = self.layout.take(at)
-        _, src = other.layout.take(picks)
-        for a, k in zip(at, picks):
-            self.energy[a] = other.energy[k]
-            self.kinetic[a] = other.kinetic[k]
-            self.mass_error[a] = other.mass_error[k]
+        """Take other's candidates of the members picks (increasing)."""
+        _, rows = self.layout.take(picks)
+        for m in picks:
+            self.energy[m] = other.energy[m]
+            self.kinetic[m] = other.kinetic[m]
+            self.mass_error[m] = other.mass_error[m]
         for c in (0, 1):
-            if dst[c]:
-                self.fields[c][dst[c]] = other.fields[c][src[c]]
-                self.spectra[c][dst[c]] = other.spectra[c][src[c]]
+            if rows[c]:
+                self.fields[c][rows[c]] = other.fields[c][rows[c]]
+                self.spectra[c][rows[c]] = other.spectra[c][rows[c]]
 
 
 def _decimate(rows: list[tuple[int, float, float]]) -> list[tuple[int, float, float]]:
@@ -398,8 +405,9 @@ def _flow(
     acts row by row; each member's scalars stay Python floats.  So each
     member keeps its own step, CG state, step cuts, trajectory and
     stopping test, and does exactly the arithmetic of a batch of one.  A
-    converged member stops, and a line-search round re-evaluates only the
-    members that need another trial.  Results come back in member order.
+    line-search round evaluates every member; only the rows of members
+    still searching replace their accepted step.  A converged member
+    leaves the batch.  Results come back in member order.
     """
     cell = grid.cell_volume
     shape = grid.shape
@@ -532,38 +540,28 @@ def _flow(
             )
         return g_hat, g_hat + column(lam) * u_hat, d_hat
 
-    def candidates(idx: list[int] | None, steps: list[float], s_hat: list) -> _Step:
-        """Energies and fields of N[u - step s], rescaled to the masses.
-
-        idx lists the members evaluated (None for all); steps has one entry
-        for each of them.
-        """
-        if idx is None:
-            sub, rows, who = lay, (slice(None), slice(None)), runs
-        else:
-            (sub, rows), who = lay.take(idx), [runs[m] for m in idx]
-        comps = sub.comps
+    def candidates(steps: list[float], s_hat: list) -> _Step:
+        """Energies and fields of N[u - step s], rescaled to the masses, one step per member."""
         cand_hat, cand, m_star = [None, None], [None, None], [None, None]
-        for c in comps:
-            part = sub.parts[c]
-            step_c = column(steps[part.start : part.stop])
-            cand_hat[c] = spectra[c][rows[c]] - step_c * s_hat[c][rows[c]]
+        for c in lay.comps:
+            part = lay.parts[c]
+            cand_hat[c] = spectra[c] - column(steps[part.start : part.stop]) * s_hat[c]
             cand[c] = np.fft.irfftn(cand_hat[c], s=shape, axes=axes)
             m_star[c] = [cell * s for s in total(cand[c] ** 2)]
-        if not all(all(map(math.isfinite, m_star[c])) for c in comps):
+        if not all(all(map(math.isfinite, m_star[c])) for c in lay.comps):
             j, c, r = min(
-                (who[m].member, c, r)
-                for c in comps
-                for r, m in enumerate(sub.parts[c])
+                (runs[m].member, c, r)
+                for c in lay.comps
+                for r, m in enumerate(lay.parts[c])
                 if not math.isfinite(m_star[c][r])
             )
             raise _non_finite(cand[c][r], c, it, members[j].name)
         new, new_hat, sq = [None, None], [None, None], [None, None]
-        kin = [[0.0, 0.0] for _ in range(sub.size)]
-        mass_err = [0.0] * sub.size
-        for c in comps:
-            part = sub.parts[c]
-            alphas = [who[m].masses[c] for m in part]
+        kin = [[0.0, 0.0] for _ in range(lay.size)]
+        mass_err = [0.0] * lay.size
+        for c in lay.comps:
+            part = lay.parts[c]
+            alphas = [runs[m].masses[c] for m in part]
             scale = [math.sqrt(a / m) for a, m in zip(alphas, m_star[c])]
             scale_c = column(scale)
             new[c] = cand[c] * scale_c
@@ -573,7 +571,7 @@ def _flow(
             for m, a, sc, k, ms in zip(part, alphas, scale, kinetic_of(cand_hat[c]), mass):
                 kin[m][c] = sc**2 * k
                 mass_err[m] = max(mass_err[m], abs(cell * ms - a) / a)
-        return _Step(idx, sub, terms(sub, new, sq, kin), new, new_hat, kin, mass_err)
+        return _Step(lay, terms(lay, new, sq, kin), new, new_hat, kin, mass_err)
 
     # Members are ordered u1-only, both, u2-only, so that each component's
     # members form one contiguous block of rows.
@@ -664,48 +662,46 @@ def _flow(
 
         # One trial at the last accepted step, then the minimizer of the
         # parabola through E(0), E'(0) = -slope and E(trial); halve on a rise.
-        # Each round evaluates only the members still searching.
+        # Every round evaluates the whole batch, but only the rows of members
+        # still searching replace their accepted step.  A member that stopped
+        # searching is evaluated again at a trial it already took, so its rows
+        # are finite and are discarded.
         first_trial = [run.tau for run in runs]
         trial = list(first_trial)
-        todo = list(range(lay.size))
-        while todo:
-            whole = len(todo) == lay.size
-            for m in todo:
+        searching = list(range(lay.size))
+        while searching:
+            for m in searching:
                 runs[m].tau = trial[m]
-            best = candidates(None if whole else todo, [trial[m] for m in todo], s_hat)
-            quad, t_quad = [], []
-            for k, m in enumerate(todo):
+            best = candidates(trial, s_hat)
+            t_quad = list(trial)
+            quad = []
+            for m in searching:
                 e_old = runs[m].energy
-                curvature = (best.energy[k] - e_old + slope[m] * trial[m]) / trial[m] ** 2
+                curvature = (best.energy[m] - e_old + slope[m] * trial[m]) / trial[m] ** 2
                 if curvature > 0.0 and slope[m] * trial[m] > _ENERGY_RESOLUTION * abs(e_old):
-                    quad.append(k)
-                    t_quad.append(min(
+                    quad.append(m)
+                    t_quad[m] = min(
                         max(slope[m] / (2.0 * curvature), _QUAD_CLAMP[0] * trial[m]),
                         _QUAD_CLAMP[1] * trial[m],
-                    ))
+                    )
             if quad:
-                every = len(quad) == len(todo)
-                other = candidates(
-                    (None if whole else todo) if every else [todo[k] for k in quad],
-                    t_quad,
-                    s_hat,
-                )
-                lower = [i for i, k in enumerate(quad) if other.energy[i] < best.energy[k]]
-                if every and len(lower) == len(quad):
+                other = candidates(t_quad, s_hat)
+                lower = [m for m in quad if other.energy[m] < best.energy[m]]
+                if len(lower) == len(searching):
                     best = other
                 elif lower:
                     best.overwrite(other, lower)
-                for i in lower:
-                    runs[todo[quad[i]]].tau = t_quad[i]
-            if whole:
+                for m in lower:
+                    runs[m].tau = t_quad[m]
+            if len(searching) == lay.size:
                 step = best
             else:
-                step.overwrite(best, list(range(len(todo))))
+                step.overwrite(best, searching)
             retry = []
             restart = []
-            for k, m in enumerate(todo):
+            for m in searching:
                 run = runs[m]
-                if best.energy[k] <= run.energy + 1e-13 * max(1.0, abs(run.energy)):
+                if best.energy[m] <= run.energy + 1e-13 * max(1.0, abs(run.energy)):
                     continue
                 if run.tau <= 1e-12:
                     if not on_cg[m]:
@@ -723,7 +719,7 @@ def _flow(
                 _, rows = lay.take(restart)
                 for c in comps:
                     s_hat[c][rows[c]] = d_hat[c][rows[c]]
-            todo = retry
+            searching = retry
 
         moved = [None, None]
         for c in comps:
@@ -826,23 +822,6 @@ def _recenter(
         return u1, u2
     axes = tuple(range(grid.dim))
     return np.roll(u1, shift, axis=axes), np.roll(u2, shift, axis=axes)
-
-
-def _multipliers_of(
-    state: State,
-    spec: ProblemSpec,
-    pot_fields: tuple[Field, Field],
-) -> Multipliers:
-    """Multipliers with nan for absent (zero-mass) components."""
-    m1, m2 = state.masses()
-    if m1 > 0.0 and m2 > 0.0:
-        return multipliers(state, spec, pot_fields)
-    grad = gradient(state, spec, pot_fields)
-    lam = [float("nan"), float("nan")]
-    for i, (gi, ui) in enumerate(((grad.u1, state.u1), (grad.u2, state.u2))):
-        if (m1, m2)[i] > 0.0:
-            lam[i] = _component_multiplier(gi, ui)
-    return Multipliers(lambda1=lam[0], lambda2=lam[1])
 
 
 def _initializations(
@@ -960,7 +939,7 @@ def _result(
     return SolveResult(
         state=state,
         report=energy(state, spec, pot_fields),
-        multipliers=_multipliers_of(state, spec, pot_fields),
+        multipliers=multipliers(state, spec, pot_fields),
         iterations=info.iterations,
         final_residual=info.final_residual,
         converged=info.converged,

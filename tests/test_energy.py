@@ -11,14 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binorm_gs.analysis import soliton_1d, soliton_energy_p1, soliton_multiplier_p1
-from binorm_gs.energy import (
-    constraint_values,
-    energy,
-    energy_infinity,
-    gradient,
-    multipliers,
-    scalar_energy,
-)
+from binorm_gs.energy import energy, gradient, multipliers, scalar_energy
 from binorm_gs.grid import Field, State, inner, laplacian, make_grid, norm_sq, translate
 from binorm_gs.model import PotentialSpec, ProblemSpec, sample_potential
 
@@ -128,23 +121,20 @@ def test_modulus_never_increases_energy(grid_small, rng):
 
 
 def test_energy_infinity_drops_the_wells(grid_small, rng):
+    # the energy at infinity is the energy under the spec without potentials
     state = random_state(grid_small, rng)
     spec = wells_spec()
-    e_inf = energy_infinity(state, spec)
+    e_inf = energy(state, spec.without_potentials())
     assert e_inf.potential1 == 0.0 and e_inf.potential2 == 0.0
     # wells are strictly negative on the support, so they lower the energy
     assert energy(state, spec).total < e_inf.total
-    free = spec.without_potentials()
-    assert energy(state, free).total == e_inf.total
 
 
 def test_energy_infinity_translation_invariant(grid_small, rng):
     state = random_state(grid_small, rng)
-    spec = wells_spec()
+    free = wells_spec().without_potentials()
     moved = State(translate(state.u1, 37), translate(state.u2, 37))
-    assert energy_infinity(moved, spec).total == pytest.approx(
-        energy_infinity(state, spec).total, rel=1e-13
-    )
+    assert energy(moved, free).total == pytest.approx(energy(state, free).total, rel=1e-13)
 
 
 def test_gradient_of_exact_soliton_is_multiplier_eigenpair(grid_1d):
@@ -203,14 +193,14 @@ def test_gradient_decouples_at_zero_coupling(grid_small, rng):
 
 def test_constraint_values_track_masses(grid_small, rng):
     state = random_state(grid_small, rng, complex_valued=True)
-    q1, q2 = constraint_values(state)
+    q1, q2 = state.masses()
     assert q1 == pytest.approx(norm_sq(state.u1), abs=1e-13)
     assert q2 == pytest.approx(norm_sq(state.u2), abs=1e-13)
     moved = State(translate(state.u1, 11), translate(state.u2, 11))
-    m1, m2 = constraint_values(moved)
+    m1, m2 = moved.masses()
     assert m1 == pytest.approx(q1, rel=1e-13)
     zeroed = State(state.u1, state.u2.with_values(np.zeros(grid_small.shape)))
-    assert constraint_values(zeroed)[1] == 0.0
+    assert zeroed.masses()[1] == 0.0
 
 
 def test_multipliers_of_twin_solitons(grid_1d):
@@ -239,10 +229,18 @@ def test_multipliers_phase_invariant(grid_1d):
     assert rot.lambda2 == pytest.approx(base.lambda2, rel=1e-12)
 
 
-def test_multipliers_reject_zero_mass(grid_1d):
+def test_multipliers_nan_for_zero_mass(grid_1d):
     state = sech_state(grid_1d)
-    with pytest.raises(ValueError, match="zero mass"):
-        multipliers(state, decoupled_cubic())
+    spec = decoupled_cubic()
+    lam = multipliers(state, spec)
+    assert math.isnan(lam.lambda2)
+    # the present component's multiplier is the one it has on its own
+    g1 = gradient(state, spec).u1
+    assert lam.lambda1 == -float(np.real(inner(g1, state.u1))) / norm_sq(state.u1)
+    assert abs(lam.lambda1 - soliton_multiplier_p1(1.0, 1.0)) < 1e-4
+    swapped = multipliers(State(state.u2, state.u1), spec)
+    assert math.isnan(swapped.lambda1)
+    assert swapped.lambda2 == lam.lambda1
 
 
 def test_gradient_rejects_non_finite(grid_small):

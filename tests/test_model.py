@@ -15,7 +15,6 @@ from binorm_gs.model import (
     PotentialSpec,
     ProblemSpec,
     normalize_bounded_potential,
-    potential_varies,
     sample_potential,
     validate,
 )
@@ -136,17 +135,6 @@ def test_tabulated_potential_round_trip(tmp_path, grid_small):
     other = make_grid(1, 128, 32.0)
     with pytest.raises(ValueError):
         sample_potential(PotentialSpec.tabulated(str(path)), other)
-
-
-def test_potential_varies(grid_small):
-    flat = sample_potential(PotentialSpec.zero(), grid_small)
-    assert not potential_varies(flat)
-    well = sample_potential(PotentialSpec.gaussian_well(0.5, 2.0), grid_small)
-    assert potential_varies(well)
-    # sub-threshold wiggles count as constant
-    tiny = Field(grid_small, np.full(grid_small.shape, 3.0))
-    wiggle = tiny.with_values(tiny.values + 1e-9)
-    assert not potential_varies(wiggle)
 
 
 def test_normalize_constant_potential():

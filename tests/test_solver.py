@@ -53,13 +53,23 @@ def test_default_grids():
     assert (g2.dim, g2.n, g2.length) == (2, 256, 32.0)
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(dt=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(multi_start=0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_iters=0)
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("dt", 0.0), ("dt", -1.0), ("dt", math.nan), ("dt", math.inf), ("dt", True),
+        ("tol_residual", math.nan), ("tol_residual", -1.0), ("tol_residual", math.inf),
+        ("tol_energy", 0.0), ("tol_energy", math.nan),
+        ("max_iters", 0), ("max_iters", 2.5), ("max_iters", True),
+        ("multi_start", 0), ("multi_start", 2.0), ("multi_start", False),
+        ("symmetrize_every", -1), ("symmetrize_every", 2.5), ("symmetrize_every", True),
+        ("rng_seed", -1), ("rng_seed", 1.5), ("rng_seed", True),
+    ],
+)
+def test_config_validation(field, value):
+    # the error names the field and its value, which is all `binorm-gs run` prints
+    message = rf"SolverConfig\.{field} .*got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        SolverConfig(**{field: value})
 
 
 def test_minimize_rejects_inadmissible_spec():
