@@ -17,7 +17,6 @@ from .analysis import (
     glue_states,
     overlap_series,
     pohozaev_check,
-    pohozaev_residual,
     soliton_1d,
     soliton_energy_p1,
     soliton_mass_p1,
@@ -29,7 +28,6 @@ from .energy import (
     energy,
     gradient,
     multipliers,
-    scalar_energy,
 )
 from .grid import (
     Field,

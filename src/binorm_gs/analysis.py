@@ -36,7 +36,6 @@ __all__ = [
     "classify_decay_regime",
     "decay_fit",
     "pohozaev_check",
-    "pohozaev_residual",
     "convolution_limit_check",
     "overlap_series",
     "glue_states",
@@ -109,7 +108,6 @@ def classify_decay_regime(
     lam1: float,
     lam2: float,
     component: int,
-    first_vanishes: bool = False,
 ) -> DecayRegime:
     """Predict the decay rate of one component from the multipliers.
 
@@ -127,10 +125,8 @@ def classify_decay_regime(
     if p3 < 1.0:
         lambda3 = (1.0 + p3) ** 2 * lam1 / (1.0 - p3) ** 2
     if component == 1:
-        if first_vanishes:
-            raise ValueError("first component vanishes; no decay rate to predict")
         return DecayRegime(math.sqrt(lam1), "component1", lambda3)
-    if first_vanishes or p3 >= 1.0 or (lambda3 is not None and lambda3 > lam2):
+    if p3 >= 1.0 or (lambda3 is not None and lambda3 > lam2):
         return DecayRegime(math.sqrt(lam2), "component2_standard", lambda3)
     return DecayRegime(math.sqrt(lambda3), "component2_anomalous", lambda3)
 
@@ -235,11 +231,6 @@ def pohozaev_check(field: Field, lam: float, mu: float, p: float) -> PohozaevChe
     )
 
 
-def pohozaev_residual(field: Field, lam: float, mu: float, p: float) -> float:
-    """Normalized virial defect; 0 for the degenerate zero field."""
-    return pohozaev_check(field, lam, mu, p).residual
-
-
 # ---------------------------------------------------------------------------
 # scaled convolution limits
 
@@ -263,7 +254,6 @@ def convolution_limit_check(
     gamma: float,
     grid: Grid,
     r_values: Sequence[float],
-    omegas: Sequence[tuple[float, ...]] | None = None,
     f_rate: float | None = None,
 ) -> list[ConvLimitRow]:
     """Tabulate (1+r)^a e^(r b) int g(r w - y) f(y) dy against its limit.
@@ -271,9 +261,10 @@ def convolution_limit_check(
     f and g are callables of the coordinate arrays (one per axis).  When
     (1+|x|)^a e^(b|x|) g(x) -> gamma and f decays strictly faster than
     e^(-b|y|), the scaled convolution tends to
-    gamma * int f(y) e^(b w.y) dy, uniformly in the direction w.  The
-    integrals are plain node sums over the box, so r must stay within
-    0.4 L to keep truncation negligible.  Pass f_rate (the known decay
+    gamma * int f(y) e^(b w.y) dy, uniformly in the direction w.  Rows
+    cover every r in r_values along each direction w = +-e_i of the grid
+    axes.  The integrals are plain node sums over the box, so r must stay
+    within 0.4 L to keep truncation negligible.  Pass f_rate (the known decay
     rate of f) to have the divergent case f_rate <= rate rejected
     instead of silently producing a truncation-dependent number.
     """
@@ -281,19 +272,16 @@ def convolution_limit_check(
         raise ValueError(
             f"f decays at rate {f_rate} <= {rate}; the limit integral diverges"
         )
-    if omegas is None:
-        if grid.dim == 1:
-            omegas = [(1.0,), (-1.0,)]
-        else:
-            omegas = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
+    if grid.dim == 1:
+        omegas = [(1.0,), (-1.0,)]
+    else:
+        omegas = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
     mesh = grid.meshes()
     fy = f(*mesh)
     cell = grid.cell_volume
     rows = []
     for omega in omegas:
         w = np.asarray(omega, dtype=float)
-        if abs(np.linalg.norm(w) - 1.0) > 1e-12:
-            raise ValueError(f"direction {omega} is not a unit vector")
         dot = sum(wi * yi for wi, yi in zip(w, mesh))
         limit = gamma * cell * float(np.sum(fy * np.exp(rate * dot)))
         for r in r_values:

@@ -27,7 +27,6 @@ __all__ = [
     "EnergyReport",
     "Multipliers",
     "energy",
-    "scalar_energy",
     "gradient",
     "multipliers",
 ]
@@ -128,17 +127,6 @@ def energy(
         integrate(cross_density(state.u1, state.u2, spec.p3), g)
     )
     return EnergyReport.from_parts(kin1, kin2, pot1, pot2, self1, self2, cross)
-
-
-def scalar_energy(
-    u: Field, mu: float, p: float, potential: Field | None = None
-) -> float:
-    """Single-component energy 1/2 |grad u|^2 + 1/2 int V|u|^2 - focusing term."""
-    out = 0.5 * grad_norm_sq(u)
-    if potential is not None:
-        out += 0.5 * float(integrate(potential.values * np.abs(u.values) ** 2, u.grid))
-    out -= mu / (2.0 * p + 2.0) * _abs_power_integral(u, 2.0 * p + 2.0)
-    return out
 
 
 def _signed_power(values: np.ndarray, magnitude: np.ndarray, q: float) -> np.ndarray:

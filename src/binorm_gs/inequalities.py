@@ -63,7 +63,6 @@ class InequalityReport:
     which: str
     params: dict
     constant_tested: float
-    resolution: float
     points: int
     worst_defect: float
     violations: tuple
@@ -116,7 +115,6 @@ def check_lemma34i(
         which="L34i",
         params={"p": p, "a_max": a_max},
         constant_tested=constant,
-        resolution=float(samples),
         points=int(a.size),
         worst_defect=worst,
         violations=viol,
@@ -240,7 +238,6 @@ def check_lemma34ii(
         which="L34ii",
         params={"p": p, "eta": eta, "x_max": x_max},
         constant_tested=constant,
-        resolution=float(samples),
         points=int(ax.size**2),
         worst_defect=float(worst),
         violations=tuple(viol),
@@ -326,7 +323,6 @@ def check_elementary_p3(
         which="elementary",
         params={"p": p, "a_max": a_max},
         constant_tested=0.0,
-        resolution=float(samples),
         points=int(2 * a.size),
         worst_defect=worst,
         violations=tuple(viol),

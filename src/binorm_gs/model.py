@@ -122,10 +122,6 @@ class ProblemSpec:
             raise ValueError(f"unknown regime {self.regime!r}")
 
     @property
-    def exponents(self) -> tuple[float, float, float]:
-        return (self.p1, self.p2, self.p3)
-
-    @property
     def masses(self) -> tuple[float, float]:
         return (self.alpha1, self.alpha2)
 

@@ -20,9 +20,9 @@ for both components,
 
     beta = max(0, <r - r_prev, d> / <r_prev, d_prev>),    r = G + lambda u.
 
-It restarts as s = d when <G, s> <= 0, after a recentering, and when
-backtracking along s reaches the step floor.  Each component then moves
-to u - tau s and is rescaled exactly back to its target mass.
+It restarts as s = d when <G, s> <= 0 and when backtracking along s
+reaches the step floor.  Each component then moves to u - tau s and is
+rescaled exactly back to its target mass.
 
 The step tau comes from a quadratic model of the energy along s: one
 trial at the last accepted step (dt on the first iteration), and, when
@@ -114,15 +114,11 @@ class SolverConfig:
     energy model along the search direction, and the fixed point does not
     depend on dt.  Convergence requires the update residual below
     tol_residual and the per-step energy decrement below tol_energy on
-    the same step.  When symmetrize_every is a positive integer, the
-    density centroid is re-centered to the origin every that many
-    accepted steps (whole-cell shifts only), which pins down
-    translation-invariant problems.
+    the same step.
 
     dt, tol_residual and tol_energy must be finite and > 0, max_iters and
-    multi_start integers >= 1, rng_seed an integer >= 0 and
-    symmetrize_every None or an integer >= 0; otherwise ValueError names
-    the field and its value.
+    multi_start integers >= 1 and rng_seed an integer >= 0; otherwise
+    ValueError names the field and its value.
     """
 
     dt: float = 0.01
@@ -130,7 +126,6 @@ class SolverConfig:
     tol_energy: float = 1e-12
     max_iters: int = 200000
     multi_start: int = 3
-    symmetrize_every: int | None = None
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -140,12 +135,8 @@ class SolverConfig:
                 math.isfinite(value) and value > 0
             ):
                 raise ValueError(f"SolverConfig.{name} must be finite and > 0, got {value!r}")
-        for name, least in (
-            ("max_iters", 1), ("multi_start", 1), ("symmetrize_every", 0), ("rng_seed", 0)
-        ):
+        for name, least in (("max_iters", 1), ("multi_start", 1), ("rng_seed", 0)):
             value = getattr(self, name)
-            if value is None and name == "symmetrize_every":
-                continue
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
                 raise ValueError(
                     f"SolverConfig.{name} must be an integer >= {least}, got {value!r}"
@@ -239,13 +230,6 @@ def _bump(grid: Grid, width: float, center_cells: tuple[int, ...]) -> np.ndarray
     return np.exp(-r2 / (2.0 * width**2))
 
 
-def _scaled_to_mass(values: np.ndarray, mass: float, cell: float) -> np.ndarray:
-    cur = cell * float(np.sum(values**2))
-    if cur <= 0.0:
-        raise ValueError("cannot rescale a zero field to positive mass")
-    return values * math.sqrt(mass / cur)
-
-
 @dataclass
 class _FlowInfo:
     iterations: int
@@ -276,8 +260,8 @@ class _Member:
 class _Run:
     """Scalar state of one member of a flow batch while it steps.
 
-    rd_prev is <r, d> of the previous step; None after a recentering or a
-    vanishing direction, when there is no previous CG direction to continue.
+    rd_prev is <r, d> of the previous step; None after a vanishing
+    direction, when there is no previous CG direction to continue.
     """
 
     __slots__ = (
@@ -582,11 +566,20 @@ def _flow(
     start: dict[tuple[int, int], np.ndarray] = {}
     for j, member in enumerate(members):
         for c in (0, 1):
-            if member.masses[c] > 0.0:
-                values = np.array(member.init[c], dtype=np.float64)
+            mass = member.masses[c]
+            if mass > 0.0:
+                if np.any(np.imag(member.init[c])):
+                    raise ValueError(f"solver: {member.name}: u{c + 1} is not real")
+                values = np.array(np.real(member.init[c]), dtype=np.float64)
                 if not np.all(np.isfinite(values)):
                     raise _non_finite(values, c, 0, member.name)
-                start[j, c] = _scaled_to_mass(values, member.masses[c], cell)
+                start_mass = cell * float(np.sum(values**2))
+                if start_mass == 0.0:
+                    raise ValueError(
+                        f"solver: {member.name}: u{c + 1} has zero mass and cannot be "
+                        f"rescaled to mass {mass}"
+                    )
+                start[j, c] = values * math.sqrt(mass / start_mass)
     lay = _Layout(
         len(members),
         sum(1 for member in members if member.masses[0] > 0.0),
@@ -747,22 +740,6 @@ def _flow(
         fields, spectra = step.fields, step.spectra
         r_prev, s_prev = r_hat, s_hat
 
-        if config.symmetrize_every and it % config.symmetrize_every == 0:
-            for m, run in enumerate(runs):
-                rows = [m - lay.parts[c].start if m in lay.parts[c] else None for c in (0, 1)]
-                pair = [
-                    np.zeros(shape) if rows[c] is None else fields[c][rows[c]]
-                    for c in (0, 1)
-                ]
-                active = (rows[0] is not None, rows[1] is not None)
-                shifted = _recenter(grid, pair[0], pair[1], active)
-                if shifted[0] is not pair[0]:
-                    for c in comps:
-                        if rows[c] is not None:
-                            fields[c][rows[c]] = shifted[c]
-                            spectra[c][rows[c]] = np.fft.rfftn(shifted[c])
-                    run.rd_prev = None
-
         leaving = range(lay.size) if it == config.max_iters else done
         for m in leaving:
             run = runs[m]
@@ -799,31 +776,6 @@ def _flow(
     return out
 
 
-def _recenter(
-    grid: Grid,
-    u1: np.ndarray,
-    u2: np.ndarray,
-    active: tuple[bool, bool],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Shift the combined density centroid to the origin by whole cells."""
-    rho = np.zeros(grid.shape)
-    if active[0]:
-        rho = rho + u1**2
-    if active[1]:
-        rho = rho + u2**2
-    total = float(np.sum(rho))
-    if total <= 0.0:
-        return u1, u2
-    shift = []
-    for axis, x in enumerate(grid.meshes()):
-        centroid = float(np.sum(x * rho)) / total
-        shift.append(-int(round(centroid / grid.h)))
-    if all(s == 0 for s in shift):
-        return u1, u2
-    axes = tuple(range(grid.dim))
-    return np.roll(u1, shift, axis=axes), np.roll(u2, shift, axis=axes)
-
-
 def _initializations(
     grid: Grid,
     config: SolverConfig,
@@ -836,7 +788,7 @@ def _initializations(
     if init is not None:
         if init.grid != grid:
             raise ValueError("init state grid does not match solve grid")
-        base = (np.real(init.u1.values).copy(), np.real(init.u2.values).copy())
+        base = (init.u1.values, init.u2.values)
     else:
         base = (
             _bump(grid, base_width, (0,)),

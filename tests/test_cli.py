@@ -63,13 +63,14 @@ def test_parse_flat_types_and_comments():
         "problem.p1 = 0.8\n"
         "grid.n = 512\n"
         "run.tasks = solve, conv_limit\n"
-        "solver.symmetrize_every = 50\n"
+        "solver.multi_start = 5\n"
         "task.decay_fit.r1 = 4.5\n"
         "run.output_dir = results\n"
     )
     assert nested["problem"]["p1"] == 0.8
     assert nested["grid"]["n"] == 512
     assert nested["run"]["tasks"] == ["solve", "conv_limit"]
+    assert nested["solver"]["multi_start"] == 5
     assert nested["task"]["decay_fit"]["r1"] == 4.5
     assert nested["run"]["output_dir"] == "results"
 
@@ -406,6 +407,15 @@ def test_main_reports_readable_errors(tmp_path, capsys):
     rc = main(["solve", "--config", str(tmp_path / "missing.txt")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_run_rejects_a_removed_solver_key(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, "solve", extra="solver.symmetrize_every = 7\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+    assert len(errors) == 1 and "symmetrize_every" in errors[0]
+    assert not out.exists()
 
 
 def test_main_run_uses_config_task_list(tmp_path):

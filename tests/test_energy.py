@@ -10,8 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binorm_gs.analysis import soliton_1d, soliton_energy_p1, soliton_multiplier_p1
-from binorm_gs.energy import energy, gradient, multipliers, scalar_energy
+from binorm_gs.analysis import (
+    soliton_1d,
+    soliton_energy_p1,
+    soliton_mass_p1,
+    soliton_multiplier_p1,
+)
+from binorm_gs.energy import energy, gradient, multipliers
 from binorm_gs.grid import Field, State, inner, laplacian, make_grid, norm_sq, translate
 from binorm_gs.model import PotentialSpec, ProblemSpec, sample_potential
 
@@ -49,34 +54,35 @@ def test_energy_invariant_under_global_phase(grid_small, rng):
     assert energy(rotated, spec).total == pytest.approx(base, rel=1e-12)
 
 
-def test_scalar_energy_of_sech_soliton(grid_1d):
-    w = soliton_1d(grid_1d, 1.0, 1.0, 1.0 / 16.0)
-    # mass 1 cubic soliton: e = -1/96
-    assert abs(scalar_energy(w, 1.0, 1.0) - (-1.0 / 96.0)) < 1e-6
-    assert soliton_energy_p1(1.0, 1.0) == -1.0 / 96.0
-
-
 def test_scalar_energy_scaling_split(grid_1d):
     w = soliton_1d(grid_1d, 1.3, 0.8, 0.5)
+    zero = Field(grid_1d, np.zeros(grid_1d.shape))
+    spec = replace(symmetric_cubic(1.0), p1=0.8, mu1=1.3, alpha2=0.0)
     c = 1.7
-    kin = scalar_energy(w, 0.0, 0.8)
-    foc = kin - scalar_energy(w, 1.3, 0.8)
-    scaled = scalar_energy(w.with_values(c * w.values), 1.3, 0.8)
+    rep = energy(State(w, zero), spec)
+    scaled = energy(State(w.with_values(c * w.values), zero), spec).total
     # kinetic part is quadratic, focusing part degree 2p+2
-    expected = c**2 * kin - c ** (2 * 0.8 + 2) * foc
+    expected = c**2 * rep.kinetic1 - c ** (2 * 0.8 + 2) * rep.self1
     assert scaled == pytest.approx(expected, rel=1e-12)
 
 
-def test_system_energy_of_soliton_component(grid_1d):
-    lam = 0.5
-    w = soliton_1d(grid_1d, 1.3, 1.0, lam)
+@pytest.mark.parametrize(
+    "mu, lam, expected",
+    [
+        (1.3, 0.5, -2.0 * 0.5**1.5 / (3.0 * 1.3)),
+        (1.0, 1.0 / 16.0, -1.0 / 96.0),
+    ],
+    ids=["mu1.3-lam0.5", "mass1-cubic"],
+)
+def test_system_energy_of_soliton_component(grid_1d, mu, lam, expected):
+    w = soliton_1d(grid_1d, mu, 1.0, lam)
     state = State(w, Field(grid_1d, np.zeros(grid_1d.shape)))
     spec = ProblemSpec(
-        dim=1, p1=1, p2=1, p3=1, mu1=1.3, mu2=1.0, beta=1.0,
+        dim=1, p1=1, p2=1, p3=1, mu1=mu, mu2=1.0, beta=1.0,
         alpha1=norm_sq(w), alpha2=0.0,
     )
-    expected = -2.0 * lam**1.5 / (3.0 * 1.3)
     assert abs(energy(state, spec).total - expected) < 1e-6
+    assert soliton_energy_p1(mu, soliton_mass_p1(mu, lam)) == pytest.approx(expected, rel=1e-14)
 
 
 def test_energy_report_decomposition_on_random_states():
