@@ -226,8 +226,35 @@ def _potential_from(node: dict) -> PotentialSpec:
     return PotentialSpec(**node)
 
 
+# Config sections, and the keys of those read here; problem, potential and
+# solver keys are checked by the records they build.
+_SECTIONS = ("problem", "potential1", "potential2", "solver", "grid", "run", "task")
+_SECTION_KEYS = {"grid": ("n", "length"), "run": ("tasks", "output_dir", "required")}
+
+
 def config_from_dict(nested: dict) -> ExperimentConfig:
-    """Build a validated config from a nested dict, applying defaults."""
+    """Build a validated config from a nested dict, applying defaults.
+
+    An unknown section, grid or run key or task name raises ValueError
+    naming it, and so do grid.n and grid.length unless set together and
+    valid for the problem's dimension.
+    """
+    for section, node in nested.items():
+        if section not in _SECTIONS:
+            raise ValueError(
+                f"unknown config section {section!r}; known: {', '.join(_SECTIONS)}"
+            )
+        if not isinstance(node, dict):
+            raise ValueError(f"config section {section!r} must hold '{section}.key = value' keys")
+        known = TASK_NAMES if section == "task" else _SECTION_KEYS.get(section)
+        if known is None:
+            continue
+        for key in node:
+            if key not in known:
+                raise ValueError(
+                    f"unknown config key {section}.{key}; known: "
+                    + ", ".join(f"{section}.{k}" for k in known)
+                )
     prob_node = dict(nested.get("problem", {}))
     if "potential1" in nested:
         prob_node["v1"] = _potential_from(nested["potential1"])
@@ -243,6 +270,18 @@ def config_from_dict(nested: dict) -> ExperimentConfig:
         problem = _DEFAULT_PROBLEM
     solver = SolverConfig(**nested.get("solver", {}))
     grid_node = nested.get("grid", {})
+    if grid_node:
+        for key in _SECTION_KEYS["grid"]:
+            if key not in grid_node:
+                raise ValueError(
+                    f"grid.n and grid.length must be set together; grid.{key} is missing"
+                )
+        try:
+            make_grid(problem.dim, int(grid_node["n"]), float(grid_node["length"]))
+        except ValueError as exc:
+            raise ValueError(
+                f"grid.n = {grid_node['n']}, grid.length = {grid_node['length']}: {exc}"
+            ) from None
     run_node = nested.get("run", {})
     tasks = [str(t) for t in _as_list(run_node.get("tasks", ["solve"]))]
     if not tasks:

@@ -51,7 +51,14 @@ line-search round evaluates the whole batch, and a member's candidate
 replaces its accepted step only while that member is still searching.  A
 member that converges leaves the batch.  ``scan_subadditivity`` batches the
 starts of all its subproblems that share a potential: the full problem
-with every inner split, then every potential-free outer split.
+with every inner split, and every potential-free outer split.
+
+Since a member's results do not depend on its batch, independent batches
+run at the same time, on up to one process per usable core: the calling
+process steps one share of them and forked workers step the others and
+send their results back through pipes.  On a single core, or with other
+Python threads alive, the batches run one after another in the calling
+process.  Either way every result is bit-identical.
 """
 
 from __future__ import annotations
@@ -59,6 +66,9 @@ from __future__ import annotations
 import bisect
 import math
 import numbers
+import os
+import pickle
+import threading
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -99,10 +109,10 @@ _QUAD_CLAMP = (0.1, 5.0)
 # toward 0, where the update, and so the residual test, is lost to rounding.
 _ENERGY_RESOLUTION = 1e-14
 # Largest number of grid nodes, summed over members, that one flow batch
-# steps; larger sets of starts run as several batches in turn.  Measured on
-# criterion 5's scan (48 starts per batch at n = 4096): 2^16 nodes (16
-# members) ran fastest, and both halving and doubling it were slower, as
-# was one batch of all 48.
+# steps; larger sets of starts run as several batches.  Measured serially,
+# with every batch in one process, on criterion 5's scan (48 starts per
+# batch at n = 4096): 2^16 nodes (16 members) ran fastest, and both halving
+# and doubling it were slower, as was one batch of all 48.
 _NODE_BUDGET = 2**16
 
 
@@ -817,42 +827,179 @@ def _check(spec: ProblemSpec) -> None:
         raise ValueError("; ".join(violations))
 
 
+_Job = tuple[ProblemSpec, tuple[np.ndarray, np.ndarray], list[_Member]]
+_FlowOut = list[tuple[tuple[np.ndarray, np.ndarray], _FlowInfo]]
+
+
 def _solve_all(
     grid: Grid,
-    specs: list[ProblemSpec],
-    pots: tuple[np.ndarray, np.ndarray],
+    groups: list[tuple[list[ProblemSpec], tuple[np.ndarray, np.ndarray]]],
     config: SolverConfig,
     init: State | None = None,
-) -> list[SolveResult]:
-    """Minimize every spec, each the best of multi_start flow runs.
+) -> list[list[SolveResult]]:
+    """Minimize every spec of every group, each the best of multi_start flow runs.
 
-    The specs differ only in their masses, so all their starts run as one
-    flow batch, split into batches of at most _NODE_BUDGET grid nodes;
-    pots are their sampled potentials.  A spec with both masses zero is
-    returned immediately with zero energy.
+    A group is a list of specs that differ only in their masses, with
+    their sampled potentials.  The starts of a group's specs run as flow
+    batches of at most _NODE_BUDGET grid nodes; groups never share a
+    batch.  All batches of all groups run in _run_batches.  A spec with
+    both masses zero is returned immediately with zero energy.  Returns
+    each group's results in spec order.
     """
-    members: list[_Member] = []
-    owners: list[int] = []
-    if any(spec.alpha1 > 0.0 or spec.alpha2 > 0.0 for spec in specs):
-        starts = _initializations(grid, config, init)
+    per_flow = max(1, _NODE_BUDGET // grid.n**grid.dim)
+    starts = None
+    jobs: list[_Job] = []
+    job_groups: list[int] = []
+    owners: list[list[int]] = []
+    for g, (specs, pots) in enumerate(groups):
+        members: list[_Member] = []
+        owners.append([])
         for j, spec in enumerate(specs):
             if spec.alpha1 == 0.0 and spec.alpha2 == 0.0:
                 continue
+            if starts is None:
+                starts = _initializations(grid, config, init)
             solve = "" if len(specs) == 1 else (
                 f" of the solve at masses ({spec.alpha1}, {spec.alpha2})"
             )
             for k, start in enumerate(starts):
                 members.append(_Member(spec.masses, start, f"start {k}{solve}"))
-                owners.append(j)
-    per_flow = max(1, _NODE_BUDGET // grid.n**grid.dim)
-    runs = []
-    for lo in range(0, len(members), per_flow):
-        runs += _flow(grid, specs[0], pots, members[lo : lo + per_flow], config)
-    pot_fields = (Field(grid, pots[0]), Field(grid, pots[1]))
-    return [
-        _result(grid, spec, pot_fields, config, [r for r, o in zip(runs, owners) if o == j])
-        for j, spec in enumerate(specs)
-    ]
+                owners[g].append(j)
+        for lo in range(0, len(members), per_flow):
+            jobs.append((specs[0], pots, members[lo : lo + per_flow]))
+            job_groups.append(g)
+    runs: list[_FlowOut] = [[] for _ in groups]
+    for g, out in zip(job_groups, _run_batches(grid, config, jobs)):
+        runs[g] += out
+    results = []
+    for g, (specs, pots) in enumerate(groups):
+        pot_fields = (Field(grid, pots[0]), Field(grid, pots[1]))
+        results.append([
+            _result(grid, spec, pot_fields, config,
+                    [r for r, o in zip(runs[g], owners[g]) if o == j])
+            for j, spec in enumerate(specs)
+        ])
+    return results
+
+
+def _run_share(
+    grid: Grid, config: SolverConfig, jobs: list[_Job], share: int, shares: int
+) -> tuple[dict[int, _FlowOut], tuple[int, Exception] | None]:
+    """Flow outputs of the batches share, share + shares, ..., by batch index.
+
+    Stops at the first batch that raises and returns it with its error.
+    """
+    out: dict[int, _FlowOut] = {}
+    for i in range(share, len(jobs), shares):
+        try:
+            out[i] = _flow(grid, *jobs[i], config)
+        except Exception as exc:
+            return out, (i, exc)
+    return out, None
+
+
+def _work_and_exit(
+    grid: Grid, config: SolverConfig, jobs: list[_Job], share: int, shares: int,
+    write_end: int, read_ends: list[int],
+) -> None:
+    """Body of a forked worker: pickle _run_share's result into write_end and
+    leave through os._exit, with status 0 only once all of it is written.
+
+    The inherited read_ends are closed first, so that no worker's writes
+    block, rather than fail, once the parent is gone.
+    """
+    status = 1
+    try:
+        for read_end in read_ends:
+            os.close(read_end)
+        payload = pickle.dumps(
+            _run_share(grid, config, jobs, share, shares), pickle.HIGHEST_PROTOCOL
+        )
+        with open(write_end, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _run_batches(grid: Grid, config: SolverConfig, jobs: list[_Job]) -> list[_FlowOut]:
+    """Flow outputs of every batch (spec, pots, members) in jobs, in order.
+
+    With at least two batches and two usable cores, no other Python thread
+    alive (forking a process with threads can deadlock the child) and
+    os.fork available, batch i goes to share i % shares of up to one share
+    per core.  This process steps share 0; every other share runs in a
+    forked child that pickles its outputs, or its first error, into a
+    pipe and always leaves through os._exit.  A member's arithmetic does
+    not depend on its batch, so the outputs equal those of a serial run.
+    Otherwise the batches run in turn in this process.
+
+    A batch that raises is re-raised here with its type and message; of
+    several, the earliest batch wins.  A child that dies without sending
+    its outputs raises RuntimeError naming its first batch and exit
+    status.  Every child is reaped on every path, and killed first when
+    its outputs are not needed or this process is unwinding.
+    """
+    shares = 1
+    if (
+        len(jobs) > 1
+        and hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and threading.active_count() == 1
+    ):
+        shares = min(len(jobs), len(os.sched_getaffinity(0)))
+    if shares == 1:
+        outputs, error = _run_share(grid, config, jobs, 0, 1)
+    else:
+        pids: dict[int, int] = {}  # children not yet reaped, by share
+        pipes: dict[int, int] = {}  # read ends not yet closed, by share
+        try:
+            for share in range(1, shares):
+                pipes[share], write_end = os.pipe()
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        _work_and_exit(
+                            grid, config, jobs, share, shares, write_end, list(pipes.values())
+                        )
+                finally:
+                    os.close(write_end)  # the child never gets here
+                pids[share] = pid
+            outputs, error = _run_share(grid, config, jobs, 0, shares)
+            for share in range(1, shares):
+                if error is not None and error[0] < share:
+                    break  # this and later shares hold only later batches
+                chunks = []
+                while chunk := os.read(pipes[share], 1 << 20):
+                    chunks.append(chunk)
+                os.close(pipes.pop(share))
+                status = os.waitstatus_to_exitcode(os.waitpid(pids[share], 0)[1])
+                del pids[share]
+                if status == 0:
+                    part, failed = pickle.loads(b"".join(chunks))
+                    outputs.update(part)
+                else:
+                    failed = (share, RuntimeError(
+                        f"solver: the worker process running flow batch {share} "
+                        f"exited with status {status}"
+                    ))
+                if failed is not None and (error is None or failed[0] < error[0]):
+                    error = failed
+        finally:
+            for read_end in pipes.values():
+                os.close(read_end)
+            if pids:
+                import signal
+
+                for pid in pids.values():
+                    try:
+                        os.kill(pid, signal.SIGKILL)
+                    except ProcessLookupError:
+                        pass
+                    os.waitpid(pid, 0)
+    if error is not None:
+        raise error[1]
+    return [outputs[i] for i in range(len(jobs))]
 
 
 def _result(
@@ -925,8 +1072,10 @@ def minimize(
 ) -> SolveResult:
     """Minimize the constrained energy; best of multi_start flow runs.
 
-    The starts run as one flow batch.  Raises ValueError when the problem
-    violates the standing hypotheses.  A state with both masses zero is
+    The starts run as one flow batch, or, past _NODE_BUDGET grid nodes, as
+    several, on up to one process per usable core (serially on a single
+    core).  Raises ValueError when the problem violates the standing
+    hypotheses.  A state with both masses zero is
     returned immediately with zero energy.
     """
     _check(spec)
@@ -936,7 +1085,7 @@ def minimize(
         sample_potential(spec.v1, grid).values,
         sample_potential(spec.v2, grid).values,
     )
-    return _solve_all(grid, [spec], pots, config, init)[0]
+    return _solve_all(grid, [([spec], pots)], config, init)[0][0]
 
 
 def minimize_scalar(
@@ -984,7 +1133,10 @@ def scan_subadditivity(
     converge are marked untrusted.  Every theta must lie in [0, 1]^2;
     all are checked, with their subproblems, before any solve runs.  The
     full problem and every inner split e(theta alpha) run as one flow
-    batch, and every potential-free outer split as a second one.
+    batch, and every potential-free outer split as a second one (each
+    split further past _NODE_BUDGET grid nodes).  The batches run at the
+    same time on up to one process per usable core, and one after another
+    on a single core; the results are the same either way.
     """
     _check(spec)
     config = config or SolverConfig()
@@ -1014,8 +1166,9 @@ def scan_subadditivity(
     def pots_of(s: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
         return (sample_potential(s.v1, grid).values, sample_potential(s.v2, grid).values)
 
-    full, *res_in = _solve_all(grid, [spec, *inner], pots_of(spec), config)
-    res_out = _solve_all(grid, outer, pots_of(free), config) if outer else []
+    (full, *res_in), res_out = _solve_all(
+        grid, [([spec, *inner], pots_of(spec)), (outer, pots_of(free))], config
+    )
     e_total = full.report.total
     points = [
         SubaddPoint(

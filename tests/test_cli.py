@@ -117,6 +117,40 @@ def test_config_rejects_empty_or_unknown_tasks():
         config_from_dict({"run": {"tasks": ["sovle"]}})
 
 
+GRIDLESS_LINES = "".join(
+    line + "\n" for line in FAST_LINES.splitlines() if not line.startswith("grid.")
+)
+
+
+@pytest.mark.parametrize(
+    "extra, named",
+    [
+        ("grid.nn = 64\ngrid.n = 256\ngrid.length = 32.0\n", "grid.nn"),
+        ("run.taks = scan_subadd\n", "run.taks"),
+        ("slover.dt = 0.5\n", "'slover'"),
+        ("task.scan_subad.steps = 2\n", "task.scan_subad"),
+        ("grid.length = 20.0\n", "grid.n "),
+        ("grid.n = 64\n", "grid.length"),
+        ("grid.n = 64\ngrid.length = -1.0\n", "grid.length = -1.0"),
+        ("grid.n = 100\ngrid.length = 32.0\n", "grid.n = 100"),
+    ],
+    ids=["grid-key", "run-key", "section", "task-name", "length-only", "n-only",
+         "bad-length", "bad-n"],
+)
+def test_config_rejects_ignored_or_incomplete_keys(tmp_path, capsys, extra, named):
+    text = GRIDLESS_LINES + "run.tasks = solve\n" + extra
+    with pytest.raises(ValueError) as info:
+        config_from_dict(parse_flat(text))
+    assert named in str(info.value)
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+    assert len(errors) == 1 and named in errors[0]
+    assert not out.exists()
+
+
 def test_config_rejects_glue_masses_outside_split():
     nested = {
         "run": {"tasks": ["glue_test"]},
