@@ -7,6 +7,11 @@ with the same field names nested by section.  Parsing either format and
 writing it back is a fixed point, so configs can be round-tripped
 between the two.
 
+Before any file is written, a run's independent task computations (the
+main solve, the Pohozaev and gluing solves, the inequality scans and the
+convolution rows) run on separate cores where there are several; then each
+task writes its files in order, the same bytes as a serial run.
+
 Each task writes one JSON result file into the output directory.  Every
 run also writes a trajectory CSV for solver tasks, a human-readable
 ``summary.txt`` and a ``manifest.json`` listing the sha256 of every
@@ -21,10 +26,12 @@ that raised, 2 a required solve failed to converge.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field as dc_field, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -51,6 +58,7 @@ from .inequalities import (
 from .model import PotentialSpec, ProblemSpec, validate
 from .solver import (
     SolverConfig,
+    _run_shares,
     default_grid,
     minimize,
     minimize_scalar,
@@ -68,16 +76,18 @@ __all__ = [
     "main",
 ]
 
-TASK_NAMES = (
-    "solve",
-    "scan_subadd",
-    "decay_fit",
-    "glue_test",
-    "pohozaev",
-    "check_inequalities",
-    "conv_limit",
-    "emit_plots",
-)
+# Every task, with the task.<name>.<key> parameters it reads.
+TASK_KEYS = {
+    "solve": (),
+    "scan_subadd": ("steps",),
+    "decay_fit": ("r1", "r2"),
+    "glue_test": ("gamma1", "gamma2", "n_cells"),
+    "pohozaev": ("mu", "p", "gamma"),
+    "check_inequalities": ("p", "eta", "resolution"),
+    "conv_limit": ("f_rate", "g_rate", "poly_power", "r_values"),
+    "emit_plots": (),
+}
+TASK_NAMES = tuple(TASK_KEYS)
 SOLVER_TASKS = ("solve", "scan_subadd", "decay_fit", "glue_test", "pohozaev")
 
 
@@ -229,32 +239,39 @@ def _potential_from(node: dict) -> PotentialSpec:
 # Config sections, and the keys of those read here; problem, potential and
 # solver keys are checked by the records they build.
 _SECTIONS = ("problem", "potential1", "potential2", "solver", "grid", "run", "task")
-_SECTION_KEYS = {"grid": ("n", "length"), "run": ("tasks", "output_dir", "required")}
+_SECTION_KEYS = {
+    "grid": ("n", "length"), "run": ("tasks", "output_dir", "required"), "task": TASK_KEYS
+}
+
+
+def _check_keys(prefix: str, node: Any, known: tuple | dict | None) -> None:
+    """Raise ValueError unless node is a dict of known keys (any, for None);
+    a dict of known keys also checks each key's node against its entry."""
+    if not isinstance(node, dict):
+        raise ValueError(f"config section {prefix!r} must hold '{prefix}.key = value' keys")
+    for key in node if known is not None else ():
+        if key not in known:
+            raise ValueError(
+                f"unknown config key {prefix}.{key}; known: "
+                + (", ".join(f"{prefix}.{k}" for k in known) or "none")
+            )
+        if isinstance(known, dict):
+            _check_keys(f"{prefix}.{key}", node[key], known[key])
 
 
 def config_from_dict(nested: dict) -> ExperimentConfig:
     """Build a validated config from a nested dict, applying defaults.
 
-    An unknown section, grid or run key or task name raises ValueError
-    naming it, and so do grid.n and grid.length unless set together and
-    valid for the problem's dimension.
+    An unknown section, grid, run or task key or task name raises
+    ValueError naming it, and so do grid.n and grid.length unless set
+    together and valid for the problem's dimension.
     """
     for section, node in nested.items():
         if section not in _SECTIONS:
             raise ValueError(
                 f"unknown config section {section!r}; known: {', '.join(_SECTIONS)}"
             )
-        if not isinstance(node, dict):
-            raise ValueError(f"config section {section!r} must hold '{section}.key = value' keys")
-        known = TASK_NAMES if section == "task" else _SECTION_KEYS.get(section)
-        if known is None:
-            continue
-        for key in node:
-            if key not in known:
-                raise ValueError(
-                    f"unknown config key {section}.{key}; known: "
-                    + ", ".join(f"{section}.{k}" for k in known)
-                )
+        _check_keys(section, node, _SECTION_KEYS.get(section))
     prob_node = dict(nested.get("problem", {}))
     if "potential1" in nested:
         prob_node["v1"] = _potential_from(nested["potential1"])
@@ -402,6 +419,25 @@ class _OutputTray:
 # task implementations
 
 
+# The computations (_Runner.calc_<name>) that each task reads.
+_TASK_CALCS = {
+    "solve": ("solve",),
+    "decay_fit": ("solve",),
+    "glue_test": ("glue_inner", "glue_outer"),
+    "pohozaev": ("pohozaev",),
+    "check_inequalities": ("check_inequalities",),
+    "conv_limit": ("conv_limit",),
+}
+
+
+def _caught(calc: Callable[[], Any]) -> Any:
+    """calc's value, or the exception it raised."""
+    try:
+        return calc()
+    except Exception as exc:
+        return exc
+
+
 class _Runner:
     def __init__(self, cfg: ExperimentConfig, out_dir: Path) -> None:
         self.cfg = cfg
@@ -410,7 +446,7 @@ class _Runner:
         self.summary: list[str] = []
         self.failed_required: list[str] = []
         self.error: str | None = None
-        self._solve_cache = None
+        self._values: dict[str, Any] = {}
 
     def params(self, task: str) -> dict:
         return self.cfg.task_params.get(task, {})
@@ -418,12 +454,31 @@ class _Runner:
     def note(self, line: str) -> None:
         self.summary.append(line)
 
-    def main_solve(self):
-        if self._solve_cache is None:
-            self._solve_cache = minimize(
-                self.cfg.problem, config=self.cfg.solver, grid=self.grid
-            )
-        return self._solve_cache
+    def compute(self, tasks: list[str]) -> None:
+        """Run the tasks' solves and scans before any file is written.
+
+        The main solve has share 0, in this process, to itself; the other
+        computations are dealt among forked workers (solver._run_shares).
+        Each keeps its own error, which value() raises when its task's turn
+        comes, so the files, notes and errors are those of a serial run.
+        """
+        names = sorted(
+            dict.fromkeys(c for t in tasks for c in _TASK_CALCS.get(t, ())),
+            key=lambda c: c != "solve",
+        )
+        calcs = [functools.partial(_caught, getattr(self, f"calc_{c}")) for c in names]
+        alone = names[:1] == ["solve"]
+        self._values = dict(zip(names, _run_shares(calcs, "task computation", alone)))
+
+    def value(self, name: str) -> Any:
+        """calc_<name>'s value from compute(); the error it raised is raised here."""
+        value = self._values[name]
+        if isinstance(value, Exception):
+            raise value
+        return value
+
+    def calc_solve(self):
+        return minimize(self.cfg.problem, config=self.cfg.solver, grid=self.grid)
 
     def mark(self, task: str, converged: bool) -> None:
         if not converged and task in self.cfg.required_tasks():
@@ -432,7 +487,7 @@ class _Runner:
     # -- tasks --------------------------------------------------------------
 
     def task_solve(self) -> None:
-        res = self.main_solve()
+        res = self.value("solve")
         lam = res.multipliers
         payload = {
             **asdict(res.report),
@@ -482,7 +537,7 @@ class _Runner:
 
     def task_decay_fit(self) -> None:
         p = self.params("decay_fit")
-        res = self.main_solve()
+        res = self.value("solve")
         length = self.grid.length
         window = (
             float(p.get("r1", 0.15 * length)),
@@ -527,25 +582,28 @@ class _Runner:
                 f"expected {f['expected']:.6g} ({f['tag']})"
             )
 
-    def task_glue_test(self) -> None:
+    def glue_specs(self) -> tuple[ProblemSpec, ProblemSpec]:
         p = self.params("glue_test")
         prob = self.cfg.problem
         gamma1 = float(p.get("gamma1", 0.5 * prob.alpha1))
         gamma2 = float(p.get("gamma2", 0.5 * prob.alpha2))
+        return prob.with_masses(gamma1, gamma2), prob.without_potentials().with_masses(
+            prob.alpha1 - gamma1, prob.alpha2 - gamma2
+        )
+
+    def calc_glue_inner(self):
+        return minimize(self.glue_specs()[0], config=self.cfg.solver, grid=self.grid)
+
+    def calc_glue_outer(self):
+        return minimize(self.glue_specs()[1], config=self.cfg.solver, grid=self.grid)
+
+    def task_glue_test(self) -> None:
+        p = self.params("glue_test")
         n_cells = [int(n) for n in _as_list(p.get("n_cells"))]
         if not n_cells:
             n_cells = [int(round(f * self.grid.n)) for f in (0.125, 0.1875, 0.25)]
-        inner = minimize(
-            prob.with_masses(gamma1, gamma2), config=self.cfg.solver, grid=self.grid
-        )
-        outer = minimize(
-            prob.without_potentials().with_masses(
-                prob.alpha1 - gamma1, prob.alpha2 - gamma2
-            ),
-            config=self.cfg.solver,
-            grid=self.grid,
-        )
-        ledgers = glue_energy_gap(prob, inner, outer, n_cells)
+        inner, outer = self.value("glue_inner"), self.value("glue_outer")
+        ledgers = glue_energy_gap(self.cfg.problem, inner, outer, n_cells)
         payload = [
             {
                 "n": lg.n_cells,
@@ -565,20 +623,19 @@ class _Runner:
             f"(negative favours gluing)"
         )
 
-    def task_pohozaev(self) -> None:
+    def calc_pohozaev(self):
         p = self.params("pohozaev")
         prob = self.cfg.problem
         mu = float(p.get("mu", prob.mu1))
         pexp = float(p.get("p", prob.p1))
         gamma = float(p.get("gamma", prob.alpha1))
         res = minimize_scalar(
-            mu,
-            pexp,
-            gamma,
-            dim=prob.dim,
-            config=self.cfg.solver,
-            grid=self.grid,
+            mu, pexp, gamma, dim=prob.dim, config=self.cfg.solver, grid=self.grid
         )
+        return mu, pexp, gamma, res
+
+    def task_pohozaev(self) -> None:
+        mu, pexp, gamma, res = self.value("pohozaev")
         lam1 = res.multipliers.lambda1
         check = pohozaev_check(res.state.u1, lam1, mu, pexp)
         payload = {
@@ -593,22 +650,23 @@ class _Runner:
         self.mark("pohozaev", res.converged)
         self.note(f"pohozaev: residual {check.residual:.3g} at p={pexp}, mu={mu}")
 
-    def task_check_inequalities(self) -> None:
+    def calc_check_inequalities(self):
+        """The exponent and the two scans of Lemma 3.4, with their notes."""
         p = self.params("check_inequalities")
         p_exp = float(p.get("p", self.cfg.problem.p1))
         eta = float(p.get("eta", 0.5 * p_exp))
-        reports = []
         c_min = min_constant_34i(p_exp, resolution=float(p.get("resolution", 1e-3)))
         rep_i = replace(check_lemma34i(p_exp, c_min), min_constant_estimate=c_min)
-        reports.append(("min constant", rep_i))
         c_suf = sufficient_constant_34ii(p_exp, eta)
         c_min_ii = min_constant_34ii(p_exp, eta)
         rep_ii = replace(
             check_lemma34ii(p_exp, eta, c_suf), min_constant_estimate=c_min_ii
         )
-        reports.append(("sufficient constant", rep_ii))
-        rep_el = check_elementary_p3(p_exp)
-        reports.append(("", rep_el))
+        return p_exp, [("min constant", rep_i), ("sufficient constant", rep_ii)]
+
+    def task_check_inequalities(self) -> None:
+        p_exp, scans = self.value("check_inequalities")
+        reports = [*scans, ("", check_elementary_p3(p_exp))]
         payload = {
             "reports": [
                 {
@@ -644,7 +702,7 @@ class _Runner:
                 f"{'holds' if rep.holds else 'VIOLATED'}"
             )
 
-    def task_conv_limit(self) -> None:
+    def calc_conv_limit(self):
         p = self.params("conv_limit")
         f_rate = float(p.get("f_rate", 2.0))
         g_rate = float(p.get("g_rate", 1.0))
@@ -667,9 +725,12 @@ class _Runner:
             r = np.sqrt(sum(c**2 for c in coords))
             return (1.0 + r) ** (-poly_power) * np.exp(-g_rate * r)
 
-        rows = convolution_limit_check(
+        return convolution_limit_check(
             f, g, poly_power, g_rate, 1.0, self.grid, r_values, f_rate=f_rate
         )
+
+    def task_conv_limit(self) -> None:
+        rows = self.value("conv_limit")
         payload = {
             "rows": [asdict(row) for row in rows],
             "max_ratio_error": max(abs(row.ratio - 1.0) for row in rows),
@@ -687,22 +748,15 @@ class _Runner:
         self.note(f"emit_plots: wrote {', '.join(written) if written else 'nothing'}")
 
     def run_tasks(self, tasks: list[str]) -> None:
-        handlers = {
-            "solve": self.task_solve,
-            "scan_subadd": self.task_scan_subadd,
-            "decay_fit": self.task_decay_fit,
-            "glue_test": self.task_glue_test,
-            "pohozaev": self.task_pohozaev,
-            "check_inequalities": self.task_check_inequalities,
-            "conv_limit": self.task_conv_limit,
-            "emit_plots": self.task_emit_plots,
-        }
-        for task in tasks:
+        """compute(), then every task in order; the first error is noted and raised."""
+        steps = [("compute", functools.partial(self.compute, tasks))]
+        steps += [(task, getattr(self, f"task_{task}")) for task in tasks]
+        for name, step in steps:
             try:
-                handlers[task]()
+                step()
             except Exception as exc:
-                self.error = f"{task}: {exc}"
-                self.note(f"{task}: error: {exc}")
+                self.error = f"{name}: {exc}"
+                self.note(f"{name}: error: {exc}")
                 raise
 
     def finish(self, seed: int) -> int:

@@ -20,9 +20,8 @@ for both components,
 
     beta = max(0, <r - r_prev, d> / <r_prev, d_prev>),    r = G + lambda u.
 
-It restarts as s = d when <G, s> <= 0 and when backtracking along s
-reaches the step floor.  Each component then moves to u - tau s and is
-rescaled exactly back to its target mass.
+It restarts as s = d when <G, s> <= 0.  Each component then moves to
+u - tau s and is rescaled exactly back to its target mass.
 
 The step tau comes from a quadratic model of the energy along s: one
 trial at the last accepted step (dt on the first iteration), and, when
@@ -30,7 +29,8 @@ the parabola through E(0), E'(0) = -<G, s> and E(trial) curves upward
 and its predicted decrease is above the energy's rounding, one more
 evaluation at its minimizer, clamped to [0.1, 5] times the trial.  The
 lower of the two energies is kept.  A step that would still raise the
-energy is halved, so the accepted energy sequence is nonincreasing up to
+energy is halved, down to a floor of 1e-12 where it is taken as it is, so
+short of that floor the accepted energy sequence is nonincreasing up to
 roundoff.  A run halts when both the update residual
 |u_new - u_old|_inf / tau and the energy decrement fall below their
 tolerances.  Where the potential is bounded above by 0, S = 1 and the
@@ -54,21 +54,25 @@ starts of all its subproblems that share a potential: the full problem
 with every inner split, and every potential-free outer split.
 
 Since a member's results do not depend on its batch, independent batches
-run at the same time, on up to one process per usable core: the calling
-process steps one share of them and forked workers step the others and
-send their results back through pipes.  On a single core, or with other
-Python threads alive, the batches run one after another in the calling
-process.  Either way every result is bit-identical.
+run at the same time, on up to one process per usable core (``_run_shares``,
+which also runs the independent task computations of ``binorm-gs run``):
+the calling process steps one share of them and forked workers step the
+others and send their results back through pipes.  On a single core, with
+other Python threads alive, or inside another such run, the batches run
+one after another in the calling process.  Either way every result is
+bit-identical.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import numbers
 import os
 import pickle
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -109,10 +113,11 @@ _QUAD_CLAMP = (0.1, 5.0)
 # toward 0, where the update, and so the residual test, is lost to rounding.
 _ENERGY_RESOLUTION = 1e-14
 # Largest number of grid nodes, summed over members, that one flow batch
-# steps; larger sets of starts run as several batches.  Measured serially,
-# with every batch in one process, on criterion 5's scan (48 starts per
-# batch at n = 4096): 2^16 nodes (16 members) ran fastest, and both halving
-# and doubling it were slower, as was one batch of all 48.
+# steps; larger sets of starts run as several batches.  On criterion 5's
+# scan (two groups of 48 starts at n = 4096, batches forked on 2 cores; median
+# of 10 runs): 2^16 nodes (16 members) took 1.41 s and one batch per group
+# 1.88 s; 2^14, 2^15 and 2^17 took 1.27, 1.34 and 1.50 s, within the 0.2 s
+# quartile spread of 2^16.
 _NODE_BUDGET = 2**16
 
 
@@ -630,7 +635,6 @@ def _flow(
         wd_hat = [None if d is None else wgt_c * d for d in d_hat]
         rd = member_dots(r_hat, wd_hat, weighted=True)
         s_hat, slope = d_hat, rd
-        on_cg = [False] * lay.size
         if any(run.rd_prev is not None for run in runs):
             rd_mixed = member_dots(r_prev, wd_hat, weighted=True)
             beta = [
@@ -669,8 +673,7 @@ def _flow(
         # still searching replace their accepted step.  A member that stopped
         # searching is evaluated again at a trial it already took, so its rows
         # are finite and are discarded.
-        first_trial = [run.tau for run in runs]
-        trial = list(first_trial)
+        trial = [run.tau for run in runs]
         searching = list(range(lay.size))
         while searching:
             for m in searching:
@@ -701,27 +704,14 @@ def _flow(
             else:
                 step.overwrite(best, searching)
             retry = []
-            restart = []
             for m in searching:
                 run = runs[m]
-                if best.energy[m] <= run.energy + 1e-13 * max(1.0, abs(run.energy)):
-                    continue
-                if run.tau <= 1e-12:
-                    if not on_cg[m]:
-                        continue
-                    # a stale CG direction: restart along d from the same trial
-                    on_cg[m] = False
-                    slope[m] = rd[m]
-                    trial[m] = first_trial[m]
-                    restart.append(m)
-                else:
+                if run.tau > 1e-12 and best.energy[m] > run.energy + 1e-13 * max(
+                    1.0, abs(run.energy)
+                ):
                     trial[m] = 0.5 * run.tau
                     run.cuts += 1
-                retry.append(m)
-            if restart:
-                _, rows = lay.take(restart)
-                for c in comps:
-                    s_hat[c][rows[c]] = d_hat[c][rows[c]]
+                    retry.append(m)
             searching = retry
 
         moved = [None, None]
@@ -882,25 +872,27 @@ def _solve_all(
     return results
 
 
-def _run_share(
-    grid: Grid, config: SolverConfig, jobs: list[_Job], share: int, shares: int
-) -> tuple[dict[int, _FlowOut], tuple[int, Exception] | None]:
-    """Flow outputs of the batches share, share + shares, ..., by batch index.
+# Set while a _run_shares call's workers run, and so in every worker: a
+# call made meanwhile runs serially, so forking never nests.
+_forked = False
 
-    Stops at the first batch that raises and returns it with its error.
-    """
-    out: dict[int, _FlowOut] = {}
-    for i in range(share, len(jobs), shares):
+
+def _run_share(
+    items: list[Callable[[], object]], share: range
+) -> tuple[dict[int, object], tuple[int, Exception] | None]:
+    """Results of the items share, by index; stops at the first that raises
+    and returns it with its error."""
+    out: dict[int, object] = {}
+    for i in share:
         try:
-            out[i] = _flow(grid, *jobs[i], config)
+            out[i] = items[i]()
         except Exception as exc:
             return out, (i, exc)
     return out, None
 
 
 def _work_and_exit(
-    grid: Grid, config: SolverConfig, jobs: list[_Job], share: int, shares: int,
-    write_end: int, read_ends: list[int],
+    items: list[Callable[[], object]], share: range, write_end: int, read_ends: list[int]
 ) -> None:
     """Body of a forked worker: pickle _run_share's result into write_end and
     leave through os._exit, with status 0 only once all of it is written.
@@ -912,9 +904,7 @@ def _work_and_exit(
     try:
         for read_end in read_ends:
             os.close(read_end)
-        payload = pickle.dumps(
-            _run_share(grid, config, jobs, share, shares), pickle.HIGHEST_PROTOCOL
-        )
+        payload = pickle.dumps(_run_share(items, share), pickle.HIGHEST_PROTOCOL)
         with open(write_end, "wb") as pipe:
             pipe.write(payload)
         status = 0
@@ -922,70 +912,76 @@ def _work_and_exit(
         os._exit(status)
 
 
-def _run_batches(grid: Grid, config: SolverConfig, jobs: list[_Job]) -> list[_FlowOut]:
-    """Flow outputs of every batch (spec, pots, members) in jobs, in order.
+def _run_shares(items: list[Callable[[], object]], what: str, alone: bool = False) -> list:
+    """Results of the zero-argument callables items, in order.
 
-    With at least two batches and two usable cores, no other Python thread
-    alive (forking a process with threads can deadlock the child) and
-    os.fork available, batch i goes to share i % shares of up to one share
-    per core.  This process steps share 0; every other share runs in a
-    forked child that pickles its outputs, or its first error, into a
-    pipe and always leaves through os._exit.  A member's arithmetic does
-    not depend on its batch, so the outputs equal those of a serial run.
-    Otherwise the batches run in turn in this process.
+    With at least two items and two usable cores, os.fork available, no
+    other Python thread alive (forking a process with threads can deadlock
+    the child) and no other call's workers running, here or as this
+    process, the items are dealt round-robin to up to one share per core;
+    with alone, item 0 has share 0 to itself.  This process runs share 0;
+    every other share runs in a forked child that pickles its results, or
+    its first error, into a pipe and always leaves through os._exit.
+    Otherwise the items run in turn in this process.
 
-    A batch that raises is re-raised here with its type and message; of
-    several, the earliest batch wins.  A child that dies without sending
-    its outputs raises RuntimeError naming its first batch and exit
-    status.  Every child is reaped on every path, and killed first when
-    its outputs are not needed or this process is unwinding.
+    An item that raises is re-raised here with its type and message; of
+    several, the earliest item wins.  A child that dies without sending its
+    results raises RuntimeError naming `what`, its first item and its exit
+    status.  Every child is reaped on every path, and killed first when its
+    results are not needed or this process is unwinding.
     """
+    global _forked
+    count = len(items)
     shares = 1
     if (
-        len(jobs) > 1
+        count > 1
+        and not _forked
         and hasattr(os, "fork")
         and hasattr(os, "sched_getaffinity")
         and threading.active_count() == 1
     ):
-        shares = min(len(jobs), len(os.sched_getaffinity(0)))
+        shares = min(count, len(os.sched_getaffinity(0)))
     if shares == 1:
-        outputs, error = _run_share(grid, config, jobs, 0, 1)
+        results, error = _run_share(items, range(count))
     else:
+        if alone:
+            deal = [range(1), *(range(s, count, shares - 1) for s in range(1, shares))]
+        else:
+            deal = [range(s, count, shares) for s in range(shares)]
         pids: dict[int, int] = {}  # children not yet reaped, by share
         pipes: dict[int, int] = {}  # read ends not yet closed, by share
+        _forked = True
         try:
             for share in range(1, shares):
                 pipes[share], write_end = os.pipe()
                 try:
                     pid = os.fork()
                     if pid == 0:
-                        _work_and_exit(
-                            grid, config, jobs, share, shares, write_end, list(pipes.values())
-                        )
+                        _work_and_exit(items, deal[share], write_end, list(pipes.values()))
                 finally:
                     os.close(write_end)  # the child never gets here
                 pids[share] = pid
-            outputs, error = _run_share(grid, config, jobs, 0, shares)
+            results, error = _run_share(items, deal[0])
             for share in range(1, shares):
-                if error is not None and error[0] < share:
-                    break  # this and later shares hold only later batches
+                first = deal[share][0]
+                if error is not None and error[0] < first:
+                    break  # this and later shares hold only later items
                 chunks = []
                 while chunk := os.read(pipes[share], 1 << 20):
                     chunks.append(chunk)
                 os.close(pipes.pop(share))
-                status = os.waitstatus_to_exitcode(os.waitpid(pids[share], 0)[1])
-                del pids[share]
+                status = os.waitstatus_to_exitcode(os.waitpid(pids.pop(share), 0)[1])
                 if status == 0:
                     part, failed = pickle.loads(b"".join(chunks))
-                    outputs.update(part)
+                    results.update(part)
                 else:
-                    failed = (share, RuntimeError(
-                        f"solver: the worker process running flow batch {share} "
-                        f"exited with status {status}"
+                    failed = (first, RuntimeError(
+                        f"the worker process running {what} {first} exited with status {status}"
                     ))
                 if failed is not None and (error is None or failed[0] < error[0]):
                     error = failed
         finally:
+            _forked = False
             for read_end in pipes.values():
                 os.close(read_end)
             if pids:
@@ -999,7 +995,15 @@ def _run_batches(grid: Grid, config: SolverConfig, jobs: list[_Job]) -> list[_Fl
                     os.waitpid(pid, 0)
     if error is not None:
         raise error[1]
-    return [outputs[i] for i in range(len(jobs))]
+    return [results[i] for i in range(count)]
+
+
+def _run_batches(grid: Grid, config: SolverConfig, jobs: list[_Job]) -> list[_FlowOut]:
+    """Flow outputs of every batch (spec, pots, members) in jobs, in order;
+    see _run_shares for where they run."""
+    return _run_shares(
+        [functools.partial(_flow, grid, *job, config) for job in jobs], "flow batch"
+    )
 
 
 def _result(

@@ -1,4 +1,9 @@
-"""Experiment runner: config formats, artifact contracts, exit codes."""
+"""Experiment runner: config formats, artifact contracts, exit codes.
+
+Runs fork a worker for their task computations on two or more cores, so
+every test fails on any warning, a warning about forking with threads
+included.
+"""
 
 from __future__ import annotations
 
@@ -22,6 +27,8 @@ from binorm_gs.cli import (
     save_config,
 )
 from binorm_gs.grid import read_field_csv
+
+pytestmark = pytest.mark.filterwarnings("error")
 
 SOLVE_KEYS = {
     "total", "kinetic1", "kinetic2", "potential1", "potential2",
@@ -133,9 +140,12 @@ GRIDLESS_LINES = "".join(
         ("grid.n = 64\n", "grid.length"),
         ("grid.n = 64\ngrid.length = -1.0\n", "grid.length = -1.0"),
         ("grid.n = 100\ngrid.length = 32.0\n", "grid.n = 100"),
+        ("task.scan_subadd.stpes = 2\n", "task.scan_subadd.stpes"),
+        ("task.solve.steps = 2\n", "task.solve.steps"),
+        ("task.pohozaev = 2\n", "'task.pohozaev'"),
     ],
     ids=["grid-key", "run-key", "section", "task-name", "length-only", "n-only",
-         "bad-length", "bad-n"],
+         "bad-length", "bad-n", "task-key", "task-without-keys", "task-scalar"],
 )
 def test_config_rejects_ignored_or_incomplete_keys(tmp_path, capsys, extra, named):
     text = GRIDLESS_LINES + "run.tasks = solve\n" + extra

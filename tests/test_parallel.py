@@ -1,7 +1,13 @@
-"""Flow batches on separate processes: same results, errors and no leftover children."""
+"""Flow batches and task computations on separate processes: same results,
+files and errors as a serial run, and no leftover children.
+
+Every test fails on any warning, so that a warning about forking a process
+with threads fails them too.
+"""
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 import time
@@ -10,11 +16,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from binorm_gs import solver
+from binorm_gs import cli, solver
 from binorm_gs.grid import make_grid
 from binorm_gs.solver import scan_subadditivity
 
 from _cases import SCAN, wells_spec
+
+pytestmark = pytest.mark.filterwarnings("error")
 
 THETAS = [(0.0, 0.0), (0.0, 0.5), (0.5, 1.0), (1.0, 0.0), (0.5, 0.5)]
 
@@ -180,3 +188,129 @@ def test_no_fork_while_another_thread_runs(monkeypatch):
         stop.set()
         waiter.join(timeout=10.0)
     assert not waiter.is_alive()
+
+
+# ---------------------------------------------------------------------------
+# binorm-gs run: task computations in a worker, files written in task order
+
+CONFIG = """
+problem.dim = 1
+problem.beta = 0.5
+potential1.kind = gaussian_well
+potential1.depth = 0.5
+potential1.width = 2.0
+solver.dt = 0.25
+solver.tol_residual = 1e-6
+solver.tol_energy = 1e-10
+solver.multi_start = 1
+grid.n = 256
+grid.length = 32.0
+"""
+
+
+def _cli_run(monkeypatch, tmp_path, cores: int, tasks: str, extra: str = "") -> dict:
+    """Files (bytes), summary lines, manifest and raised error of a run on `cores` cores."""
+    _cores(monkeypatch, cores)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(CONFIG + f"run.tasks = {tasks}\n" + extra)
+    out = tmp_path / f"out{cores}"
+    try:
+        cli.run(cfg, out_dir=out, seed=3)
+        error = None
+    except Exception as exc:  # compared with the other run's
+        error = f"{type(exc).__name__}: {exc}"
+    _assert_no_children()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest.pop("timestamp")
+    return {
+        "files": {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "manifest.json"},
+        "summary": (out / "summary.txt").read_text().splitlines(),
+        "manifest": manifest,
+        "error": error,
+    }
+
+
+def test_cli_run_on_two_cores_writes_the_serial_files(monkeypatch, tmp_path):
+    forks = _count_forks(monkeypatch)
+    calls = []
+    run_shares = solver._run_shares
+
+    def spy(items, what, alone=False):
+        calls.append(([item.args[0].__name__ for item in items], alone))
+        return run_shares(items, what, alone)
+
+    monkeypatch.setattr(cli, "_run_shares", spy)
+    tasks = ", ".join(cli.TASK_NAMES)
+    extra = "task.scan_subadd.steps = 2\ntask.check_inequalities.resolution = 0.01\n"
+    parallel = _cli_run(monkeypatch, tmp_path, 2, tasks, extra)
+    assert len(forks) == 2  # the task computations' worker and the scan's
+    # the main solve has this process to itself
+    assert calls == [([f"calc_{name}" for name in (
+        "solve", "glue_inner", "glue_outer", "pohozaev", "check_inequalities", "conv_limit"
+    )], True)]
+    serial = _cli_run(monkeypatch, tmp_path, 1, tasks, extra)
+    assert len(forks) == 2
+    assert parallel == serial
+    assert serial["error"] is None and len(serial["files"]) == 16
+
+
+def test_cli_side_error_matches_serial(monkeypatch, tmp_path):
+    forks = _count_forks(monkeypatch)
+    tasks = "solve, pohozaev, conv_limit, check_inequalities"
+    extra = "task.conv_limit.f_rate = 1.0\n"
+    parallel = _cli_run(monkeypatch, tmp_path, 2, tasks, extra)
+    assert len(forks) == 1
+    serial = _cli_run(monkeypatch, tmp_path, 1, tasks, extra)
+    assert parallel == serial
+    assert serial["error"].startswith("ValueError: conv_limit needs f decaying")
+    assert serial["manifest"]["error"].startswith("conv_limit: conv_limit needs f decaying")
+    assert set(serial["files"]) == {
+        "solve.json", "trajectory.csv", "solve_u1.csv", "solve_u2.csv", "pohozaev.json",
+        "summary.txt",
+    }
+    assert [line.split(":")[0] for line in serial["summary"]] == ["solve", "pohozaev", "conv_limit"]
+
+
+def test_cli_dead_worker_leaves_summary_and_manifest(monkeypatch, tmp_path):
+    def dies(*args, **kwargs):
+        os._exit(7)
+
+    monkeypatch.setattr(cli, "minimize_scalar", dies)
+    result = _cli_run(monkeypatch, tmp_path, 2, "solve, pohozaev")
+    message = "the worker process running task computation 1 exited with status 7"
+    assert result["error"] == f"RuntimeError: {message}"
+    assert result["manifest"]["error"] == f"compute: {message}"
+    assert set(result["files"]) == {"summary.txt"}
+
+
+def test_runner_inside_a_runner_forks_nothing(monkeypatch):
+    """Scans that fork on their own run serially as items of a forked run,
+    both in this process and in the worker, with the serial results."""
+    forks = _count_forks(monkeypatch)
+
+    def scan(thetas):
+        before = len(forks)
+        report = scan_subadditivity(wells_spec(), thetas, config=SCAN, grid=make_grid(1, 256, 64.0))
+        return repr(report), len(forks) - before
+
+    items = [lambda: scan(THETAS[:3]), lambda: scan(THETAS[3:])]
+    _cores(monkeypatch, 2)
+    parallel = solver._run_shares(items, "scan")
+    assert len(forks) == 1
+    _assert_no_children()
+    assert [nested for _, nested in parallel] == [0, 0]
+    serial = [scan(THETAS[:3]), scan(THETAS[3:])]
+    assert len(forks) == 3  # each scan forks on its own
+    _assert_no_children()
+    assert [r for r, _ in parallel] == [r for r, _ in serial]
+
+
+def test_alone_gives_item_0_a_share_of_its_own(monkeypatch):
+    pids = [lambda: os.getpid()] * 4
+    _cores(monkeypatch, 2)
+    here, *rest = solver._run_shares(pids, "item", alone=True)
+    assert here == os.getpid() and len(set(rest)) == 1 and here not in rest
+    _cores(monkeypatch, 3)
+    here, a, b, c = solver._run_shares(pids, "item", alone=True)
+    assert here == os.getpid() and a == c and len({here, a, b}) == 3
+    _assert_no_children()
