@@ -56,7 +56,6 @@ from .inequalities import (
 from .model import (
     PotentialSpec,
     ProblemSpec,
-    normalize_bounded_potential,
     sample_potential,
     validate,
 )

@@ -137,7 +137,8 @@ def classify_decay_regime(
 
 @dataclass(frozen=True)
 class DecayFit:
-    """Fit of log(shell max) = const - rate * r + poly_exponent * log(1 + r)."""
+    """Fit of log(shell max) = const - rate * r + poly_exponent * log(1 + r)
+    over the shells at radii, whose log maxima are log_values."""
 
     component: int
     window: tuple[float, float]
@@ -146,6 +147,8 @@ class DecayFit:
     const: float
     r_squared: float
     n_shells: int
+    radii: tuple[float, ...]
+    log_values: tuple[float, ...]
 
 
 def decay_fit(
@@ -186,6 +189,8 @@ def decay_fit(
         const=float(coef[0]),
         r_squared=r_sq,
         n_shells=int(r.size),
+        radii=tuple(r.tolist()),
+        log_values=tuple(y.tolist()),
     )
 
 

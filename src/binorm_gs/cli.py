@@ -32,7 +32,7 @@ import json
 import math
 import sys
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field as dc_field, replace
+from dataclasses import asdict, dataclass, field as dc_field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any
@@ -46,7 +46,7 @@ from .analysis import (
     glue_energy_gap,
     pohozaev_check,
 )
-from .grid import Grid, make_grid, radial_profile, write_field_csv
+from .grid import Grid, make_grid, write_field_csv
 from .inequalities import (
     check_elementary_p3,
     check_lemma34i,
@@ -55,7 +55,7 @@ from .inequalities import (
     min_constant_34ii,
     sufficient_constant_34ii,
 )
-from .model import PotentialSpec, ProblemSpec, validate
+from .model import ProblemSpec, validate
 from .solver import (
     SolverConfig,
     _run_shares,
@@ -230,16 +230,12 @@ _DEFAULT_PROBLEM = ProblemSpec(
 )
 
 
-def _potential_from(node: dict) -> PotentialSpec:
-    node = dict(node)
-    node["center"] = tuple(_as_list(node.get("center")))
-    return PotentialSpec(**node)
-
-
-# Config sections, and the keys of those read here; problem, potential and
-# solver keys are checked by the records they build.
+# Config sections, and the keys of those read here; potential and solver keys
+# are checked by the records they build.  The potentials are sections of their
+# own, so problem.v1 and problem.v2 are not keys.
 _SECTIONS = ("problem", "potential1", "potential2", "solver", "grid", "run", "task")
 _SECTION_KEYS = {
+    "problem": tuple(f.name for f in fields(ProblemSpec) if f.name not in ("v1", "v2")),
     "grid": ("n", "length"), "run": ("tasks", "output_dir", "required"), "task": TASK_KEYS
 }
 
@@ -262,7 +258,7 @@ def _check_keys(prefix: str, node: Any, known: tuple | dict | None) -> None:
 def config_from_dict(nested: dict) -> ExperimentConfig:
     """Build a validated config from a nested dict, applying defaults.
 
-    An unknown section, grid, run or task key or task name raises
+    An unknown section, problem, grid, run or task key or task name raises
     ValueError naming it, and so do grid.n and grid.length unless set
     together and valid for the problem's dimension.
     """
@@ -272,19 +268,11 @@ def config_from_dict(nested: dict) -> ExperimentConfig:
                 f"unknown config section {section!r}; known: {', '.join(_SECTIONS)}"
             )
         _check_keys(section, node, _SECTION_KEYS.get(section))
-    prob_node = dict(nested.get("problem", {}))
-    if "potential1" in nested:
-        prob_node["v1"] = _potential_from(nested["potential1"])
-    if "potential2" in nested:
-        prob_node["v2"] = _potential_from(nested["potential2"])
-    if prob_node:
-        base = _DEFAULT_PROBLEM.to_dict()
-        base["v1"] = _DEFAULT_PROBLEM.v1
-        base["v2"] = _DEFAULT_PROBLEM.v2
-        base.update(prob_node)
-        problem = ProblemSpec(**base)
-    else:
-        problem = _DEFAULT_PROBLEM
+    problem = ProblemSpec.from_dict({
+        **_DEFAULT_PROBLEM.to_dict(),
+        **nested.get("problem", {}),
+        **{f"v{i}": nested[f"potential{i}"] for i in (1, 2) if f"potential{i}" in nested},
+    })
     solver = SolverConfig(**nested.get("solver", {}))
     grid_node = nested.get("grid", {})
     if grid_node:
@@ -518,11 +506,10 @@ class _Runner:
     def task_scan_subadd(self) -> None:
         p = self.params("scan_subadd")
         steps = int(p.get("steps", 5))
-        thetas = [
-            (float(t1), float(t2))
-            for t1 in np.linspace(0.0, 1.0, steps)
-            for t2 in np.linspace(0.0, 1.0, steps)
-        ]
+        ticks = np.linspace(0.0, 1.0, steps).tolist()
+        # In the trapping regime only splits that keep all of u2 are admissible.
+        ticks2 = ticks if self.cfg.problem.regime == "both_bounded" else [1.0]
+        thetas = [(t1, t2) for t1 in ticks for t2 in ticks2]
         report = scan_subadditivity(
             self.cfg.problem, thetas, config=self.cfg.solver, grid=self.grid
         )
@@ -552,10 +539,8 @@ class _Runner:
             fit = decay_fit(comp, window, component=comp_index + 1)
             role = 1 if comp_index == order[0] else 2
             regime = classify_decay_regime(self.cfg.problem.p3, lo, hi, role)
-            radii, maxima = radial_profile(comp)
-            keep = (radii >= window[0]) & (radii <= window[1]) & (maxima > 1e-14)
-            log_vals = np.log(maxima[keep])
-            fit_vals = fit.const - fit.rate * radii[keep] + fit.poly_exponent * np.log1p(radii[keep])
+            radii = np.array(fit.radii)
+            fit_vals = fit.const - fit.rate * radii + fit.poly_exponent * np.log1p(radii)
             fits.append(
                 {
                     "component": comp_index + 1,
@@ -567,9 +552,9 @@ class _Runner:
                     "expected": regime.expected_rate,
                     "tag": regime.tag,
                     "profile": {
-                        "r": [float(x) for x in radii[keep]],
-                        "log_value": [float(x) for x in log_vals],
-                        "fit_value": [float(x) for x in fit_vals],
+                        "r": list(fit.radii),
+                        "log_value": list(fit.log_values),
+                        "fit_value": fit_vals.tolist(),
                     },
                 }
             )
@@ -711,11 +696,6 @@ class _Runner:
             0.125 * self.grid.length,
             0.25 * self.grid.length,
         ]
-        if f_rate <= g_rate:
-            raise ValueError(
-                f"conv_limit needs f decaying strictly faster: f_rate {f_rate} "
-                f"<= g_rate {g_rate}"
-            )
 
         def f(*coords):
             r = np.sqrt(sum(c**2 for c in coords))
@@ -867,17 +847,8 @@ def emit_plot_data(out_dir: str | Path) -> list[str]:
 # command line
 
 
-_SUBCOMMANDS = {
-    "solve": ["solve"],
-    "scan-subadd": ["scan_subadd"],
-    "decay-fit": ["decay_fit"],
-    "glue-test": ["glue_test"],
-    "pohozaev": ["pohozaev"],
-    "check-inequalities": ["check_inequalities"],
-    "conv-limit": ["conv_limit"],
-    "emit-plots": ["emit_plots"],
-    "run": None,  # full task list from the config
-}
+# One subcommand per task, and run for the config's full task list.
+_SUBCOMMANDS = {**{t.replace("_", "-"): [t] for t in TASK_NAMES}, "run": None}
 
 
 def main(argv: list[str] | None = None) -> int:

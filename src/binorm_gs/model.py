@@ -26,7 +26,6 @@ __all__ = [
     "ProblemSpec",
     "validate",
     "sample_potential",
-    "normalize_bounded_potential",
 ]
 
 POTENTIAL_KINDS = ("zero", "gaussian_well", "harmonic_trap", "tabulated")
@@ -37,13 +36,13 @@ REGIMES = ("both_bounded", "trapping")
 class PotentialSpec:
     """Tagged description of one external potential.
 
-    kind "zero":          V = shift (canonical form has shift 0)
+    kind "zero":          V = shift
     kind "gaussian_well": V = -depth * exp(-|x - center|^2 / width^2) + shift
     kind "harmonic_trap": V = offset + stiffness * |x - center|^2
     kind "tabulated":     V read from a field CSV at samples_path
 
-    ``shift`` carries a constant offset for bounded potentials with a
-    nonzero limit at infinity; normalize_bounded_potential splits it off.
+    ``shift`` is a constant offset; validate requires it to be 0, so that a
+    bounded potential vanishes at infinity and a trap's infimum is offset.
     """
 
     kind: str
@@ -95,8 +94,12 @@ class PotentialSpec:
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "PotentialSpec":
+        """Inverse of to_dict; center may also be missing, None or one number."""
         d = dict(d)
-        d["center"] = tuple(d.get("center", ()))
+        center = d.get("center", ())
+        if not isinstance(center, (list, tuple)):
+            center = () if center is None else (center,)
+        d["center"] = tuple(center)
         return cls(**d)
 
 
@@ -163,9 +166,6 @@ def _check_bounded(tag: str, name: str, pot: PotentialSpec) -> list[str]:
             out.append(f"{tag}: {name} well depth must be positive; got {pot.depth}")
         if not (pot.width > 0):
             out.append(f"{tag}: {name} well width must be positive; got {pot.width}")
-    if pot.shift != 0.0:
-        out.append(f"{tag}: {name} has nonzero limit {pot.shift} at infinity; "
-                   f"apply normalize_bounded_potential first")
     return out
 
 
@@ -194,6 +194,11 @@ def validate(spec: ProblemSpec) -> list[str]:
     for name, a in (("alpha1", spec.alpha1), ("alpha2", spec.alpha2)):
         if not (a >= 0):
             out.append(f"mass: {name} >= 0 required; got {a}")
+    v2_tag = "(V2)" if spec.regime == "trapping" else "(V1)"
+    for tag, name, pot in (("(V1)", "v1", spec.v1), (v2_tag, "v2", spec.v2)):
+        if pot.shift != 0.0:
+            out.append(f"{tag}: {name}.shift must be 0 (a constant potential only adds "
+                       f"shift * mass / 2 to the energy); got {pot.shift}")
     out.extend(_check_bounded("(V1)", "v1", spec.v1))
     if spec.regime == "both_bounded":
         out.extend(_check_bounded("(V1)", "v2", spec.v2))
@@ -240,18 +245,3 @@ def sample_potential(pot: PotentialSpec, grid: Grid) -> Field:
         raise ValueError(f"unknown potential kind {pot.kind!r}")
     return Field(grid, values)
 
-
-def normalize_bounded_potential(pot: PotentialSpec) -> tuple[PotentialSpec, float]:
-    """Split a bounded potential into canonical form plus its limit.
-
-    Returns (canonical, b) with V = canonical + b, canonical vanishing at
-    infinity.  Shifting each potential this way changes the energy of a
-    constrained state by sum_i (b_i / 2) alpha_i and nothing else, so
-    minimizers are unaffected.  Confining and tabulated potentials are
-    rejected: the first has no finite limit, the second no structural one.
-    """
-    if pot.kind == "harmonic_trap":
-        raise ValueError("confining potential has no finite limit at infinity")
-    if pot.kind == "tabulated":
-        raise ValueError("tabulated potential carries no structural limit")
-    return replace(pot, shift=0.0), pot.shift

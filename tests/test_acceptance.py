@@ -171,6 +171,26 @@ def test_criterion_05_strict_subadditivity_scan(report):
     )
 
 
+def test_criterion_14_trapped_subadditivity_scan(report):
+    # The paper's case (ii): u2 is trapped and cannot lose mass to infinity,
+    # so only splits with theta2 = 1 test the strict inequality.
+    thetas = [(i / 4.0, 1.0) for i in range(4)]
+    grid = make_grid(1, 1024, 64.0)
+    points = [
+        pt
+        for spec in trapping_matrix().values()
+        for pt in scan_subadditivity(spec, thetas, config=SCAN, grid=grid).points
+    ]
+    trusted = [pt for pt in points if pt.trusted]
+    worst = max(pt.gap for pt in points)
+    report(
+        14,
+        len(points) == 16 and len(trusted) == 16 and worst < -1e-6,
+        f"{len(trusted)}/{len(points)} trusted theta2 = 1 splits of "
+        f"{len(trapping_matrix())} trapped specs, worst gap {worst:.3e} (< -1e-6)",
+    )
+
+
 def _role_fit(spec, res, role):
     lam = (res.multipliers.lambda1, res.multipliers.lambda2)
     order = (0, 1) if lam[0] <= lam[1] else (1, 0)

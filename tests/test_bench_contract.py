@@ -1,0 +1,46 @@
+"""The package names the benchmark under bench/ looks up.
+
+bench/tracing.py wraps (module, name) pairs and bench/workloads.py calls
+record properties and config functions by name; a rename or deletion in the
+package would otherwise first show in the slower benchmark suite.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from binorm_gs import cli, solver
+from binorm_gs.energy import Multipliers
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_trace_target_resolves(tracing):
+    missing = [
+        f"{module.__name__}.{name}"
+        for module, name, _, _ in tracing.TARGETS
+        if not callable(getattr(module, name, None))
+    ]
+    assert missing == []
+
+
+def test_workload_lookups_resolve():
+    for name in ("e_total", "points"):
+        assert name in solver.SubaddReport.__dataclass_fields__
+    for name in ("e_inner", "e_outer", "gaps", "untrusted"):
+        assert isinstance(getattr(solver.SubaddReport, name), property)
+    assert callable(Multipliers.as_tuple)
+    for name in ("ExperimentConfig", "config_from_dict", "config_to_dict", "format_flat",
+                 "load_config", "parse_flat", "run", "save_config"):
+        assert callable(getattr(cli, name))

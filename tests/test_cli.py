@@ -143,9 +143,13 @@ GRIDLESS_LINES = "".join(
         ("task.scan_subadd.stpes = 2\n", "task.scan_subadd.stpes"),
         ("task.solve.steps = 2\n", "task.solve.steps"),
         ("task.pohozaev = 2\n", "'task.pohozaev'"),
+        ("problem.bta = 0.5\n", "problem.bta"),
+        ("problem.v1 = 3\n", "problem.v1"),
+        ("problem.v1.kind = harmonic_trap\n", "problem.v1"),
     ],
     ids=["grid-key", "run-key", "section", "task-name", "length-only", "n-only",
-         "bad-length", "bad-n", "task-key", "task-without-keys", "task-scalar"],
+         "bad-length", "bad-n", "task-key", "task-without-keys", "task-scalar",
+         "problem-key", "problem-v1", "problem-v1-kind"],
 )
 def test_config_rejects_ignored_or_incomplete_keys(tmp_path, capsys, extra, named):
     text = GRIDLESS_LINES + "run.tasks = solve\n" + extra
@@ -291,11 +295,11 @@ def test_raising_task_leaves_summary_and_manifest(tmp_path, capsys):
         tmp_path, "solve, conv_limit", extra="task.conv_limit.f_rate = 1.0\n"
     )
     out = tmp_path / "out"
-    with pytest.raises(ValueError, match="f decaying strictly faster"):
+    with pytest.raises(ValueError, match="the limit integral diverges"):
         run(cfg_path, out_dir=out, seed=2)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 2
-    assert manifest["error"].startswith("conv_limit: conv_limit needs f decaying")
+    assert manifest["error"].startswith("conv_limit: f decays at rate 1.0")
     assert set(manifest["files"]) == {
         "solve.json", "trajectory.csv", "solve_u1.csv", "solve_u2.csv",
         "summary.txt",
@@ -304,11 +308,11 @@ def test_raising_task_leaves_summary_and_manifest(tmp_path, capsys):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
     summary = (out / "summary.txt").read_text().splitlines()
     assert summary[0].startswith("solve: energy")
-    assert summary[1].startswith("conv_limit: error: conv_limit needs")
+    assert summary[1].startswith("conv_limit: error: f decays at rate 1.0")
     assert not (out / "conv_limit.json").exists()
     # the command line still reports the error with exit code 1
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
-    assert "error: conv_limit needs f decaying" in capsys.readouterr().err
+    assert "error: f decays at rate 1.0" in capsys.readouterr().err
 
 
 def test_scan_subadd_artifacts(tmp_path):
@@ -324,6 +328,19 @@ def test_scan_subadd_artifacts(tmp_path):
         assert set(pt) == {"theta1", "theta2", "e_inner", "e_outer", "gap", "trusted"}
         if pt["trusted"]:
             assert pt["gap"] < 0.0
+
+
+def test_scan_subadd_keeps_the_trapped_mass(tmp_path):
+    # the paper's case (ii): in the trapping regime only theta2 = 1 is scanned
+    extra = (
+        "problem.regime = trapping\npotential2.kind = harmonic_trap\n"
+        "potential2.offset = 1.0\npotential2.stiffness = 0.05\ntask.scan_subadd.steps = 3\n"
+    )
+    out = tmp_path / "out"
+    assert run(write_config(tmp_path, "scan_subadd", extra=extra), out_dir=out) == 0
+    points = json.loads((out / "scan_subadd.json").read_text())["points"]
+    assert [(pt["theta1"], pt["theta2"]) for pt in points] == [(0.0, 1.0), (0.5, 1.0)]
+    assert all(pt["trusted"] and pt["gap"] < 0.0 for pt in points)
 
 
 def test_decay_fit_artifacts(tmp_path):

@@ -1,4 +1,4 @@
-"""Problem data: hypothesis checks, potential sampling, canonical shifts."""
+"""Problem data: hypothesis checks, potential sampling, constant shifts."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from binorm_gs.grid import Field, make_grid, norm_sq, write_field_csv
 from binorm_gs.model import (
     PotentialSpec,
     ProblemSpec,
-    normalize_bounded_potential,
     sample_potential,
     validate,
 )
@@ -77,7 +76,24 @@ def test_trap_infimum_convention_enforced():
 
 def test_unnormalized_shift_rejected():
     spec = replace(wells_spec(), v1=PotentialSpec.gaussian_well(0.5, 2.0, shift=1.0))
-    assert any("normalize_bounded_potential" in m for m in validate(spec))
+    assert any(m.startswith("(V1): v1.shift must be 0") for m in validate(spec))
+
+
+@pytest.mark.parametrize(
+    "regime, pot",
+    [
+        ("trapping", PotentialSpec(kind="harmonic_trap", stiffness=0.1, offset=1.0, shift=5.0)),
+        ("both_bounded", PotentialSpec(kind="tabulated", samples_path="v.csv", shift=5.0)),
+    ],
+)
+def test_shift_rejected_on_kinds_that_ignore_it(regime, pot):
+    # sample_potential drops the shift of these kinds, so a solve would run
+    # a different potential than the spec names
+    spec = replace(wells_spec(), v2=pot, regime=regime)
+    assert [m for m in validate(spec) if "shift" in m] == [
+        f"{'(V2)' if regime == 'trapping' else '(V1)'}: v2.shift must be 0 (a constant "
+        f"potential only adds shift * mass / 2 to the energy); got 5.0"
+    ]
 
 
 def test_unknown_regime_and_kind_rejected_at_construction():
@@ -135,27 +151,6 @@ def test_tabulated_potential_round_trip(tmp_path, grid_small):
     other = make_grid(1, 128, 32.0)
     with pytest.raises(ValueError):
         sample_potential(PotentialSpec.tabulated(str(path)), other)
-
-
-def test_normalize_constant_potential():
-    canon, b = normalize_bounded_potential(PotentialSpec.zero(shift=2.5))
-    assert canon == PotentialSpec.zero()
-    assert b == 2.5
-
-
-def test_normalize_shifted_well():
-    pot = PotentialSpec.gaussian_well(depth=0.5, width=2.0, shift=5.0)
-    canon, b = normalize_bounded_potential(pot)
-    assert b == 5.0
-    assert canon.shift == 0.0
-    assert canon.depth == 0.5
-
-
-def test_normalize_rejects_trap_and_tabulated():
-    with pytest.raises(ValueError):
-        normalize_bounded_potential(PotentialSpec.harmonic_trap(0.1))
-    with pytest.raises(ValueError):
-        normalize_bounded_potential(PotentialSpec.tabulated("x.csv"))
 
 
 @settings(max_examples=20, deadline=None)

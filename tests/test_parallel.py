@@ -7,6 +7,7 @@ with threads fails them too.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import threading
@@ -136,6 +137,12 @@ def _fake_flows(monkeypatch, actions: dict[int, str]):
     return [(None, None, [i]) for i in range(4)]
 
 
+def _run_batches(jobs):
+    """The flow batches (spec, pots, members) in jobs, run as solver._solve_all runs them."""
+    batches = [functools.partial(solver._flow, None, *job, None) for job in jobs]
+    return solver._run_shares(batches, "flow batch")
+
+
 @pytest.mark.parametrize(
     "actions, message",
     [
@@ -151,7 +158,7 @@ def test_earliest_failing_batch_wins(monkeypatch, actions, message):
         _cores(monkeypatch, cores)
         t0 = time.perf_counter()
         with pytest.raises(ValueError, match=f"^{message}$"):
-            solver._run_batches(None, None, jobs)
+            _run_batches(jobs)
         assert time.perf_counter() - t0 < 30.0
         _assert_no_children()
 
@@ -160,7 +167,7 @@ def test_batches_come_back_in_order(monkeypatch):
     jobs = _fake_flows(monkeypatch, {})
     for cores in (3, 2, 1):
         _cores(monkeypatch, cores)
-        assert solver._run_batches(None, None, jobs) == [[0], [1], [2], [3]]
+        assert _run_batches(jobs) == [[0], [1], [2], [3]]
     _assert_no_children()
 
 
@@ -168,7 +175,7 @@ def test_dead_worker_raises_runtime_error(monkeypatch):
     jobs = _fake_flows(monkeypatch, {1: "die"})
     _cores(monkeypatch, 2)
     with pytest.raises(RuntimeError, match="flow batch 1 exited with status 7"):
-        solver._run_batches(None, None, jobs)
+        _run_batches(jobs)
     _assert_no_children()
 
 
@@ -183,7 +190,7 @@ def test_no_fork_while_another_thread_runs(monkeypatch):
     waiter = threading.Thread(target=stop.wait)
     waiter.start()
     try:
-        assert solver._run_batches(None, None, jobs) == [[0], [1], [2], [3]]
+        assert _run_batches(jobs) == [[0], [1], [2], [3]]
     finally:
         stop.set()
         waiter.join(timeout=10.0)
@@ -262,8 +269,8 @@ def test_cli_side_error_matches_serial(monkeypatch, tmp_path):
     assert len(forks) == 1
     serial = _cli_run(monkeypatch, tmp_path, 1, tasks, extra)
     assert parallel == serial
-    assert serial["error"].startswith("ValueError: conv_limit needs f decaying")
-    assert serial["manifest"]["error"].startswith("conv_limit: conv_limit needs f decaying")
+    assert serial["error"].startswith("ValueError: f decays at rate 1.0")
+    assert serial["manifest"]["error"].startswith("conv_limit: f decays at rate 1.0")
     assert set(serial["files"]) == {
         "solve.json", "trajectory.csv", "solve_u1.csv", "solve_u2.csv", "pohozaev.json",
         "summary.txt",

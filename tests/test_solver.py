@@ -225,6 +225,18 @@ def test_scan_subadd_checks_every_theta_before_any_flow(monkeypatch, bad):
         scan_subadditivity(wells_spec(), thetas, config=QUICK, grid=make_grid(1, 128, 32.0))
 
 
+def test_scan_subadd_trapping_regime_rejects_theta2_below_one(monkeypatch):
+    def no_flow(*args, **kwargs):
+        raise AssertionError("a flow ran before every theta was checked")
+
+    monkeypatch.setattr(solver, "_flow", no_flow)
+    with pytest.raises(ValueError, match=r"theta \(0\.5, 0\.5\): in the trapping regime"):
+        scan_subadditivity(
+            trapping_matrix()["trap-plain"], [(0.5, 1.0), (0.5, 0.5)], config=QUICK,
+            grid=make_grid(1, 128, 32.0),
+        )
+
+
 def test_trapped_regime_converges_with_positive_multipliers():
     spec = ProblemSpec(
         dim=1, p1=1.0, p2=1.0, p3=1.0, mu1=1.0, mu2=2.0, beta=0.5,
@@ -447,7 +459,9 @@ def test_scan_matches_separate_minimize_calls():
     report = scan_subadditivity(spec, thetas, config=config, grid=grid)
     full = minimize(spec, config=config, grid=grid)
     assert report.e_total == full.report.total
-    assert report.thetas == [th for th in thetas if th != (1.0, 1.0)]
+    assert [(pt.theta1, pt.theta2) for pt in report.points] == [
+        th for th in thetas if th != (1.0, 1.0)
+    ]
     for point in report.points:
         t1, t2 = point.theta1, point.theta2
         inner_res = minimize(spec.with_masses(t1, t2), config=config, grid=grid)
