@@ -140,7 +140,6 @@ class DecayFit:
     """Fit of log(shell max) = const - rate * r + poly_exponent * log(1 + r)
     over the shells at radii, whose log maxima are log_values."""
 
-    component: int
     window: tuple[float, float]
     rate: float
     poly_exponent: float
@@ -151,15 +150,12 @@ class DecayFit:
     log_values: tuple[float, ...]
 
 
-def decay_fit(
-    field: Field, window: tuple[float, float], component: int = 0
-) -> DecayFit:
+def decay_fit(field: Field, window: tuple[float, float]) -> DecayFit:
     """Fit the far-field decay of |field| over a radial window.
 
     The window upper edge must stay within 0.4 L to avoid periodic
     wrap-around contamination; shells below the floor 1e-14 are ignored.
-    At least eight usable shells are required.  component is a label
-    carried into the fit record for report writers.
+    At least eight usable shells are required.
     """
     r1, r2 = window
     if not (0.0 <= r1 < r2):
@@ -182,7 +178,6 @@ def decay_fit(
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r_sq = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return DecayFit(
-        component=component,
         window=(r1, r2),
         rate=float(coef[1]),
         poly_exponent=float(coef[2]),
@@ -339,8 +334,7 @@ def overlap_series(
     g = u0.grid
     kappas = []
     for n in n_cells:
-        shifted = translate(w0, (n,) if g.dim == 1 else (n, 0))
-        kappas.append(float(np.real(inner(u0, shifted))))
+        kappas.append(float(np.real(inner(u0, translate(w0, int(n))))))
     d = np.array([n * g.h for n in n_cells])
     k = np.array(kappas)
     usable = k > PROFILE_FLOOR
@@ -393,7 +387,6 @@ def glue_states(
     if u0.grid != w0.grid:
         raise ValueError("states live on different grids")
     g = u0.grid
-    shift = (n_cells,) if g.dim == 1 else (n_cells, 0)
     gam = u0.masses()
     dlt = w0.masses()
     comps = []
@@ -405,7 +398,7 @@ def glue_states(
                 f"component {i + 1}: masses {gam[i]} + {dlt[i]} do not add up "
                 f"to the target {alpha[i]}"
             )
-        wn = translate(wc, shift)
+        wn = translate(wc, int(n_cells))
         kappa = float(np.real(inner(uc, wn)))
         summed = uc.values + wn.values
         norm2 = alpha[i] + 2.0 * kappa

@@ -258,9 +258,10 @@ def _check_keys(prefix: str, node: Any, known: tuple | dict | None) -> None:
 def config_from_dict(nested: dict) -> ExperimentConfig:
     """Build a validated config from a nested dict, applying defaults.
 
-    An unknown section, problem, grid, run or task key or task name raises
-    ValueError naming it, and so do grid.n and grid.length unless set
-    together and valid for the problem's dimension.
+    An unknown section, problem, grid, run or task key, or task name in
+    run.tasks or run.required, raises ValueError naming it, and so do grid.n
+    and grid.length unless set together and valid for the problem's
+    dimension.
     """
     for section, node in nested.items():
         if section not in _SECTIONS:
@@ -291,10 +292,12 @@ def config_from_dict(nested: dict) -> ExperimentConfig:
     tasks = [str(t) for t in _as_list(run_node.get("tasks", ["solve"]))]
     if not tasks:
         raise ValueError("config must list at least one task")
-    for t in tasks:
+    required = run_node.get("required")
+    if required is not None:
+        required = [str(t) for t in _as_list(required)]
+    for t in tasks + (required or []):
         if t not in TASK_NAMES:
             raise ValueError(f"unknown task {t!r}; known: {', '.join(TASK_NAMES)}")
-    required = run_node.get("required")
     task_params = {
         name: dict(params) for name, params in nested.get("task", {}).items()
     }
@@ -312,7 +315,7 @@ def config_from_dict(nested: dict) -> ExperimentConfig:
         grid_length=float(grid_node.get("length", 0.0)),
         tasks=tasks,
         output_dir=str(run_node.get("output_dir", "out")),
-        required=[str(t) for t in _as_list(required)] if required is not None else None,
+        required=required,
         task_params=task_params,
     )
 
@@ -536,7 +539,7 @@ class _Runner:
         fits = []
         ok = res.converged
         for comp_index, comp in ((0, res.state.u1), (1, res.state.u2)):
-            fit = decay_fit(comp, window, component=comp_index + 1)
+            fit = decay_fit(comp, window)
             role = 1 if comp_index == order[0] else 2
             regime = classify_decay_regime(self.cfg.problem.p3, lo, hi, role)
             radii = np.array(fit.radii)

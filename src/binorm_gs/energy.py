@@ -49,31 +49,6 @@ class EnergyReport:
     cross: float
     total: float
 
-    @classmethod
-    def from_parts(
-        cls,
-        kinetic1: float,
-        kinetic2: float,
-        potential1: float,
-        potential2: float,
-        self1: float,
-        self2: float,
-        cross: float,
-    ) -> "EnergyReport":
-        total = (
-            kinetic1 + kinetic2 + potential1 + potential2 - self1 - self2 - cross
-        )
-        return cls(
-            kinetic1=kinetic1,
-            kinetic2=kinetic2,
-            potential1=potential1,
-            potential2=potential2,
-            self1=self1,
-            self2=self2,
-            cross=cross,
-            total=total,
-        )
-
 
 @dataclass(frozen=True)
 class Multipliers:
@@ -93,10 +68,6 @@ class Multipliers:
 
 def _abs_power_integral(f: Field, exponent: float) -> float:
     return float(integrate(np.abs(f.values) ** exponent, f.grid))
-
-
-def cross_density(u1: Field, u2: Field, p3: float) -> np.ndarray:
-    return np.abs(u1.values) ** (p3 + 1.0) * np.abs(u2.values) ** (p3 + 1.0)
 
 
 def energy(
@@ -123,10 +94,12 @@ def energy(
     self2 = spec.mu2 / (2.0 * spec.p2 + 2.0) * _abs_power_integral(
         state.u2, 2.0 * spec.p2 + 2.0
     )
-    cross = spec.beta / (spec.p3 + 1.0) * float(
-        integrate(cross_density(state.u1, state.u2, spec.p3), g)
-    )
-    return EnergyReport.from_parts(kin1, kin2, pot1, pot2, self1, self2, cross)
+    cross = spec.beta / (spec.p3 + 1.0) * float(integrate(
+        np.abs(state.u1.values) ** (spec.p3 + 1.0)
+        * np.abs(state.u2.values) ** (spec.p3 + 1.0), g
+    ))
+    total = kin1 + kin2 + pot1 + pot2 - self1 - self2 - cross
+    return EnergyReport(kin1, kin2, pot1, pot2, self1, self2, cross, total)
 
 
 def _signed_power(values: np.ndarray, magnitude: np.ndarray, q: float) -> np.ndarray:

@@ -67,8 +67,8 @@ class Grid:
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
         if self.n < 8 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"n must be a power of two >= 8, got {self.n}")
-        if not (self.length > 0):
-            raise ValueError(f"box length must be positive, got {self.length}")
+        if not (0 < self.length < np.inf):
+            raise ValueError(f"box length must be positive and finite, got {self.length}")
         h = self.length / self.n
         axes = tuple(
             (-0.5 * self.length + h * np.arange(self.n)) for _ in range(self.dim)

@@ -14,6 +14,7 @@ a confining second potential with infimum one ("trapping").
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict, replace
 from typing import Any
 
@@ -36,13 +37,14 @@ REGIMES = ("both_bounded", "trapping")
 class PotentialSpec:
     """Tagged description of one external potential.
 
-    kind "zero":          V = shift
-    kind "gaussian_well": V = -depth * exp(-|x - center|^2 / width^2) + shift
+    kind "zero":          V = 0
+    kind "gaussian_well": V = -depth * exp(-|x - center|^2 / width^2)
     kind "harmonic_trap": V = offset + stiffness * |x - center|^2
     kind "tabulated":     V read from a field CSV at samples_path
 
-    ``shift`` is a constant offset; validate requires it to be 0, so that a
-    bounded potential vanishes at infinity and a trap's infimum is offset.
+    ``shift`` must be 0, so that a bounded potential vanishes at infinity
+    and a trap's infimum is offset: validate rejects any other value, and
+    sample_potential raises on it.
     """
 
     kind: str
@@ -60,20 +62,14 @@ class PotentialSpec:
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
 
     @classmethod
-    def zero(cls, shift: float = 0.0) -> "PotentialSpec":
-        return cls(kind="zero", shift=shift)
+    def zero(cls) -> "PotentialSpec":
+        return cls(kind="zero")
 
     @classmethod
     def gaussian_well(
-        cls,
-        depth: float,
-        width: float,
-        center: tuple[float, ...] = (),
-        shift: float = 0.0,
+        cls, depth: float, width: float, center: tuple[float, ...] = ()
     ) -> "PotentialSpec":
-        return cls(
-            kind="gaussian_well", depth=depth, width=width, center=center, shift=shift
-        )
+        return cls(kind="gaussian_well", depth=depth, width=width, center=center)
 
     @classmethod
     def harmonic_trap(
@@ -162,10 +158,10 @@ def _check_bounded(tag: str, name: str, pot: PotentialSpec) -> list[str]:
                    f"got a confining trap")
         return out
     if pot.kind == "gaussian_well":
-        if not (pot.depth > 0):
-            out.append(f"{tag}: {name} well depth must be positive; got {pot.depth}")
-        if not (pot.width > 0):
-            out.append(f"{tag}: {name} well width must be positive; got {pot.width}")
+        if not (0 < pot.depth < math.inf):
+            out.append(f"{tag}: {name}.depth must be positive and finite; got {pot.depth}")
+        if not (0 < pot.width < math.inf):
+            out.append(f"{tag}: {name}.width must be positive and finite; got {pot.width}")
     return out
 
 
@@ -174,7 +170,8 @@ def validate(spec: ProblemSpec) -> list[str]:
 
     Each message names the violated hypothesis: (p1) for the subcritical
     exponent window, (V1)/(V2) for the potential regimes, and coupling or
-    mass positivity for the remaining structural requirements.
+    mass positivity for the remaining structural requirements.  Every mass,
+    coupling and potential parameter must also be finite.
     """
     out: list[str] = []
     if spec.dim not in (1, 2):
@@ -184,21 +181,21 @@ def validate(spec: ProblemSpec) -> list[str]:
     for name, p in (("p1", spec.p1), ("p2", spec.p2), ("p3", spec.p3)):
         if not (0.0 < p < pmax):
             out.append(f"(p1): {name} must lie in (0, 2/N) = (0, {pmax}); got {p}")
-    for name, mu in (("mu1", spec.mu1), ("mu2", spec.mu2)):
-        if not (mu > 0):
-            out.append(f"coupling: {name} > 0 required; got {mu}")
-    if not (spec.beta > 0):
-        out.append(f"coupling: beta > 0 required; got {spec.beta}")
+    for name, mu in (("mu1", spec.mu1), ("mu2", spec.mu2), ("beta", spec.beta)):
+        if not (0 < mu < math.inf):
+            out.append(f"coupling: {name} > 0 and finite required; got {mu}")
     # alpha_i = 0 is admitted: scans and scalar reductions pin one
     # component at zero mass and solve the degenerate problem.
     for name, a in (("alpha1", spec.alpha1), ("alpha2", spec.alpha2)):
-        if not (a >= 0):
-            out.append(f"mass: {name} >= 0 required; got {a}")
+        if not (0 <= a < math.inf):
+            out.append(f"mass: {name} >= 0 and finite required; got {a}")
     v2_tag = "(V2)" if spec.regime == "trapping" else "(V1)"
     for tag, name, pot in (("(V1)", "v1", spec.v1), (v2_tag, "v2", spec.v2)):
         if pot.shift != 0.0:
             out.append(f"{tag}: {name}.shift must be 0 (a constant potential only adds "
                        f"shift * mass / 2 to the energy); got {pot.shift}")
+        if not all(math.isfinite(c) for c in pot.center):
+            out.append(f"{tag}: {name}.center must be finite; got {pot.center}")
     out.extend(_check_bounded("(V1)", "v1", spec.v1))
     if spec.regime == "both_bounded":
         out.extend(_check_bounded("(V1)", "v2", spec.v2))
@@ -209,14 +206,20 @@ def validate(spec: ProblemSpec) -> list[str]:
         else:
             if spec.v2.offset != 1.0:
                 out.append(f"(V2): trap infimum must equal 1; got {spec.v2.offset}")
-            if not (spec.v2.stiffness > 0):
-                out.append(f"(V2): trap stiffness must be positive; "
+            if not (0 < spec.v2.stiffness < math.inf):
+                out.append(f"(V2): v2.stiffness must be positive and finite; "
                            f"got {spec.v2.stiffness}")
     return out
 
 
 def sample_potential(pot: PotentialSpec, grid: Grid) -> Field:
-    """Evaluate a potential on the grid nodes; always a real field."""
+    """Evaluate a potential on the grid nodes; always a real field.
+
+    A nonzero shift, which validate rejects, raises ValueError rather than
+    being dropped.
+    """
+    if pot.shift != 0.0:
+        raise ValueError(f"potential shift must be 0; got {pot.shift}")
     center = pot.center if pot.center else (0.0,) * grid.dim
     if len(center) != grid.dim:
         raise ValueError(
@@ -236,12 +239,10 @@ def sample_potential(pot: PotentialSpec, grid: Grid) -> Field:
     for x, c in zip(grid.meshes(), center):
         r2 = r2 + (x - c) ** 2
     if pot.kind == "zero":
-        values = np.full(grid.shape, pot.shift)
+        values = np.zeros(grid.shape)
     elif pot.kind == "gaussian_well":
-        values = -pot.depth * np.exp(-r2 / pot.width**2) + pot.shift
-    elif pot.kind == "harmonic_trap":
+        values = -pot.depth * np.exp(-r2 / pot.width**2)
+    else:
         values = pot.offset + pot.stiffness * r2
-    else:  # pragma: no cover - guarded by PotentialSpec
-        raise ValueError(f"unknown potential kind {pot.kind!r}")
     return Field(grid, values)
 

@@ -811,10 +811,6 @@ def _check(spec: ProblemSpec) -> None:
         raise ValueError("; ".join(violations))
 
 
-_Job = tuple[ProblemSpec, tuple[np.ndarray, np.ndarray], list[_Member]]
-_FlowOut = list[tuple[tuple[np.ndarray, np.ndarray], _FlowInfo]]
-
-
 def _solve_all(
     grid: Grid,
     groups: list[tuple[list[ProblemSpec], tuple[np.ndarray, np.ndarray]]],
@@ -832,8 +828,8 @@ def _solve_all(
     """
     per_flow = max(1, _NODE_BUDGET // grid.n**grid.dim)
     starts = None
-    jobs: list[_Job] = []
-    job_groups: list[int] = []
+    batches = []
+    batch_groups: list[int] = []
     owners: list[list[int]] = []
     for g, (specs, pots) in enumerate(groups):
         members: list[_Member] = []
@@ -850,11 +846,12 @@ def _solve_all(
                 members.append(_Member(spec.masses, start, f"start {k}{solve}"))
                 owners[g].append(j)
         for lo in range(0, len(members), per_flow):
-            jobs.append((specs[0], pots, members[lo : lo + per_flow]))
-            job_groups.append(g)
-    runs: list[_FlowOut] = [[] for _ in groups]
-    batches = [functools.partial(_flow, grid, *job, config) for job in jobs]
-    for g, out in zip(job_groups, _run_shares(batches, "flow batch")):
+            batches.append(functools.partial(
+                _flow, grid, specs[0], pots, members[lo : lo + per_flow], config
+            ))
+            batch_groups.append(g)
+    runs: list[list] = [[] for _ in groups]
+    for g, out in zip(batch_groups, _run_shares(batches, "flow batch")):
         runs[g] += out
     results = []
     for g, (specs, pots) in enumerate(groups):
@@ -1124,12 +1121,12 @@ def scan_subadditivity(
     converge are marked untrusted.  Every theta must lie in [0, 1]^2, with
     theta2 = 1 in the trapping regime (the paper's case (ii): the trapped u2
     loses no mass to infinity, so e_inf is +inf for theta2 < 1); all are
-    checked, with their subproblems, before any solve runs.  The
-    full problem and every inner split e(theta alpha) run as one flow
-    batch, and every potential-free outer split as a second one (each
-    split further past _NODE_BUDGET grid nodes).  The batches run at the
-    same time on up to one process per usable core, and one after another
-    on a single core; the results are the same either way.
+    checked before any solve runs.  The full problem and every inner split
+    e(theta alpha) run as one flow batch, and every potential-free outer
+    split as a second one (each split further past _NODE_BUDGET grid nodes).
+    The batches run at the same time on up to one process per usable core,
+    and one after another on a single core; the results are the same
+    either way.
     """
     _check(spec)
     config = config or SolverConfig()
@@ -1149,17 +1146,11 @@ def scan_subadditivity(
                 f"scan_subadditivity: theta {theta}: in the trapping regime the "
                 f"trapped u2 keeps its whole mass, so theta2 must be 1"
             )
-        split = (
-            spec.with_masses(theta[0] * spec.alpha1, theta[1] * spec.alpha2),
-            free.with_masses((1.0 - theta[0]) * spec.alpha1, (1.0 - theta[1]) * spec.alpha2),
-        )
-        for sub in split:
-            violations = validate(sub)
-            if violations:
-                raise ValueError(f"scan_subadditivity: theta {theta}: " + "; ".join(violations))
         thetas.append(theta)
-        inner.append(split[0])
-        outer.append(split[1])
+        inner.append(spec.with_masses(theta[0] * spec.alpha1, theta[1] * spec.alpha2))
+        outer.append(
+            free.with_masses((1.0 - theta[0]) * spec.alpha1, (1.0 - theta[1]) * spec.alpha2)
+        )
 
     def pots_of(s: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
         return (sample_potential(s.v1, grid).values, sample_potential(s.v2, grid).values)

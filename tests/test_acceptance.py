@@ -196,7 +196,7 @@ def _role_fit(spec, res, role):
     order = (0, 1) if lam[0] <= lam[1] else (1, 0)
     idx = order[role - 1]
     comp = (res.state.u1, res.state.u2)[idx]
-    fit = decay_fit(comp, (8.0, 20.0), component=idx + 1)
+    fit = decay_fit(comp, (8.0, 20.0))
     regime = classify_decay_regime(spec.p3, lam[order[0]], lam[order[1]], role)
     rel = abs(fit.rate - regime.expected_rate) / regime.expected_rate
     return fit, regime, rel

@@ -1,7 +1,8 @@
-"""The package names the benchmark under bench/ looks up.
+"""The package names and config form the benchmark under bench/ relies on.
 
 bench/tracing.py wraps (module, name) pairs and bench/workloads.py calls
-record properties and config functions by name; a rename or deletion in the
+record properties and config functions by name and needs
+bench/pipeline_2d.cfg in canonical flat form; a rename or deletion in the
 package would otherwise first show in the slower benchmark suite.
 """
 
@@ -15,7 +16,8 @@ import pytest
 from binorm_gs import cli, solver
 from binorm_gs.energy import Multipliers
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 @pytest.fixture(scope="module")
@@ -44,3 +46,10 @@ def test_workload_lookups_resolve():
     for name in ("ExperimentConfig", "config_from_dict", "config_to_dict", "format_flat",
                  "load_config", "parse_flat", "run", "save_config"):
         assert callable(getattr(cli, name))
+
+
+def test_pipeline_config_is_canonical():
+    # the pipeline_2d workload refuses a config that format_flat would
+    # rewrite, so a renamed or deleted config field fails it at set-up
+    path = BENCH / "pipeline_2d.cfg"
+    assert cli.format_flat(cli.config_to_dict(cli.load_config(path))) == path.read_text()

@@ -146,10 +146,11 @@ GRIDLESS_LINES = "".join(
         ("problem.bta = 0.5\n", "problem.bta"),
         ("problem.v1 = 3\n", "problem.v1"),
         ("problem.v1.kind = harmonic_trap\n", "problem.v1"),
+        ("run.required = solv\n", "unknown task 'solv'"),
     ],
     ids=["grid-key", "run-key", "section", "task-name", "length-only", "n-only",
          "bad-length", "bad-n", "task-key", "task-without-keys", "task-scalar",
-         "problem-key", "problem-v1", "problem-v1-kind"],
+         "problem-key", "problem-v1", "problem-v1-kind", "required-name"],
 )
 def test_config_rejects_ignored_or_incomplete_keys(tmp_path, capsys, extra, named):
     text = GRIDLESS_LINES + "run.tasks = solve\n" + extra
@@ -266,6 +267,20 @@ def test_run_refuses_inadmissible_problem(tmp_path, capsys):
     assert rc == 1
     assert "hypothesis violation:" in captured.err
     assert "(p1)" in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_refuses_non_finite_mass(tmp_path, capsys):
+    cfg_path = tmp_path / "bad.txt"
+    cfg_path.write_text("problem.alpha1 = inf\nrun.tasks = solve, scan_subadd\n")
+    rc = run(cfg_path, out_dir=tmp_path / "out")
+    violations = [
+        ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("hypothesis violation:")
+    ]
+    assert rc == 1
+    assert violations == [
+        "hypothesis violation: mass: alpha1 >= 0 and finite required; got inf"
+    ]
     assert not (tmp_path / "out").exists()
 
 

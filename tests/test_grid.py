@@ -42,6 +42,8 @@ def test_make_grid_rejects_bad_sizes():
         make_grid(3, 8, 4.0)
     with pytest.raises(ValueError):
         make_grid(1, 8, -1.0)
+    with pytest.raises(ValueError, match="finite, got inf"):
+        make_grid(1, 16, math.inf)
 
 
 def test_plane_wave_is_laplacian_eigenfunction(grid_1d):

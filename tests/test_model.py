@@ -1,13 +1,12 @@
-"""Problem data: hypothesis checks, potential sampling, constant shifts."""
+"""Problem data: hypothesis checks, potential sampling, the refused shift."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from binorm_gs.energy import energy
 from binorm_gs.grid import Field, make_grid, norm_sq, write_field_csv
@@ -74,26 +73,46 @@ def test_trap_infimum_convention_enforced():
     assert any("stiffness" in m for m in validate(spec))
 
 
-def test_unnormalized_shift_rejected():
-    spec = replace(wells_spec(), v1=PotentialSpec.gaussian_well(0.5, 2.0, shift=1.0))
-    assert any(m.startswith("(V1): v1.shift must be 0") for m in validate(spec))
-
-
 @pytest.mark.parametrize(
-    "regime, pot",
+    "regime, slot, pot",
     [
-        ("trapping", PotentialSpec(kind="harmonic_trap", stiffness=0.1, offset=1.0, shift=5.0)),
-        ("both_bounded", PotentialSpec(kind="tabulated", samples_path="v.csv", shift=5.0)),
+        ("trapping", "v2",
+         PotentialSpec(kind="harmonic_trap", stiffness=0.1, offset=1.0, shift=5.0)),
+        ("both_bounded", "v2",
+         PotentialSpec(kind="tabulated", samples_path="v.csv", shift=5.0)),
+        ("both_bounded", "v1", replace(PotentialSpec.gaussian_well(0.5, 2.0), shift=5.0)),
     ],
+    ids=["trap", "tabulated", "well"],
 )
-def test_shift_rejected_on_kinds_that_ignore_it(regime, pot):
-    # sample_potential drops the shift of these kinds, so a solve would run
-    # a different potential than the spec names
-    spec = replace(wells_spec(), v2=pot, regime=regime)
+def test_nonzero_shift_rejected(regime, slot, pot):
+    # no kind honours a shift: sample_potential refuses one, so a solve
+    # cannot run a different potential than the spec names
+    spec = replace(wells_spec(), **{slot: pot}, regime=regime)
+    tag = "(V2)" if slot == "v2" and regime == "trapping" else "(V1)"
     assert [m for m in validate(spec) if "shift" in m] == [
-        f"{'(V2)' if regime == 'trapping' else '(V1)'}: v2.shift must be 0 (a constant "
+        f"{tag}: {slot}.shift must be 0 (a constant "
         f"potential only adds shift * mass / 2 to the energy); got 5.0"
     ]
+
+
+NON_FINITE = [
+    ("alpha1", math.inf), ("alpha2", math.inf), ("mu1", math.inf), ("mu2", math.inf),
+    ("beta", math.inf), ("v1.depth", math.inf), ("v1.width", math.inf),
+    ("v1.center", (math.inf,)), ("v2.stiffness", math.inf), ("v2.center", (math.nan,)),
+]
+
+
+@pytest.mark.parametrize("field, value", NON_FINITE, ids=[f for f, _ in NON_FINITE])
+def test_non_finite_parameters_rejected(field, value):
+    spec = trapping_matrix()["trap-with-well"]
+    if "." in field:
+        slot, key = field.split(".")
+        spec = replace(spec, **{slot: replace(getattr(spec, slot), **{key: value})})
+    else:
+        spec = replace(spec, **{field: value})
+    msgs = validate(spec)
+    assert len(msgs) == 1
+    assert field in msgs[0] and msgs[0].endswith(f"; got {value}")
 
 
 def test_unknown_regime_and_kind_rejected_at_construction():
@@ -153,29 +172,11 @@ def test_tabulated_potential_round_trip(tmp_path, grid_small):
         sample_potential(PotentialSpec.tabulated(str(path)), other)
 
 
-@settings(max_examples=20, deadline=None)
-@given(
-    b1=st.floats(min_value=-3.0, max_value=3.0),
-    b2=st.floats(min_value=-3.0, max_value=3.0),
-    seed=st.integers(min_value=0, max_value=2**31),
-)
-def test_constant_shift_moves_energy_by_half_mass(b1, b2, seed):
-    # E with shifted potentials = E normalized + sum_i (b_i / 2) ||u_i||^2
-    g = make_grid(1, 256, 32.0)
-    state = random_state(g, np.random.default_rng(seed))
+def test_energy_refuses_a_shifted_potential(grid_small, rng):
     base = wells_spec()
-    shifted = replace(
-        base,
-        v1=replace(base.v1, shift=b1),
-        v2=replace(base.v2, shift=b2),
-    )
-    expected = (
-        energy(state, base).total
-        + 0.5 * b1 * norm_sq(state.u1)
-        + 0.5 * b2 * norm_sq(state.u2)
-    )
-    got = energy(state, shifted).total
-    assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    spec = replace(base, v2=replace(base.v2, shift=0.5))
+    with pytest.raises(ValueError, match="shift must be 0; got 0.5"):
+        energy(random_state(grid_small, rng), spec)
 
 
 def test_state_masses_match_norms(grid_small, rng):
