@@ -254,7 +254,7 @@ def convolution_limit_check(
     gamma: float,
     grid: Grid,
     r_values: Sequence[float],
-    f_rate: float | None = None,
+    f_rate: float,
 ) -> list[ConvLimitRow]:
     """Tabulate (1+r)^a e^(r b) int g(r w - y) f(y) dy against its limit.
 
@@ -264,11 +264,10 @@ def convolution_limit_check(
     gamma * int f(y) e^(b w.y) dy, uniformly in the direction w.  Rows
     cover every r in r_values along each direction w = +-e_i of the grid
     axes.  The integrals are plain node sums over the box, so r must stay
-    within 0.4 L to keep truncation negligible.  Pass f_rate (the known decay
-    rate of f) to have the divergent case f_rate <= rate rejected
-    instead of silently producing a truncation-dependent number.
+    within 0.4 L to keep truncation negligible.  f_rate is the known decay
+    rate of f; the divergent case f_rate <= rate is rejected.
     """
-    if f_rate is not None and f_rate <= rate:
+    if f_rate <= rate:
         raise ValueError(
             f"f decays at rate {f_rate} <= {rate}; the limit integral diverges"
         )

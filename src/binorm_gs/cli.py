@@ -55,7 +55,7 @@ from .inequalities import (
     min_constant_34ii,
     sufficient_constant_34ii,
 )
-from .model import ProblemSpec, validate
+from .model import ProblemSpec, sample_potential, validate
 from .solver import (
     SolverConfig,
     _run_shares,
@@ -765,8 +765,10 @@ def run(
 ) -> int:
     """Execute a config's tasks; returns the process exit code.
 
-    tasks, out_dir and seed override the config when given.  If a task raises,
-    summary.txt and manifest.json are still written and the error propagates.
+    tasks, out_dir and seed override the config when given.  A potential
+    that cannot be sampled on the run grid (a missing, mismatched or complex
+    table) raises before any file is written.  If a task raises, summary.txt
+    and manifest.json are still written and the error propagates.
     """
     cfg = load_config(config_path)
     if seed is not None:
@@ -776,6 +778,9 @@ def run(
         for v in violations:
             print(f"hypothesis violation: {v}", file=sys.stderr)
         return 1
+    grid = cfg.grid()
+    for pot in (cfg.problem.v1, cfg.problem.v2):
+        sample_potential(pot, grid)
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
     runner = _Runner(cfg, out)
     try:

@@ -99,10 +99,15 @@ class Grid:
 
     def radius(self) -> np.ndarray:
         """Distance of each node from the origin node."""
-        r2 = np.zeros(self.shape)
-        for x in self.meshes():
-            r2 = r2 + x * x
-        return np.sqrt(r2)
+        return np.sqrt(_squared_distance(self, (0.0,) * self.dim))
+
+
+def _squared_distance(grid: Grid, center: Sequence[float]) -> np.ndarray:
+    """Squared distance of each node from center, one coordinate per axis."""
+    r2 = np.zeros(grid.shape)
+    for x, c in zip(grid.meshes(), center):
+        r2 = r2 + (x - c) ** 2
+    return r2
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,7 +20,7 @@ from typing import Any
 
 import numpy as np
 
-from .grid import Field, Grid, read_field_csv
+from .grid import Field, Grid, _squared_distance, read_field_csv
 
 __all__ = [
     "PotentialSpec",
@@ -196,6 +196,9 @@ def validate(spec: ProblemSpec) -> list[str]:
                        f"shift * mass / 2 to the energy); got {pot.shift}")
         if not all(math.isfinite(c) for c in pot.center):
             out.append(f"{tag}: {name}.center must be finite; got {pot.center}")
+        if len(pot.center) not in (0, spec.dim):
+            out.append(f"{tag}: {name}.center must have 0 or dim = {spec.dim} "
+                       f"components; got {pot.center}")
     out.extend(_check_bounded("(V1)", "v1", spec.v1))
     if spec.regime == "both_bounded":
         out.extend(_check_bounded("(V1)", "v2", spec.v2))
@@ -235,9 +238,7 @@ def sample_potential(pot: PotentialSpec, grid: Grid) -> Field:
         if not f.real_valued:
             raise ValueError("tabulated potential must be real")
         return f
-    r2 = np.zeros(grid.shape)
-    for x, c in zip(grid.meshes(), center):
-        r2 = r2 + (x - c) ** 2
+    r2 = _squared_distance(grid, center)
     if pot.kind == "zero":
         values = np.zeros(grid.shape)
     elif pot.kind == "gaussian_well":

@@ -73,7 +73,7 @@ import os
 import pickle
 import threading
 from collections.abc import Callable
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,7 +85,7 @@ from .energy import (
     gradient,  # noqa: F401  unused here; bench/tracing.py wraps solver.gradient
     multipliers,
 )
-from .grid import Field, Grid, State, _rfft_k2, make_grid
+from .grid import Field, Grid, State, _rfft_k2, _squared_distance, make_grid
 from .model import ProblemSpec, PotentialSpec, sample_potential, validate
 
 __all__ = [
@@ -174,10 +174,8 @@ class SolveResult:
     iterations: int
     final_residual: float
     converged: bool
-    trajectory_energies: list[tuple[int, float, float]] = dc_field(
-        default_factory=list
-    )
-    diagnostics: dict = dc_field(default_factory=dict)
+    trajectory_energies: list[tuple[int, float, float]]
+    diagnostics: dict
 
 
 @dataclass(frozen=True)
@@ -234,25 +232,8 @@ def _rfft_weights(grid: Grid) -> np.ndarray:
 
 
 def _bump(grid: Grid, width: float, center_cells: tuple[int, ...]) -> np.ndarray:
-    r2 = np.zeros(grid.shape)
-    for axis, x in enumerate(grid.meshes()):
-        c = center_cells[axis] * grid.h if axis < len(center_cells) else 0.0
-        r2 = r2 + (x - c) ** 2
-    return np.exp(-r2 / (2.0 * width**2))
-
-
-@dataclass
-class _FlowInfo:
-    iterations: int
-    final_residual: float
-    converged: bool
-    energy: float
-    trajectory: list[tuple[int, float, float]]
-    max_energy_increase: float
-    max_mass_error: float
-    max_grad_ratio: float
-    final_dt: float
-    step_cuts: int
+    center = [c * grid.h for c in center_cells] + [0.0] * (grid.dim - len(center_cells))
+    return np.exp(-_squared_distance(grid, center) / (2.0 * width**2))
 
 
 # The flow's helper records are plain classes: a dataclass costs about a
@@ -269,15 +250,19 @@ class _Member:
 
 
 class _Run:
-    """Scalar state of one member of a flow batch while it steps.
+    """Scalar state of one member of a flow batch while it steps, and its
+    outcome once it leaves the batch.
 
     rd_prev is <r, d> of the previous step; None after a vanishing
-    direction, when there is no previous CG direction to continue.
+    direction, when there is no previous CG direction to continue.  On
+    leaving, the member's final fields go to pair and its trajectory is
+    decimated to at most TRAJECTORY_CAP rows.
     """
 
     __slots__ = (
         "member", "masses", "energy", "kin0", "tau", "trajectory",
         "rd_prev", "cuts", "max_inc", "max_mass_err", "max_grad_ratio",
+        "pair", "iterations", "residual", "converged",
     )
 
     def __init__(
@@ -385,7 +370,7 @@ def _flow(
     pots: tuple[np.ndarray, np.ndarray],
     members: list[_Member],
     config: SolverConfig,
-) -> list[tuple[tuple[np.ndarray, np.ndarray], _FlowInfo]]:
+) -> list[_Run]:
     """Run the projected, preconditioned nonlinear CG descent on a batch of starts.
 
     Every member has its own masses (at least one positive) and start and
@@ -397,7 +382,7 @@ def _flow(
     stopping test, and does exactly the arithmetic of a batch of one.  A
     line-search round evaluates every member; only the rows of members
     still searching replace their accepted step.  A converged member
-    leaves the batch.  Results come back in member order.
+    leaves the batch.  Its _Run comes back, in member order.
     """
     cell = grid.cell_volume
     shape = grid.shape
@@ -446,16 +431,13 @@ def _flow(
         float, which saves 3.3% of an n = 4096 soliton solve's CPU time."""
         return values[0] if len(values) == 1 else np.array(values)[col]
 
-    def member_dots(a_hat: list, b_hat: list, weighted: bool = False) -> list:
+    def member_dots(a_hat: list, wb_hat: list) -> list:
         """Per member, the sum over its components of the L2 products <a, b>
-        of real fields given by their half spectra.
-
-        weighted says that b_hat already carries the half-spectrum weights.
-        """
+        of real fields given by their half spectra, wb_hat carrying the
+        half-spectrum weights."""
         out = [0] * lay.size
         for c in lay.comps:
-            b_c = b_hat[c] if weighted else wgt_c * b_hat[c]
-            for m, x in zip(lay.parts[c], _rowdot(a_hat[c], b_c, spectral_scale)):
+            for m, x in zip(lay.parts[c], _rowdot(a_hat[c], wb_hat[c], spectral_scale)):
                 out[m] += x
         return out
 
@@ -610,7 +592,7 @@ def _flow(
     ]
     r_prev: list = [None, None]
     s_prev: list = [None, None]
-    out: list = [None] * len(members)
+    out: list[_Run] = [None] * len(members)
 
     it = 0
     while it < config.max_iters:
@@ -627,10 +609,10 @@ def _flow(
         # search direction is projected onto the tangent space at u.
         # Since <u, d> = 0, <G, d> = <r, d>: the slope along d.
         wd_hat = [None if d is None else wgt_c * d for d in d_hat]
-        rd = member_dots(r_hat, wd_hat, weighted=True)
+        rd = member_dots(r_hat, wd_hat)
         s_hat, slope = d_hat, rd
         if any(run.rd_prev is not None for run in runs):
-            rd_mixed = member_dots(r_prev, wd_hat, weighted=True)
+            rd_mixed = member_dots(r_prev, wd_hat)
             beta = [
                 0.0 if run.rd_prev is None else (x - y) / run.rd_prev
                 for run, x, y in zip(runs, rd, rd_mixed)
@@ -648,7 +630,7 @@ def _flow(
                     cg_hat[c] = d_hat[c] + column(beta[part.start:part.stop]) * (
                         s_prev[c] - column(along) * spectra[c]
                     )
-                cg_slope = member_dots(g_hat, cg_hat)
+                cg_slope = member_dots(g_hat, [None if x is None else wgt_c * x for x in cg_hat])
                 on_cg = [b > 0.0 and x > 0.0 for b, x in zip(beta, cg_slope)]
                 if all(on_cg):  # no np.where copy: 3.6% of a soliton solve's CPU time
                     s_hat, slope = cg_hat, cg_slope
@@ -737,25 +719,13 @@ def _flow(
         leaving = range(lay.size) if it == config.max_iters else done
         for m in leaving:
             run = runs[m]
-            pair = tuple(
+            run.pair = tuple(
                 fields[c][m - lay.parts[c].start].copy() if m in lay.parts[c] else np.zeros(shape)
                 for c in (0, 1)
             )
-            out[run.member] = (
-                pair,
-                _FlowInfo(
-                    iterations=it,
-                    final_residual=residual[m],
-                    converged=m in done,
-                    energy=run.energy,
-                    trajectory=_decimate(run.trajectory),
-                    max_energy_increase=run.max_inc,
-                    max_mass_error=run.max_mass_err,
-                    max_grad_ratio=run.max_grad_ratio,
-                    final_dt=float(run.tau),
-                    step_cuts=run.cuts,
-                ),
-            )
+            run.iterations, run.residual, run.converged = it, residual[m], m in done
+            run.trajectory = _decimate(run.trajectory)
+            out[run.member] = run
         if len(leaving) == lay.size:
             break
         if done:
@@ -778,17 +748,12 @@ def _initializations(
     """Deterministic list of starting pairs; start 0 is canonical."""
     rng = np.random.default_rng(config.rng_seed)
     base_width = min(grid.length / 16.0, 4.0)
-    starts: list[tuple[np.ndarray, np.ndarray]] = []
     if init is not None:
         if init.grid != grid:
             raise ValueError("init state grid does not match solve grid")
-        base = (init.u1.values, init.u2.values)
+        starts = [(init.u1.values, init.u2.values)]
     else:
-        base = (
-            _bump(grid, base_width, (0,)),
-            _bump(grid, 0.75 * base_width, (0,)),
-        )
-    starts.append(base)
+        starts = [(_bump(grid, base_width, (0,)), _bump(grid, 0.75 * base_width, (0,)))]
     max_off = max(1, grid.n // 16)
     for _ in range(config.multi_start - 1):
         w1 = base_width * rng.uniform(0.5, 2.0)
@@ -796,12 +761,7 @@ def _initializations(
         off1 = tuple(int(rng.integers(-max_off, max_off + 1)) for _ in range(grid.dim))
         off2 = tuple(int(rng.integers(-max_off, max_off + 1)) for _ in range(grid.dim))
         noise = 1.0 + 0.05 * rng.standard_normal(grid.shape)
-        starts.append(
-            (
-                _bump(grid, w1, off1) * np.abs(noise),
-                _bump(grid, w2, off2),
-            )
-        )
+        starts.append((_bump(grid, w1, off1) * np.abs(noise), _bump(grid, w2, off2)))
     return starts
 
 
@@ -813,25 +773,31 @@ def _check(spec: ProblemSpec) -> None:
 
 def _solve_all(
     grid: Grid,
-    groups: list[tuple[list[ProblemSpec], tuple[np.ndarray, np.ndarray]]],
+    groups: list[list[ProblemSpec]],
     config: SolverConfig,
     init: State | None = None,
 ) -> list[list[SolveResult]]:
     """Minimize every spec of every group, each the best of multi_start flow runs.
 
-    A group is a list of specs that differ only in their masses, with
-    their sampled potentials.  The starts of a group's specs run as flow
-    batches of at most _NODE_BUDGET grid nodes; groups never share a
-    batch.  All batches of all groups run in one _run_shares call.  A spec
-    with both masses zero is returned immediately with zero energy.
-    Returns each group's results in spec order.
+    A group is a list of specs that differ only in their masses; its
+    potentials are sampled once, from its first spec.  The starts of a
+    group's specs run as flow batches of at most _NODE_BUDGET grid nodes;
+    groups never share a batch.  All batches of all groups run in one
+    _run_shares call.  A spec with both masses zero is returned
+    immediately with zero energy.  Returns each group's results in spec
+    order.
     """
+    potentials = [
+        (sample_potential(specs[0].v1, grid), sample_potential(specs[0].v2, grid))
+        if specs else None
+        for specs in groups
+    ]
     per_flow = max(1, _NODE_BUDGET // grid.n**grid.dim)
     starts = None
     batches = []
     batch_groups: list[int] = []
     owners: list[list[int]] = []
-    for g, (specs, pots) in enumerate(groups):
+    for g, specs in enumerate(groups):
         members: list[_Member] = []
         owners.append([])
         for j, spec in enumerate(specs):
@@ -846,22 +812,22 @@ def _solve_all(
                 members.append(_Member(spec.masses, start, f"start {k}{solve}"))
                 owners[g].append(j)
         for lo in range(0, len(members), per_flow):
+            pots = (potentials[g][0].values, potentials[g][1].values)
             batches.append(functools.partial(
                 _flow, grid, specs[0], pots, members[lo : lo + per_flow], config
             ))
             batch_groups.append(g)
-    runs: list[list] = [[] for _ in groups]
+    runs: list[list[_Run]] = [[] for _ in groups]
     for g, out in zip(batch_groups, _run_shares(batches, "flow batch")):
         runs[g] += out
-    results = []
-    for g, (specs, pots) in enumerate(groups):
-        pot_fields = (Field(grid, pots[0]), Field(grid, pots[1]))
-        results.append([
-            _result(grid, spec, pot_fields, config,
+    return [
+        [
+            _result(grid, spec, potentials[g], config,
                     [r for r, o in zip(runs[g], owners[g]) if o == j])
             for j, spec in enumerate(specs)
-        ])
-    return results
+        ]
+        for g, specs in enumerate(groups)
+    ]
 
 
 # Set while a _run_shares call's workers run, and so in every worker: a
@@ -995,7 +961,7 @@ def _result(
     spec: ProblemSpec,
     pot_fields: tuple[Field, Field],
     config: SolverConfig,
-    runs: list[tuple[tuple[np.ndarray, np.ndarray], _FlowInfo]],
+    runs: list[_Run],
 ) -> SolveResult:
     """The solve record of a spec from its starts' runs, in start order."""
     if not runs:
@@ -1018,35 +984,35 @@ def _result(
             },
         )
     best_idx = 0
-    for idx, (_, info) in enumerate(runs):
-        if info.energy < runs[best_idx][1].energy - 1e-12:
+    for idx, run in enumerate(runs):
+        if run.energy < runs[best_idx].energy - 1e-12:
             best_idx = idx
-    pair, info = runs[best_idx]
-    state = State(Field(grid, pair[0]), Field(grid, pair[1]))
+    best = runs[best_idx]
+    state = State(Field(grid, best.pair[0]), Field(grid, best.pair[1]))
     return SolveResult(
         state=state,
         report=energy(state, spec, pot_fields),
         multipliers=multipliers(state, spec, pot_fields),
-        iterations=info.iterations,
-        final_residual=info.final_residual,
-        converged=info.converged,
-        trajectory_energies=info.trajectory,
+        iterations=best.iterations,
+        final_residual=best.residual,
+        converged=best.converged,
+        trajectory_energies=best.trajectory,
         diagnostics={
             "starts": config.multi_start,
             "best_start": best_idx,
-            "max_energy_increase": info.max_energy_increase,
-            "max_mass_error": info.max_mass_error,
-            "max_grad_ratio": info.max_grad_ratio,
-            "final_dt": info.final_dt,
-            "step_cuts": info.step_cuts,
+            "max_energy_increase": best.max_inc,
+            "max_mass_error": best.max_mass_err,
+            "max_grad_ratio": best.max_grad_ratio,
+            "final_dt": float(best.tau),
+            "step_cuts": best.cuts,
             "per_start": [
                 {
                     "iterations": run.iterations,
                     "energy": run.energy,
                     "converged": run.converged,
-                    "step_cuts": run.step_cuts,
+                    "step_cuts": run.cuts,
                 }
-                for _, run in runs
+                for run in runs
             ],
         },
     )
@@ -1063,17 +1029,13 @@ def minimize(
     The starts run as one flow batch, or, past _NODE_BUDGET grid nodes, as
     several, on up to one process per usable core (serially on a single
     core).  Raises ValueError when the problem violates the standing
-    hypotheses.  A state with both masses zero is
-    returned immediately with zero energy.
+    hypotheses.  A state with both masses zero is returned immediately with
+    zero energy.
     """
     _check(spec)
     config = config or SolverConfig()
     grid = grid or default_grid(spec.dim)
-    pots = (
-        sample_potential(spec.v1, grid).values,
-        sample_potential(spec.v2, grid).values,
-    )
-    return _solve_all(grid, [([spec], pots)], config, init)[0][0]
+    return _solve_all(grid, [[spec]], config, init)[0][0]
 
 
 def minimize_scalar(
@@ -1152,12 +1114,7 @@ def scan_subadditivity(
             free.with_masses((1.0 - theta[0]) * spec.alpha1, (1.0 - theta[1]) * spec.alpha2)
         )
 
-    def pots_of(s: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
-        return (sample_potential(s.v1, grid).values, sample_potential(s.v2, grid).values)
-
-    (full, *res_in), res_out = _solve_all(
-        grid, [([spec, *inner], pots_of(spec)), (outer, pots_of(free))], config
-    )
+    (full, *res_in), res_out = _solve_all(grid, [[spec, *inner], outer], config)
     e_total = full.report.total
     points = [
         SubaddPoint(

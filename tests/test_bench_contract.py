@@ -1,7 +1,7 @@
 """The package names and config form the benchmark under bench/ relies on.
 
-bench/tracing.py wraps (module, name) pairs and bench/workloads.py calls
-record properties and config functions by name and needs
+bench/tracing.py wraps (module, name) pairs and bench/workloads.py reads
+record fields and properties and calls config functions by name and needs
 bench/pipeline_2d.cfg in canonical flat form; a rename or deletion in the
 package would otherwise first show in the slower benchmark suite.
 """
@@ -46,6 +46,13 @@ def test_workload_lookups_resolve():
     for name in ("ExperimentConfig", "config_from_dict", "config_to_dict", "format_flat",
                  "load_config", "parse_flat", "run", "save_config"):
         assert callable(getattr(cli, name))
+    for name in ("grid_n", "solver", "problem"):
+        assert name in cli.ExperimentConfig.__dataclass_fields__
+    assert callable(cli.ExperimentConfig.grid)
+    # bench/tracing.py reads diagnostics["starts"]
+    for name in ("state", "report", "multipliers", "iterations", "converged",
+                 "trajectory_energies", "diagnostics"):
+        assert name in solver.SolveResult.__dataclass_fields__
 
 
 def test_pipeline_config_is_canonical():

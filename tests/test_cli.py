@@ -284,6 +284,30 @@ def test_run_refuses_non_finite_mass(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (
+            "potential1.center = 0.0, 0.0\n",
+            "hypothesis violation: (V1): v1.center must have 0 or dim = 1 components; "
+            "got (0.0, 0.0)",
+        ),
+        (
+            "potential2.kind = tabulated\npotential2.samples_path = nope.csv\n",
+            "error: [Errno 2] No such file or directory: 'nope.csv'",
+        ),
+    ],
+    ids=["center-length", "missing-table"],
+)
+def test_run_refuses_unsampleable_potential(tmp_path, capsys, monkeypatch, extra, message):
+    monkeypatch.chdir(tmp_path)
+    cfg_path = write_config(tmp_path, "solve, scan_subadd", extra=extra)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert not out.exists()
+
+
 def test_failed_required_task_sets_exit_code(tmp_path):
     cfg_path = write_config(tmp_path, "solve", extra="solver.max_iters = 3\n")
     out = tmp_path / "out"

@@ -115,6 +115,19 @@ def test_non_finite_parameters_rejected(field, value):
     assert field in msgs[0] and msgs[0].endswith(f"; got {value}")
 
 
+@pytest.mark.parametrize(
+    "dim, slot, center", [(1, "v1", (0.0, 0.0)), (2, "v2", (1.0,))], ids=["1d", "2d"]
+)
+def test_center_length_must_match_dim(dim, slot, center):
+    # sample_potential needs one coordinate per axis, or none for the origin
+    spec = replace(wells_spec(), dim=dim, p1=0.5, p2=0.5, p3=0.5)
+    assert validate(spec) == []
+    spec = replace(spec, **{slot: replace(getattr(spec, slot), center=center)})
+    assert validate(spec) == [
+        f"(V1): {slot}.center must have 0 or dim = {dim} components; got {center}"
+    ]
+
+
 def test_unknown_regime_and_kind_rejected_at_construction():
     with pytest.raises(ValueError):
         replace(wells_spec(), regime="free")

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from binorm_gs import solver
 from binorm_gs.analysis import soliton_energy_p1
+from binorm_gs.energy import energy
 from binorm_gs.grid import Field, State, make_grid, norm_sq
 from binorm_gs.model import PotentialSpec, ProblemSpec, sample_potential
 from binorm_gs.solver import (
@@ -114,6 +115,51 @@ def test_trajectory_is_capped(wells_result):
     assert len(wells_result.trajectory_energies) <= 2000
     iters = [row[0] for row in wells_result.trajectory_energies]
     assert iters == sorted(iters)
+
+
+def test_long_trajectory_is_decimated_to_the_cap():
+    # 2002 rows (iterations 0..2001) exceed TRAJECTORY_CAP: every second row
+    # is kept, and the last row is appended
+    spec = wells_spec()
+    grid = make_grid(1, 32, 32.0)
+    config = replace(QUICK, tol_residual=1e-300, tol_energy=1e-300, max_iters=2001)
+    res = minimize(spec, config=config, grid=grid)
+    assert not res.converged
+    rows = res.trajectory_energies
+    assert len(rows) == 1002
+    assert [row[0] for row in rows] == [*range(0, 2001, 2), 2001]
+    start = [
+        Field(grid, u * math.sqrt(mass / norm_sq(Field(grid, u))))
+        for u, mass in zip(solver._initializations(grid, config, None)[0], spec.masses)
+    ]
+    assert rows[0][0] == 0 and rows[0][2] == math.inf
+    assert rows[0][1] == pytest.approx(energy(State(*start), spec).total, rel=1e-12)
+
+
+def test_a_later_start_can_win():
+    # from a narrow spike far off the wells, start 0 stalls above the
+    # randomized starts, and start 1 ends lowest
+    grid = make_grid(1, 64, 32.0)
+    spike = Field(grid, np.exp(-((grid.axes[0] - 12.0) ** 2) / 0.5))
+    config = replace(SCAN, multi_start=3, max_iters=5)
+    res = minimize(wells_spec(), config=config, grid=grid, init=State(spike, spike))
+    per_start = res.diagnostics["per_start"]
+    assert [p["energy"] for p in per_start] == pytest.approx(
+        [-0.04695, -0.33343, -0.33335], abs=1e-5
+    )
+    assert res.diagnostics["best_start"] == 1
+    assert res.iterations == per_start[1]["iterations"]
+    assert res.converged == per_start[1]["converged"]
+    assert res.diagnostics["step_cuts"] == per_start[1]["step_cuts"]
+    assert res.report.total == pytest.approx(per_start[1]["energy"], rel=1e-12)
+    # start 1 run on its own: a member's run does not depend on its batch
+    start1 = solver._initializations(grid, config, None)[1]
+    alone = minimize(
+        wells_spec(), config=replace(config, multi_start=1), grid=grid,
+        init=State(Field(grid, start1[0]), Field(grid, start1[1])),
+    )
+    assert res.diagnostics["final_dt"] == alone.diagnostics["final_dt"]
+    assert res.state.u1.values.tobytes() == alone.state.u1.values.tobytes()
 
 
 def test_wells_ground_state_is_negative_and_converged(wells_result):
@@ -414,11 +460,14 @@ def _batch_and_singles(spec, masses, config, grid):
 
 
 def _assert_bit_identical(batch, singles):
-    for (pair, info), (pair1, info1) in zip(batch, singles, strict=True):
-        assert pair[0].tobytes() == pair1[0].tobytes()
-        assert pair[1].tobytes() == pair1[1].tobytes()
-        # energy, iterations, step cuts, final_dt, trajectory and the rest
-        assert info == info1
+    for run, run1 in zip(batch, singles, strict=True):
+        assert run.pair[0].tobytes() == run1.pair[0].tobytes()
+        assert run.pair[1].tobytes() == run1.pair[1].tobytes()
+        # energy, iterations, step cuts, step, trajectory and the rest; member
+        # is the position in the batch
+        for name in solver._Run.__slots__:
+            if name not in ("member", "pair"):
+                assert getattr(run, name) == getattr(run1, name), name
 
 
 def test_batch_members_match_batches_of_one_wells():
@@ -428,8 +477,8 @@ def test_batch_members_match_batches_of_one_wells():
     masses = [(1.0, 1.0), (0.5, 0.25), (0.7, 0.0), (0.0, 0.3)]
     batch, singles = _batch_and_singles(wells_spec(), masses, cfg, make_grid(1, 256, 64.0))
     _assert_bit_identical(batch, singles)
-    assert any(info.step_cuts > 0 for _, info in batch)
-    assert len({info.iterations for _, info in batch}) > 1
+    assert any(run.cuts > 0 for run in batch)
+    assert len({run.iterations for run in batch}) > 1
 
 
 def test_batch_members_match_batches_of_one_trapped():
