@@ -308,6 +308,9 @@ def config_from_dict(nested: dict) -> ExperimentConfig:
                 f"glue_test.{key} = {glue[key]} must lie in [0, {alpha}] "
                 f"(componentwise split of the problem masses)"
             )
+    steps = task_params.get("scan_subadd", {}).get("steps", 5)
+    if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
+        raise ValueError(f"task.scan_subadd.steps = {steps} must be an integer >= 1")
     return ExperimentConfig(
         problem=problem,
         solver=solver,
@@ -508,8 +511,7 @@ class _Runner:
 
     def task_scan_subadd(self) -> None:
         p = self.params("scan_subadd")
-        steps = int(p.get("steps", 5))
-        ticks = np.linspace(0.0, 1.0, steps).tolist()
+        ticks = np.linspace(0.0, 1.0, p.get("steps", 5)).tolist()
         # In the trapping regime only splits that keep all of u2 are admissible.
         ticks2 = ticks if self.cfg.problem.regime == "both_bounded" else [1.0]
         thetas = [(t1, t2) for t1 in ticks for t2 in ticks2]
@@ -655,23 +657,12 @@ class _Runner:
     def task_check_inequalities(self) -> None:
         p_exp, scans = self.value("check_inequalities")
         reports = [*scans, ("", check_elementary_p3(p_exp))]
-        payload = {
-            "reports": [
-                {
-                    "which": rep.which,
-                    "note": note,
-                    "constant_tested": rep.constant_tested,
-                    "min_constant_estimate": rep.min_constant_estimate,
-                    "points": rep.points,
-                    "worst_defect": rep.worst_defect,
-                    "violations": len(rep.violations),
-                    "holds": rep.holds,
-                    "params": rep.params,
-                }
-                for note, rep in reports
-            ]
-        }
-        self.tray.write_json("check_inequalities.json", payload)
+        payload = [
+            {**asdict(rep), "note": note, "violations": len(rep.violations),
+             "holds": rep.holds}
+            for note, rep in reports
+        ]
+        self.tray.write_json("check_inequalities.json", {"reports": payload})
         viol_rows = ["which,x,y,defect"]
         for _, rep in reports:
             for tup in rep.violations:
@@ -725,7 +716,7 @@ class _Runner:
         )
 
     def task_emit_plots(self) -> None:
-        written = emit_plot_data(self.tray.out_dir)
+        written = _emit_plots(self.tray.out_dir, self.tray.files)
         for name in written:
             self.tray.add_existing(name)
         self.note(f"emit_plots: wrote {', '.join(written) if written else 'nothing'}")
@@ -803,10 +794,14 @@ def emit_plot_data(out_dir: str | Path) -> list[str]:
     and gap_vs_n.csv (n,kappa1,kappa2,tau1,tau2,gap) for whichever
     inputs exist; returns the names written.
     """
-    out = Path(out_dir)
+    return _emit_plots(Path(out_dir), {path.name for path in Path(out_dir).glob("*.json")})
+
+
+def _emit_plots(out: Path, sources) -> list[str]:
+    """emit_plot_data, reading only the JSON files of out named in sources."""
     written = []
     scan = out / "scan_subadd.json"
-    if scan.exists():
+    if scan.name in sources:
         data = json.loads(scan.read_text())
         rows = ["theta1,theta2,e_inner,e_outer,gap"]
         for pt in data["points"]:
@@ -817,7 +812,7 @@ def emit_plot_data(out_dir: str | Path) -> list[str]:
         (out / "subadd_heatmap.csv").write_text("\n".join(rows) + "\n")
         written.append("subadd_heatmap.csv")
     decay = out / "decay_fit.json"
-    if decay.exists():
+    if decay.name in sources:
         data = json.loads(decay.read_text())
         rows = ["component,r1,r2,rate,poly,expected,r2"]
         for f in data["fits"]:
@@ -838,7 +833,7 @@ def emit_plot_data(out_dir: str | Path) -> list[str]:
             (out / name).write_text("\n".join(rows) + "\n")
             written.append(name)
     glue = out / "glue_test.json"
-    if glue.exists():
+    if glue.name in sources:
         data = json.loads(glue.read_text())
         rows = ["n,kappa1,kappa2,tau1,tau2,gap"]
         for lg in data:
@@ -867,20 +862,20 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _SUBCOMMANDS:
         p = sub.add_parser(name)
-        if name == "emit-plots":
-            p.add_argument("--config")
-        else:
-            p.add_argument("--config", required=True)
+        p.add_argument("--config", required=name != "emit-plots")
         p.add_argument("--out", help="output directory (overrides the config)")
-        p.add_argument("--seed", type=int, help="solver rng seed override")
+        if name != "emit-plots":
+            p.add_argument("--seed", type=int, help="solver rng seed override")
     args = parser.parse_args(argv)
 
     try:
-        if args.command == "emit-plots" and args.config is None:
-            if args.out is None:
+        if args.command == "emit-plots":
+            # Plots only: the run that wrote the directory keeps its manifest.
+            if args.config is None and args.out is None:
                 print("emit-plots needs --config or --out", file=sys.stderr)
                 return 1
-            emit_plot_data(args.out)
+            out = args.out if args.out is not None else load_config(args.config).output_dir
+            emit_plot_data(out)
             return 0
         return run(
             args.config,

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -78,6 +79,26 @@ def _axis(max_value: float, samples: int) -> np.ndarray:
     return np.concatenate(([0.0], np.logspace(-6.0, math.log10(max_value), samples)))
 
 
+def _report(which, params, constant, points, blocks) -> InequalityReport:
+    """Report of a scan given as blocks of (defect, normalizer, coords).
+
+    coords give the violations' leading entries: each array is indexed by
+    the next axis of the block's defect, anything else (a tag, a fixed
+    coordinate) is repeated.  Violations, defect < -SLACK * normalizer, are
+    kept in block order, row-major within a block, up to MAX_RECORDED.
+    """
+    worst, viol = math.inf, []
+    for d, norm, coords in blocks:
+        worst = np.minimum(worst, np.min(d / norm))
+        if len(viol) < MAX_RECORDED:
+            idx = tuple(i[: MAX_RECORDED - len(viol)] for i in np.nonzero(d < -SLACK * norm))
+            axes = iter(idx)
+            cols = [c[next(axes)].tolist() if isinstance(c, np.ndarray) else repeat(c)
+                    for c in coords]
+            viol.extend(zip(*cols, d[idx].tolist()))
+    return InequalityReport(which, params, constant, int(points), float(worst), tuple(viol))
+
+
 def defect_34i(
     p: float, constant: float, a: np.ndarray | float, b: np.ndarray | float
 ) -> np.ndarray | float:
@@ -103,22 +124,8 @@ def check_lemma34i(
     if not (p > 0):
         raise ValueError(f"p must be positive, got {p}")
     a = _axis(a_max, samples)
-    d = defect_34i(p, constant, a, 1.0)
-    lead = (a + 1.0) ** (2.0 * p + 2.0)
-    tol = SLACK * np.maximum(1.0, lead)
-    bad = d < -tol
-    worst = float(np.min(d / np.maximum(1.0, lead)))
-    viol = tuple(
-        (float(a[i]), 1.0, float(d[i])) for i in np.flatnonzero(bad)[:MAX_RECORDED]
-    )
-    return InequalityReport(
-        which="L34i",
-        params={"p": p, "a_max": a_max},
-        constant_tested=constant,
-        points=int(a.size),
-        worst_defect=worst,
-        violations=viol,
-    )
+    d, norm = defect_34i(p, constant, a, 1.0), np.maximum(1.0, (a + 1.0) ** (2.0 * p + 2.0))
+    return _report("L34i", {"p": p, "a_max": a_max}, constant, a.size, [(d, norm, (a, 1.0))])
 
 
 def _bisect_constant(holds, resolution: float, floor: float | None = None) -> float:
@@ -214,33 +221,20 @@ def check_lemma34ii(
     product of a function of x and one of y, so the grid is evaluated
     from broadcast row and column views, _ROW_BLOCK rows at a time.
     Each point goes through the same operations as on the full grid, so
-    the report equals a whole-grid scan's exactly: the worst defect is a
-    min over blocks, and violations are collected in row-major order.
+    the report equals a whole-grid scan's exactly.
     """
     if not (0.0 < eta < p):
         raise ValueError(f"need 0 < eta < p, got eta={eta}, p={p}")
     ax = _axis(x_max, samples)
-    y = ax[None, :]
-    worst = math.inf
-    viol: list[tuple[float, float, float]] = []
-    for start in range(0, ax.size, _ROW_BLOCK):
-        x = ax[start:start + _ROW_BLOCK, None]
-        d = defect_34ii(p, eta, constant, x, y)
-        lead = (x + 1.0) ** (p + 1.0) * (y + 1.0) ** (p + 1.0)
-        norm = np.maximum(1.0, lead)
-        worst = np.minimum(worst, np.min(d / norm))
-        if len(viol) < MAX_RECORDED:
-            idx = np.argwhere(d < -SLACK * norm)[: MAX_RECORDED - len(viol)]
-            viol.extend(
-                (float(ax[start + i]), float(ax[j]), float(d[i, j])) for i, j in idx
-            )
-    return InequalityReport(
-        which="L34ii",
-        params={"p": p, "eta": eta, "x_max": x_max},
-        constant_tested=constant,
-        points=int(ax.size**2),
-        worst_defect=float(worst),
-        violations=tuple(viol),
+    y_lead = (ax + 1.0) ** (p + 1.0)
+    rows = (ax[start:start + _ROW_BLOCK, None] for start in range(0, ax.size, _ROW_BLOCK))
+    blocks = (
+        (defect_34ii(p, eta, constant, x, ax),
+         np.maximum(1.0, (x + 1.0) ** (p + 1.0) * y_lead), (x[:, 0], ax))
+        for x in rows
+    )
+    return _report(
+        "L34ii", {"p": p, "eta": eta, "x_max": x_max}, constant, ax.size**2, blocks
     )
 
 
@@ -308,22 +302,8 @@ def check_elementary_p3(
         raise ValueError(f"p must be positive, got {p}")
     q = p + 1.0
     a = _axis(a_max, samples)
+    norm = np.maximum(1.0, (a + 1.0) ** q)
     lower = (a + 1.0) ** q - a**q - q * a**p
     upper = a**q + q * (a + 1.0) ** p - (a + 1.0) ** q
-    lead = (a + 1.0) ** q
-    tol = SLACK * np.maximum(1.0, lead)
-    worst = float(min(np.min(lower / np.maximum(1.0, lead)),
-                      np.min(upper / np.maximum(1.0, lead))))
-    viol = []
-    for i in np.flatnonzero(lower < -tol)[:MAX_RECORDED]:
-        viol.append(("lower", float(a[i]), float(lower[i])))
-    for i in np.flatnonzero(upper < -tol)[: MAX_RECORDED - len(viol)]:
-        viol.append(("upper", float(a[i]), float(upper[i])))
-    return InequalityReport(
-        which="elementary",
-        params={"p": p, "a_max": a_max},
-        constant_tested=0.0,
-        points=int(2 * a.size),
-        worst_defect=worst,
-        violations=tuple(viol),
-    )
+    blocks = [(lower, norm, ("lower", a)), (upper, norm, ("upper", a))]
+    return _report("elementary", {"p": p, "a_max": a_max}, 0.0, 2 * a.size, blocks)

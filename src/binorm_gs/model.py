@@ -238,10 +238,10 @@ def sample_potential(pot: PotentialSpec, grid: Grid) -> Field:
         if not f.real_valued:
             raise ValueError("tabulated potential must be real")
         return f
-    r2 = _squared_distance(grid, center)
     if pot.kind == "zero":
-        values = np.zeros(grid.shape)
-    elif pot.kind == "gaussian_well":
+        return Field(grid, np.zeros(grid.shape))
+    r2 = _squared_distance(grid, center)
+    if pot.kind == "gaussian_well":
         values = -pot.depth * np.exp(-r2 / pot.width**2)
     else:
         values = pot.offset + pot.stiffness * r2

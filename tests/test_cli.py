@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from binorm_gs import cli
 from binorm_gs.cli import (
     ExperimentConfig,
     config_from_dict,
@@ -27,8 +28,7 @@ from binorm_gs.cli import (
     save_config,
 )
 from binorm_gs.grid import read_field_csv
-
-pytestmark = pytest.mark.filterwarnings("error")
+from binorm_gs.inequalities import InequalityReport, check_lemma34i, check_lemma34ii
 
 SOLVE_KEYS = {
     "total", "kinetic1", "kinetic2", "potential1", "potential2",
@@ -147,10 +147,14 @@ GRIDLESS_LINES = "".join(
         ("problem.v1 = 3\n", "problem.v1"),
         ("problem.v1.kind = harmonic_trap\n", "problem.v1"),
         ("run.required = solv\n", "unknown task 'solv'"),
+        ("task.scan_subadd.steps = 2.5\n", "task.scan_subadd.steps = 2.5"),
+        ("task.scan_subadd.steps = 0\n", "task.scan_subadd.steps = 0"),
+        ("task.scan_subadd.steps = -1\n", "task.scan_subadd.steps = -1"),
     ],
     ids=["grid-key", "run-key", "section", "task-name", "length-only", "n-only",
          "bad-length", "bad-n", "task-key", "task-without-keys", "task-scalar",
-         "problem-key", "problem-v1", "problem-v1-kind", "required-name"],
+         "problem-key", "problem-v1", "problem-v1-kind", "required-name",
+         "steps-fraction", "steps-zero", "steps-negative"],
 )
 def test_config_rejects_ignored_or_incomplete_keys(tmp_path, capsys, extra, named):
     text = GRIDLESS_LINES + "run.tasks = solve\n" + extra
@@ -451,6 +455,36 @@ def test_check_inequalities_artifacts(tmp_path):
     assert not (out / "violations.csv").exists()
 
 
+def test_violations_csv_lists_every_recorded_violation(tmp_path, monkeypatch):
+    elementary = InequalityReport(
+        "elementary", {"p": 1.0, "a_max": 100.0}, 0.0, 8002, -0.25,
+        (("lower", 0.5, -0.25), ("upper", 2.0, -1e-3)),
+    )
+    monkeypatch.setattr(cli, "min_constant_34i", lambda *args, **kwargs: -50.0)
+    monkeypatch.setattr(cli, "sufficient_constant_34ii", lambda *args: -0.5)
+    monkeypatch.setattr(cli, "check_elementary_p3", lambda *args: elementary)
+    cfg_path = write_config(tmp_path, "check_inequalities")
+    out = tmp_path / "out"
+    assert run(cfg_path, out_dir=out) == 0
+    viol_i = check_lemma34i(1.0, -50.0).violations
+    viol_ii = check_lemma34ii(1.0, 0.5, -0.5).violations
+    assert viol_i and viol_ii
+    text = (out / "violations.csv").read_text()
+    rows = text.splitlines()
+    assert rows[0] == "which,x,y,defect"
+    a, b, d = viol_i[0]
+    assert rows[1] == f"L34i,{a!r},{b!r},{d!r}" and b == 1.0
+    x, y, d = viol_ii[0]
+    assert rows[1 + len(viol_i)] == f"L34ii,{x!r},{y!r},{d!r}"
+    assert rows[-2:] == ["elementary:lower,0.5,1.0,-0.25", "elementary:upper,2.0,1.0,-0.001"]
+    assert len(rows) == 1 + len(viol_i) + len(viol_ii) + 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["files"]["violations.csv"] == hashlib.sha256(text.encode()).hexdigest()
+    reports = json.loads((out / "check_inequalities.json").read_text())["reports"]
+    assert [rep["violations"] for rep in reports] == [len(viol_i), len(viol_ii), 2]
+    assert [rep["holds"] for rep in reports] == [False, False, False]
+
+
 def test_conv_limit_artifacts(tmp_path):
     extra = "task.conv_limit.r_values = 4.0, 8.0\n"
     cfg_path = write_config(tmp_path, "conv_limit", extra=extra)
@@ -490,6 +524,31 @@ def test_emit_plots_standalone_on_existing_dir(tmp_path):
     assert run(cfg_path, out_dir=out) == 0
     written = emit_plot_data(out)
     assert "subadd_heatmap.csv" in written
+
+
+def test_emit_plots_leaves_the_run_record_alone(tmp_path):
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, "solve, scan_subadd",
+                            extra=f"task.scan_subadd.steps = 2\nrun.output_dir = {out}\n")
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    record = {name: (out / name).read_bytes() for name in ("manifest.json", "summary.txt")}
+    assert len(json.loads(record["manifest.json"])["files"]) == 6
+    assert main(["emit-plots", "--config", str(cfg_path)]) == 0
+    assert {name: (out / name).read_bytes() for name in record} == record
+    heat = (out / "subadd_heatmap.csv").read_text().splitlines()
+    assert heat[0] == "theta1,theta2,e_inner,e_outer,gap" and len(heat) == 4
+
+
+def test_emit_plots_task_reads_only_its_own_run(tmp_path):
+    out = tmp_path / "out"
+    first = write_config(tmp_path, "solve, scan_subadd, emit_plots",
+                         extra="task.scan_subadd.steps = 2\n")
+    assert run(first, out_dir=out) == 0
+    second = write_config(tmp_path, "solve, emit_plots", name="second.txt")
+    assert run(second, out_dir=out) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "subadd_heatmap.csv" not in manifest["files"]
+    assert "emit_plots: wrote nothing" in (out / "summary.txt").read_text().splitlines()
 
 
 def test_main_subcommands(tmp_path, capsys):

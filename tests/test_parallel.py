@@ -23,8 +23,6 @@ from binorm_gs.solver import scan_subadditivity
 
 from _cases import SCAN, wells_spec
 
-pytestmark = pytest.mark.filterwarnings("error")
-
 THETAS = [(0.0, 0.0), (0.0, 0.5), (0.5, 1.0), (1.0, 0.0), (0.5, 0.5)]
 
 

@@ -34,8 +34,6 @@ from _cases import (
     wells_spec,
 )
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 @pytest.fixture(scope="module")
 def wells_result():
