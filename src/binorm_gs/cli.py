@@ -10,14 +10,18 @@ between the two.
 Before any file is written, a run's independent task computations (the
 main solve, the Pohozaev and gluing solves, the inequality scans and the
 convolution rows) run on separate cores where there are several; then each
-task writes its files in order, the same bytes as a serial run.
+task writes its files in order, the same bytes as a serial run.  The solve's
+two field CSVs are formatted on two cores too.
 
 Each task writes one JSON result file into the output directory.  Every
 run also writes a trajectory CSV for solver tasks, a human-readable
 ``summary.txt`` and a ``manifest.json`` listing the sha256 of every
-written file; the manifest timestamp is the only thing that varies
-between reruns with the same seed.  Both are written even when a task
-raises; the manifest then also names the failing task and its error.
+written file, with the normalized config (after the seed override) and
+the binorm_gs, numpy and Python versions; the manifest timestamp is the
+only thing that varies between reruns with the same seed.  Both are
+written even when a task raises; the manifest then also names the failing
+task and its error.  A run first removes the files an earlier run's
+manifest in the output directory lists, and that manifest.
 
 Exit codes: 0 success, 1 invalid config, hypothesis violation or a task
 that raised, 2 a required solve failed to converge.
@@ -30,6 +34,8 @@ import functools
 import hashlib
 import json
 import math
+import os
+import platform
 import sys
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field as dc_field, fields, replace
@@ -39,6 +45,7 @@ from typing import Any
 
 import numpy as np
 
+from . import __version__
 from .analysis import (
     classify_decay_regime,
     convolution_limit_check,
@@ -388,12 +395,29 @@ def _dumps(obj: Any) -> str:
 
 
 class _OutputTray:
-    """Collects written files and their hashes for the manifest."""
+    """Collects written files and their hashes for the manifest.
+
+    An earlier run's manifest.json in out_dir, and every file it lists, is
+    removed first, so the directory holds only this run's files.
+    """
 
     def __init__(self, out_dir: Path) -> None:
         self.out_dir = out_dir
         self.files: dict[str, str] = {}
         out_dir.mkdir(parents=True, exist_ok=True)
+        old = out_dir / "manifest.json"
+        if old.exists():
+            try:
+                names = list(json.loads(old.read_text())["files"].keys())
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise ValueError(f"{old}: not a run manifest ({exc})") from None
+            for name in names:
+                if not isinstance(name, str) or name in ("", ".", "..") or any(
+                    sep and sep in name for sep in (os.sep, os.altsep)
+                ):
+                    raise ValueError(f"{old} lists {name!r}, which is not a plain file name")
+            for name in [*names, old.name]:
+                (out_dir / name).unlink(missing_ok=True)
 
     def write_text(self, name: str, text: str) -> Path:
         path = self.out_dir / name
@@ -455,6 +479,8 @@ class _Runner:
         computations are dealt among forked workers (solver._run_shares).
         Each keeps its own error, which value() raises when its task's turn
         comes, so the files, notes and errors are those of a serial run.
+        The workers have exited when this returns; task_solve forks again
+        for its second field file.
         """
         names = sorted(
             dict.fromkeys(c for t in tasks for c in _TASK_CALCS.get(t, ())),
@@ -481,6 +507,14 @@ class _Runner:
     # -- tasks --------------------------------------------------------------
 
     def task_solve(self) -> None:
+        """solve.json, trajectory.csv and the two field CSVs.
+
+        The fields are formatted at once through solver._run_shares, u1 in
+        this process and u2 in a forked worker where two cores are usable,
+        each through this module's write_field_csv.  A write that raises
+        is re-raised once the field files after it are removed, so the
+        directory is what a serial run leaves.
+        """
         res = self.value("solve")
         lam = res.multipliers
         payload = {
@@ -499,9 +533,18 @@ class _Runner:
             r_text = repr(r) if math.isfinite(r) else "inf"
             rows.append(f"{it},{e!r},{r_text}")
         self.tray.write_text("trajectory.csv", "\n".join(rows) + "\n")
-        for name, comp in (("solve_u1.csv", res.state.u1), ("solve_u2.csv", res.state.u2)):
-            write_field_csv(comp, str(self.tray.out_dir / name))
-            self.tray.add_existing(name)
+        names = ("solve_u1.csv", "solve_u2.csv")
+        paths = [self.tray.out_dir / name for name in names]
+        writes = [
+            functools.partial(_caught, functools.partial(write_field_csv, comp, str(path)))
+            for comp, path in zip((res.state.u1, res.state.u2), paths)
+        ]
+        for k, written in enumerate(_run_shares(writes, "field CSV")):
+            if isinstance(written, Exception):
+                for later in paths[k + 1 :]:
+                    later.unlink(missing_ok=True)  # a serial run never writes it
+                raise written
+            self.tray.add_existing(names[k])
         self.mark("solve", res.converged)
         self.note(
             f"solve: energy {res.report.total:.9g}, multipliers "
@@ -737,6 +780,12 @@ class _Runner:
         self.tray.write_text("summary.txt", "\n".join(self.summary) + "\n")
         manifest = {
             "seed": seed,
+            "config": format_flat(config_to_dict(self.cfg)),
+            "versions": {
+                "binorm_gs": __version__,
+                "numpy": np.__version__,
+                "python": platform.python_version(),
+            },
             "files": dict(sorted(self.tray.files.items())),
             "timestamp": datetime.now(timezone.utc).isoformat(),
         }

@@ -15,7 +15,8 @@ Three families are checked numerically on dense scans:
 
 A scan point is a violation only when the defect drops below
 -1e-12 max(1, leading term), which absorbs cancellation roundoff at
-large arguments.
+large arguments, or when it is not finite: a term that overflowed
+leaves nothing to certify.
 
 The four-variable scan never forms the full 2D grid: on its slice the
 defect is evaluated from broadcast x-row and y-column views, a block of
@@ -84,14 +85,16 @@ def _report(which, params, constant, points, blocks) -> InequalityReport:
 
     coords give the violations' leading entries: each array is indexed by
     the next axis of the block's defect, anything else (a tag, a fixed
-    coordinate) is repeated.  Violations, defect < -SLACK * normalizer, are
-    kept in block order, row-major within a block, up to MAX_RECORDED.
+    coordinate) is repeated.  Violations, defect < -SLACK * normalizer or a
+    non-finite defect, are kept in block order, row-major within a block,
+    up to MAX_RECORDED.
     """
     worst, viol = math.inf, []
     for d, norm, coords in blocks:
         worst = np.minimum(worst, np.min(d / norm))
         if len(viol) < MAX_RECORDED:
-            idx = tuple(i[: MAX_RECORDED - len(viol)] for i in np.nonzero(d < -SLACK * norm))
+            bad = ~np.isfinite(d) | (d < -SLACK * norm)
+            idx = tuple(i[: MAX_RECORDED - len(viol)] for i in np.nonzero(bad))
             axes = iter(idx)
             cols = [c[next(axes)].tolist() if isinstance(c, np.ndarray) else repeat(c)
                     for c in coords]

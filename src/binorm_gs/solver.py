@@ -55,7 +55,8 @@ with every inner split, and every potential-free outer split.
 
 Since a member's results do not depend on its batch, independent batches
 run at the same time, on up to one process per usable core (``_run_shares``,
-which also runs the independent task computations of ``binorm-gs run``):
+which also runs the independent task computations of ``binorm-gs run`` and
+then the writes of its two field files):
 the calling process steps one share of them and forked workers step the
 others and send their results back through pipes.  On a single core, with
 other Python threads alive, or inside another such run, the batches run
@@ -873,7 +874,9 @@ def _work_and_exit(
 def _run_shares(items: list[Callable[[], object]], what: str, alone: bool = False) -> list:
     """Results of the zero-argument callables items, in order.
 
-    With at least two items and two usable cores, os.fork available, no
+    The items are flow batches, the task computations of a binorm-gs run,
+    or its two field CSV writes; `what` names one in error messages.  With
+    at least two items and two usable cores, os.fork available, no
     other Python thread alive (forking a process with threads can deadlock
     the child) and no other call's workers running, here or as this
     process, the items are dealt round-robin to up to one share per core;

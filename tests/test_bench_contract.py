@@ -9,6 +9,7 @@ package would otherwise first show in the slower benchmark suite.
 from __future__ import annotations
 
 import importlib.util
+import os
 from pathlib import Path
 
 import pytest
@@ -60,3 +61,21 @@ def test_pipeline_config_is_canonical():
     # rewrite, so a renamed or deleted config field fails it at set-up
     path = BENCH / "pipeline_2d.cfg"
     assert cli.format_flat(cli.config_to_dict(cli.load_config(path))) == path.read_text()
+
+
+def test_cli_run_writes_each_field_through_the_traced_name(monkeypatch, tmp_path):
+    # bench/tracing.py's grid.io span wraps cli.write_field_csv and reads the
+    # path from args[1]; on one core both field files go through it here
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    written = []
+    write = cli.write_field_csv
+
+    def traced(*args):
+        written.append(Path(args[1]).name)
+        return write(*args)
+
+    monkeypatch.setattr(cli, "write_field_csv", traced)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("problem.dim = 1\nsolver.multi_start = 1\ngrid.n = 128\ngrid.length = 32.0\n")
+    assert cli.run(cfg, out_dir=tmp_path / "out", seed=1) == 0
+    assert written == ["solve_u1.csv", "solve_u2.csv"]

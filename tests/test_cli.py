@@ -10,10 +10,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import platform
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import binorm_gs
 from binorm_gs import cli
 from binorm_gs.cli import (
     ExperimentConfig,
@@ -242,13 +245,31 @@ def test_solve_run_writes_contracted_artifacts(tmp_path):
 
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 3
-    assert set(manifest) == {"seed", "files", "timestamp"}
+    assert set(manifest) == {"seed", "config", "versions", "files", "timestamp"}
     assert set(manifest["files"]) == {
         "solve.json", "trajectory.csv", "solve_u1.csv", "solve_u2.csv",
         "summary.txt",
     }
     digest = hashlib.sha256((out / "solve.json").read_bytes()).hexdigest()
     assert manifest["files"]["solve.json"] == digest
+
+
+def test_manifest_records_the_config_and_versions(tmp_path):
+    cfg_path = write_config(tmp_path, "solve")
+    out = tmp_path / "out"
+    assert run(cfg_path, out_dir=out, seed=3) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    # the seed override is part of the recorded config
+    cfg = load_config(cfg_path)
+    cfg.solver = replace(cfg.solver, rng_seed=3)
+    assert manifest["config"] == format_flat(config_to_dict(cfg))
+    assert "solver.rng_seed = 3\n" in manifest["config"]
+    assert config_from_dict(parse_flat(manifest["config"])) == cfg
+    assert manifest["versions"] == {
+        "binorm_gs": binorm_gs.__version__,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+    }
 
 
 def test_same_seed_runs_are_identical_modulo_timestamp(tmp_path):
@@ -549,6 +570,50 @@ def test_emit_plots_task_reads_only_its_own_run(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert "subadd_heatmap.csv" not in manifest["files"]
     assert "emit_plots: wrote nothing" in (out / "summary.txt").read_text().splitlines()
+
+
+def test_rerun_removes_the_earlier_runs_files(tmp_path):
+    out = tmp_path / "out"
+    first = write_config(tmp_path, "solve, scan_subadd, emit_plots",
+                         extra="task.scan_subadd.steps = 2\n")
+    assert run(first, out_dir=out) == 0
+    assert (out / "subadd_heatmap.csv").exists()
+    (out / "notes.txt").write_text("not listed, so kept\n")
+    second = write_config(tmp_path, "solve, emit_plots", name="second.txt")
+    assert run(second, out_dir=out) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [*manifest["files"], "manifest.json", "notes.txt"]
+    )
+    assert not (out / "scan_subadd.json").exists()
+    # so plotting the directory finds no scan to plot
+    assert main(["emit-plots", "--out", str(out)]) == 0
+    assert not (out / "subadd_heatmap.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "manifest, message",
+    [
+        ({"files": {"../cfg.txt": "0"}}, "lists '../cfg.txt', which is not a plain file name"),
+        ({"files": {"sub/x.json": "0"}}, "lists 'sub/x.json', which is not a plain file name"),
+        ({"files": {"..": "0"}}, "lists '..', which is not a plain file name"),
+        ({"files": {"solve.json": "0", "": "0"}}, "lists '', which is not a plain file name"),
+        ({"seed": 1}, "not a run manifest"),
+        ({"files": "solve.json"}, "not a run manifest"),
+        ([], "not a run manifest"),
+    ],
+)
+def test_rerun_refuses_a_manifest_naming_other_paths(tmp_path, capsys, manifest, message):
+    cfg_path = write_config(tmp_path, "solve")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    (out / "solve.json").write_text("{}\n")
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    # nothing was removed or written
+    assert cfg_path.exists()
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "solve.json"]
 
 
 def test_main_subcommands(tmp_path, capsys):

@@ -244,6 +244,22 @@ def test_elementary_bounds_reject_bad_exponent():
         check_elementary_p3(0.0)
 
 
+@pytest.mark.parametrize(
+    "scan",
+    [lambda: check_lemma34i(100.0, 0.0), lambda: check_elementary_p3(200.0)],
+    ids=["L34i", "elementary"],
+)
+def test_overflowing_scan_does_not_hold(scan):
+    # Past a ~ 32 the leading power overflows: the defect is inf, then nan,
+    # and certifies nothing.  Every finite point holds.
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = scan()
+    assert not report.holds
+    assert math.isnan(report.worst_defect)
+    assert len(report.violations) == MAX_RECORDED
+    assert not any(math.isfinite(v[-1]) for v in report.violations)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     p=st.floats(min_value=0.1, max_value=2.0),

@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+import shutil
 import threading
 import time
 from dataclasses import replace
@@ -213,12 +214,13 @@ grid.length = 32.0
 """
 
 
-def _cli_run(monkeypatch, tmp_path, cores: int, tasks: str, extra: str = "") -> dict:
-    """Files (bytes), summary lines, manifest and raised error of a run on `cores` cores."""
+def _cli_run(monkeypatch, tmp_path, cores: int, tasks: str, extra: str = "", out=None) -> dict:
+    """Files (bytes; None for a directory), summary lines, manifest and raised
+    error of a run on `cores` cores into out (default tmp_path/out<cores>)."""
     _cores(monkeypatch, cores)
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(CONFIG + f"run.tasks = {tasks}\n" + extra)
-    out = tmp_path / f"out{cores}"
+    out = out or tmp_path / f"out{cores}"
     try:
         cli.run(cfg, out_dir=out, seed=3)
         error = None
@@ -228,11 +230,21 @@ def _cli_run(monkeypatch, tmp_path, cores: int, tasks: str, extra: str = "") -> 
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest.pop("timestamp")
     return {
-        "files": {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "manifest.json"},
+        "files": {
+            p.name: p.read_bytes() if p.is_file() else None
+            for p in sorted(out.iterdir()) if p.name != "manifest.json"
+        },
         "summary": (out / "summary.txt").read_text().splitlines(),
         "manifest": manifest,
         "error": error,
     }
+
+
+def _item_name(item) -> str:
+    """A cli._run_shares item's name: calc_<name> for a task computation, the
+    file name for a field CSV write."""
+    call = item.args[0]
+    return call.__name__ if hasattr(call, "__name__") else os.path.basename(call.args[1])
 
 
 def test_cli_run_on_two_cores_writes_the_serial_files(monkeypatch, tmp_path):
@@ -241,20 +253,23 @@ def test_cli_run_on_two_cores_writes_the_serial_files(monkeypatch, tmp_path):
     run_shares = solver._run_shares
 
     def spy(items, what, alone=False):
-        calls.append(([item.args[0].__name__ for item in items], alone))
+        calls.append((what, [_item_name(item) for item in items], alone))
         return run_shares(items, what, alone)
 
     monkeypatch.setattr(cli, "_run_shares", spy)
     tasks = ", ".join(cli.TASK_NAMES)
     extra = "task.scan_subadd.steps = 2\ntask.check_inequalities.resolution = 0.01\n"
     parallel = _cli_run(monkeypatch, tmp_path, 2, tasks, extra)
-    assert len(forks) == 2  # the task computations' worker and the scan's
+    assert len(forks) == 3  # the task computations' worker, the u2 write's and the scan's
     # the main solve has this process to itself
-    assert calls == [([f"calc_{name}" for name in (
-        "solve", "glue_inner", "glue_outer", "pohozaev", "check_inequalities", "conv_limit"
-    )], True)]
+    assert calls == [
+        ("task computation", [f"calc_{name}" for name in (
+            "solve", "glue_inner", "glue_outer", "pohozaev", "check_inequalities", "conv_limit"
+        )], True),
+        ("field CSV", ["solve_u1.csv", "solve_u2.csv"], False),
+    ]
     serial = _cli_run(monkeypatch, tmp_path, 1, tasks, extra)
-    assert len(forks) == 2
+    assert len(forks) == 3
     assert parallel == serial
     assert serial["error"] is None and len(serial["files"]) == 16
 
@@ -264,7 +279,7 @@ def test_cli_side_error_matches_serial(monkeypatch, tmp_path):
     tasks = "solve, pohozaev, conv_limit, check_inequalities"
     extra = "task.conv_limit.f_rate = 1.0\n"
     parallel = _cli_run(monkeypatch, tmp_path, 2, tasks, extra)
-    assert len(forks) == 1
+    assert len(forks) == 2  # the task computations' worker and the u2 write's
     serial = _cli_run(monkeypatch, tmp_path, 1, tasks, extra)
     assert parallel == serial
     assert serial["error"].startswith("ValueError: f decays at rate 1.0")
@@ -274,6 +289,27 @@ def test_cli_side_error_matches_serial(monkeypatch, tmp_path):
         "summary.txt",
     }
     assert [line.split(":")[0] for line in serial["summary"]] == ["solve", "pohozaev", "conv_limit"]
+
+
+def test_cli_field_write_error_matches_serial(monkeypatch, tmp_path):
+    """A u1 write that raises leaves the serial run's directory: the worker's
+    solve_u2.csv is removed, as a serial run never writes it."""
+    forks = _count_forks(monkeypatch)
+    out = tmp_path / "out"  # both runs, as the error message names the path
+    runs = {}
+    for cores in (2, 1):
+        shutil.rmtree(out, ignore_errors=True)
+        (out / "solve_u1.csv").mkdir(parents=True)
+        runs[cores] = _cli_run(monkeypatch, tmp_path, cores, "solve, pohozaev", out=out)
+    assert len(forks) == 2  # the task computations' worker and the u2 write's
+    assert runs[2] == runs[1]
+    message = f"[Errno 21] Is a directory: '{out / 'solve_u1.csv'}'"
+    assert runs[1]["error"] == f"IsADirectoryError: {message}"
+    assert runs[1]["summary"] == [f"solve: error: {message}"]
+    assert runs[1]["manifest"]["error"] == f"solve: {message}"
+    assert set(runs[1]["files"]) == {"solve.json", "trajectory.csv", "summary.txt", "solve_u1.csv"}
+    assert runs[1]["files"]["solve_u1.csv"] is None  # the directory
+    assert set(runs[1]["manifest"]["files"]) == {"solve.json", "trajectory.csv", "summary.txt"}
 
 
 def test_cli_dead_worker_leaves_summary_and_manifest(monkeypatch, tmp_path):
