@@ -271,16 +271,13 @@ def convolution_limit_check(
         raise ValueError(
             f"f decays at rate {f_rate} <= {rate}; the limit integral diverges"
         )
-    if grid.dim == 1:
-        omegas = [(1.0,), (-1.0,)]
-    else:
-        omegas = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
+    # + 0.0 turns the -0.0 entries of -e_i into 0.0
+    omegas = [sign * e + 0.0 for e in np.eye(grid.dim) for sign in (1.0, -1.0)]
     mesh = grid.meshes()
     fy = f(*mesh)
     cell = grid.cell_volume
     rows = []
-    for omega in omegas:
-        w = np.asarray(omega, dtype=float)
+    for w in omegas:
         dot = sum(wi * yi for wi, yi in zip(w, mesh))
         limit = gamma * cell * float(np.sum(fy * np.exp(rate * dot)))
         for r in r_values:

@@ -21,7 +21,8 @@ the binorm_gs, numpy and Python versions; the manifest timestamp is the
 only thing that varies between reruns with the same seed.  Both are
 written even when a task raises; the manifest then also names the failing
 task and its error.  A run first removes the files an earlier run's
-manifest in the output directory lists, and that manifest.
+manifest in the output directory lists, the plot CSVs derived from them,
+and that manifest.
 
 Exit codes: 0 success, 1 invalid config, hypothesis violation or a task
 that raised, 2 a required solve failed to converge.
@@ -268,7 +269,9 @@ def config_from_dict(nested: dict) -> ExperimentConfig:
     An unknown section, problem, grid, run or task key, or task name in
     run.tasks or run.required, raises ValueError naming it, and so do grid.n
     and grid.length unless set together and valid for the problem's
-    dimension.
+    dimension, task.scan_subadd.steps unless an integer >= 1, and
+    task.check_inequalities.p, eta and resolution unless they lie in
+    (0, inf), (0, p) and (0, inf).
     """
     for section, node in nested.items():
         if section not in _SECTIONS:
@@ -318,6 +321,16 @@ def config_from_dict(nested: dict) -> ExperimentConfig:
     steps = task_params.get("scan_subadd", {}).get("steps", 5)
     if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
         raise ValueError(f"task.scan_subadd.steps = {steps} must be an integer >= 1")
+    ineq = task_params.get("check_inequalities", {})
+    p_exp = ineq.get("p", problem.p1)
+    for key, top, label in (("p", math.inf, "inf"), ("eta", p_exp, f"p = {p_exp}"),
+                            ("resolution", math.inf, "inf")):
+        value = ineq.get(key)
+        if key in ineq and (isinstance(value, bool) or not isinstance(value, (int, float))
+                            or not 0.0 < value < top):
+            raise ValueError(
+                f"task.check_inequalities.{key} = {value} must lie in (0, {label})"
+            )
     return ExperimentConfig(
         problem=problem,
         solver=solver,
@@ -394,30 +407,51 @@ def _dumps(obj: Any) -> str:
     return json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n"
 
 
+# The plot CSVs emit_plot_data derives from each result JSON.
+_PLOT_FILES = {
+    "scan_subadd.json": ("subadd_heatmap.csv",),
+    "decay_fit.json": ("decay_fits.csv", "decay_profile_c1.csv", "decay_profile_c2.csv"),
+    "glue_test.json": ("gap_vs_n.csv",),
+}
+
+
+def _listed_files(out_dir: Path) -> list[str]:
+    """The file names the manifest.json in out_dir lists; none without one.
+
+    A manifest without a files map, or one listing anything but a plain
+    file name, raises ValueError.
+    """
+    manifest = out_dir / "manifest.json"
+    if not manifest.exists():
+        return []
+    try:
+        names = list(json.loads(manifest.read_text())["files"].keys())
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"{manifest}: not a run manifest ({exc})") from None
+    for name in names:
+        if not isinstance(name, str) or name in ("", ".", "..") or any(
+            sep and sep in name for sep in (os.sep, os.altsep)
+        ):
+            raise ValueError(f"{manifest} lists {name!r}, which is not a plain file name")
+    return names
+
+
 class _OutputTray:
     """Collects written files and their hashes for the manifest.
 
-    An earlier run's manifest.json in out_dir, and every file it lists, is
-    removed first, so the directory holds only this run's files.
+    An earlier run's manifest.json in out_dir, every file it lists and the
+    plot CSVs emit_plot_data derives from those files are removed first, so
+    the directory holds only this run's files.
     """
 
     def __init__(self, out_dir: Path) -> None:
         self.out_dir = out_dir
         self.files: dict[str, str] = {}
         out_dir.mkdir(parents=True, exist_ok=True)
-        old = out_dir / "manifest.json"
-        if old.exists():
-            try:
-                names = list(json.loads(old.read_text())["files"].keys())
-            except (ValueError, KeyError, TypeError, AttributeError) as exc:
-                raise ValueError(f"{old}: not a run manifest ({exc})") from None
-            for name in names:
-                if not isinstance(name, str) or name in ("", ".", "..") or any(
-                    sep and sep in name for sep in (os.sep, os.altsep)
-                ):
-                    raise ValueError(f"{old} lists {name!r}, which is not a plain file name")
-            for name in [*names, old.name]:
-                (out_dir / name).unlink(missing_ok=True)
+        names = _listed_files(out_dir)
+        plots = [csv for name in names for csv in _PLOT_FILES.get(name, ())]
+        for name in [*names, *plots, "manifest.json"]:
+            (out_dir / name).unlink(missing_ok=True)
 
     def write_text(self, name: str, text: str) -> Path:
         path = self.out_dir / name
@@ -835,15 +869,16 @@ def run(
 
 
 def emit_plot_data(out_dir: str | Path) -> list[str]:
-    """Derive plot-ready CSVs from the result JSONs in a directory.
+    """Derive plot-ready CSVs from the result JSONs a directory's manifest lists.
 
     Produces subadd_heatmap.csv (theta1,theta2,e_inner,e_outer,gap),
     decay_fits.csv (component,r1,r2,rate,poly,expected,r2), one
     decay_profile_c<i>.csv (r,log_value,fit_value) per fitted component,
     and gap_vs_n.csv (n,kappa1,kappa2,tau1,tau2,gap) for whichever
-    inputs exist; returns the names written.
+    inputs are listed; returns the names written.  A JSON file that
+    manifest.json does not list is not read.
     """
-    return _emit_plots(Path(out_dir), {path.name for path in Path(out_dir).glob("*.json")})
+    return _emit_plots(Path(out_dir), set(_listed_files(Path(out_dir))))
 
 
 def _emit_plots(out: Path, sources) -> list[str]:

@@ -32,6 +32,8 @@ __all__ = [
     "read_field_csv",
 ]
 
+DIMS = (1, 2)  # the spatial dimensions a grid, and so a problem, may have
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -40,7 +42,7 @@ class Grid:
     Parameters
     ----------
     dim : int
-        Spatial dimension, 1 or 2.
+        Spatial dimension, one of DIMS.
     n : int
         Nodes per axis; a power of two, at least 8.
     length : float
@@ -63,22 +65,16 @@ class Grid:
     length: float
 
     def __post_init__(self) -> None:
-        if self.dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {self.dim}")
+        if self.dim not in DIMS:
+            raise ValueError(f"dim must be one of {DIMS}, got {self.dim}")
         if self.n < 8 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"n must be a power of two >= 8, got {self.n}")
         if not (0 < self.length < np.inf):
             raise ValueError(f"box length must be positive and finite, got {self.length}")
         h = self.length / self.n
-        axes = tuple(
-            (-0.5 * self.length + h * np.arange(self.n)) for _ in range(self.dim)
-        )
+        axes = (-0.5 * self.length + h * np.arange(self.n),) * self.dim
         k1 = 2.0 * np.pi * np.fft.fftfreq(self.n, d=h)
-        if self.dim == 1:
-            k2 = k1 * k1
-        else:
-            kx, ky = np.meshgrid(k1, k1, indexing="ij")
-            k2 = kx * kx + ky * ky
+        k2 = sum(k * k for k in np.meshgrid(*[k1] * self.dim, indexing="ij"))
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "k2", k2)
@@ -93,8 +89,6 @@ class Grid:
 
     def meshes(self) -> tuple[np.ndarray, ...]:
         """Coordinate arrays broadcast to the full grid shape."""
-        if self.dim == 1:
-            return (self.axes[0],)
         return tuple(np.meshgrid(*self.axes, indexing="ij"))
 
     def radius(self) -> np.ndarray:
@@ -104,10 +98,7 @@ class Grid:
 
 def _squared_distance(grid: Grid, center: Sequence[float]) -> np.ndarray:
     """Squared distance of each node from center, one coordinate per axis."""
-    r2 = np.zeros(grid.shape)
-    for x, c in zip(grid.meshes(), center):
-        r2 = r2 + (x - c) ** 2
-    return r2
+    return sum((x - c) ** 2 for x, c in zip(grid.meshes(), center))
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,24 +213,28 @@ def grad_norm_sq(f: Field) -> float:
 
 
 def _rfft_k2(grid: Grid) -> np.ndarray:
-    """|k|^2 restricted to the real-FFT half spectrum."""
-    k1 = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.h)
-    kr = 2.0 * np.pi * np.fft.rfftfreq(grid.n, d=grid.h)
-    if grid.dim == 1:
-        return kr * kr
-    kx, ky = np.meshgrid(k1, kr, indexing="ij")
-    return kx * kx + ky * ky
+    """|k|^2 on the real-FFT half spectrum, the first n // 2 + 1 bins of the
+    last axis (|k| is the same at the Nyquist bin's -n/2 and +n/2)."""
+    return grid.k2[..., : grid.n // 2 + 1].copy()
+
+
+def _rfft_weights(grid: Grid) -> np.ndarray:
+    """Multiplicities of the half-spectrum bins in full-spectrum sums."""
+    w = np.full(grid.shape[:-1] + (grid.n // 2 + 1,), 2.0)
+    w[..., [0, -1]] = 1.0
+    return w
 
 
 def translate(f: Field, cells: int | Sequence[int]) -> Field:
     """Translate a field by whole cells along each axis (periodic).
 
     A positive shift moves the sample pattern toward larger coordinates,
-    so translate(f, m) samples x -> f(x - m h).
+    so translate(f, m) samples x -> f(x - m h); an integer m shifts along
+    the first axis only.
     """
     g = f.grid
     if isinstance(cells, (int, np.integer)):
-        shift = (int(cells),) * g.dim if g.dim == 1 else (int(cells), 0)
+        shift = (int(cells),) + (0,) * (g.dim - 1)
     else:
         shift = tuple(int(c) for c in cells)
         if len(shift) != g.dim:

@@ -136,15 +136,19 @@ def _bisect_constant(holds, resolution: float, floor: float | None = None) -> fl
 
     With a floor, the search is restricted to constants >= floor and
     returns the floor itself when it already holds.  Without one, the
-    lower bracket is pushed negative until the bound fails.
+    lower bracket is pushed negative until the bound fails.  A resolution
+    that is not finite and positive, or a bracket not found in 80
+    doublings, raises ValueError.
     """
+    if not 0.0 < resolution < math.inf:
+        raise ValueError(f"resolution must be finite and > 0, got {resolution}")
     hi = 1.0
     for _ in range(80):
         if holds(hi):
             break
         hi *= 2.0
     else:
-        raise RuntimeError("no holding constant found")
+        raise ValueError(f"no holding constant found up to {hi:.3g}")
     if floor is not None:
         if holds(floor):
             return floor
@@ -157,7 +161,7 @@ def _bisect_constant(holds, resolution: float, floor: float | None = None) -> fl
             hi = lo
             lo *= 2.0
         else:
-            raise RuntimeError("no failing constant found; bound may hold vacuously")
+            raise ValueError("no failing constant found; bound may hold vacuously")
     while hi - lo > resolution:
         mid = 0.5 * (hi + lo)
         if holds(mid):

@@ -20,7 +20,7 @@ from typing import Any
 
 import numpy as np
 
-from .grid import Field, Grid, _squared_distance, read_field_csv
+from .grid import DIMS, Field, Grid, _squared_distance, read_field_csv
 
 __all__ = [
     "PotentialSpec",
@@ -174,8 +174,8 @@ def validate(spec: ProblemSpec) -> list[str]:
     coupling and potential parameter must also be finite.
     """
     out: list[str] = []
-    if spec.dim not in (1, 2):
-        out.append(f"dim: supported dimensions are 1 and 2; got {spec.dim}")
+    if spec.dim not in DIMS:
+        out.append(f"dim: supported dimensions are {DIMS}; got {spec.dim}")
         return out
     pmax = 2.0 / spec.dim
     for name, p in (("p1", spec.p1), ("p2", spec.p2), ("p3", spec.p3)):

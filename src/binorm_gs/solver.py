@@ -86,7 +86,7 @@ from .energy import (
     gradient,  # noqa: F401  unused here; bench/tracing.py wraps solver.gradient
     multipliers,
 )
-from .grid import Field, Grid, State, _rfft_k2, _squared_distance, make_grid
+from .grid import Field, Grid, State, _rfft_k2, _rfft_weights, _squared_distance, make_grid
 from .model import ProblemSpec, PotentialSpec, sample_potential, validate
 
 __all__ = [
@@ -215,21 +215,14 @@ class SubaddReport:
         return [not p.trusted for p in self.points]
 
 
+_DEFAULT_GRIDS = {1: (4096, 64.0), 2: (256, 32.0)}  # dim: (n, L)
+
+
 def default_grid(dim: int) -> Grid:
     """Desk-scale grid: resolves benchmark tails without heroic sizes."""
-    if dim == 1:
-        return make_grid(1, 4096, 64.0)
-    return make_grid(2, 256, 32.0)
-
-
-def _rfft_weights(grid: Grid) -> np.ndarray:
-    """Multiplicities of the half-spectrum bins in full-spectrum sums."""
-    w_last = np.full(grid.n // 2 + 1, 2.0)
-    w_last[0] = 1.0
-    w_last[-1] = 1.0
-    if grid.dim == 1:
-        return w_last
-    return np.broadcast_to(w_last, (grid.n, grid.n // 2 + 1)).copy()
+    if dim not in _DEFAULT_GRIDS:
+        raise ValueError(f"no default grid for dim = {dim}")
+    return make_grid(dim, *_DEFAULT_GRIDS[dim])
 
 
 def _bump(grid: Grid, width: float, center_cells: tuple[int, ...]) -> np.ndarray:
@@ -360,8 +353,7 @@ def _non_finite(values: np.ndarray, component: int, iteration: int, name: str) -
 def _rowdot(a: np.ndarray, b: np.ndarray, scale: float = 1.0) -> list[float]:
     """scale * Re np.vdot(a[j], b[j]) for every row j of two stacks; np.vecdot
     makes the same BLAS call for each row as np.vdot."""
-    if a.ndim > 2:
-        a, b = a.reshape(len(a), -1), b.reshape(len(b), -1)
+    a, b = a.reshape(len(a), -1), b.reshape(len(b), -1)
     return [scale * z.real for z in np.vecdot(a, b).tolist()]
 
 

@@ -222,6 +222,24 @@ def test_convolution_limit_reproduces_two_sided_exponential(grid_1d):
         assert abs(row.scaled - 4.0 / 3.0) / (4.0 / 3.0) < 1e-2
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_convolution_limit_directions_are_the_signed_axes(dim):
+    rows = convolution_limit_check(
+        f=lambda *y: np.exp(-2.0 * np.sqrt(sum(c * c for c in y))),
+        g=lambda *y: np.exp(-np.sqrt(sum(c * c for c in y))),
+        poly_power=0.0,
+        rate=1.0,
+        gamma=1.0,
+        grid=make_grid(dim, 32, 16.0),
+        r_values=[4.0],
+        f_rate=2.0,
+    )
+    axes = [tuple(s * e) for e in np.eye(dim) for s in (1.0, -1.0)]
+    assert [row.omega for row in rows] == axes
+    # no -0.0 entry, which would write as "-0.0" in conv_limit.json
+    assert not any(np.signbit(c) for row in rows for c in row.omega if c == 0.0)
+
+
 def test_convolution_limit_rejects_divergent_pairs(grid_1d):
     with pytest.raises(ValueError, match="diverges"):
         convolution_limit_check(

@@ -16,6 +16,7 @@ import pytest
 
 from binorm_gs import cli, solver
 from binorm_gs.energy import Multipliers
+from binorm_gs.grid import make_grid
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACING = BENCH / "tracing.py"
@@ -50,6 +51,9 @@ def test_workload_lookups_resolve():
     for name in ("grid_n", "solver", "problem"):
         assert name in cli.ExperimentConfig.__dataclass_fields__
     assert callable(cli.ExperimentConfig.grid)
+    # bench/make_references.py reads the full-spectrum Grid.k2
+    grid = make_grid(2, 8, 4.0)
+    assert grid.k2.shape == grid.shape
     # bench/tracing.py reads diagnostics["starts"]
     for name in ("state", "report", "multipliers", "iterations", "converged",
                  "trajectory_energies", "diagnostics"):

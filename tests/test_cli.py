@@ -153,11 +153,22 @@ GRIDLESS_LINES = "".join(
         ("task.scan_subadd.steps = 2.5\n", "task.scan_subadd.steps = 2.5"),
         ("task.scan_subadd.steps = 0\n", "task.scan_subadd.steps = 0"),
         ("task.scan_subadd.steps = -1\n", "task.scan_subadd.steps = -1"),
+        ("task.check_inequalities.resolution = 0.0\n",
+         "task.check_inequalities.resolution = 0.0"),
+        ("task.check_inequalities.resolution = inf\n",
+         "task.check_inequalities.resolution = inf"),
+        ("task.check_inequalities.p = -1\n", "task.check_inequalities.p = -1"),
+        ("task.check_inequalities.p = nan\n", "task.check_inequalities.p = nan"),
+        ("task.check_inequalities.p = one\n", "task.check_inequalities.p = one"),
+        ("task.check_inequalities.p = 1\ntask.check_inequalities.eta = 5.0\n",
+         "task.check_inequalities.eta = 5.0"),
+        ("task.check_inequalities.eta = 0\n", "task.check_inequalities.eta = 0"),
     ],
     ids=["grid-key", "run-key", "section", "task-name", "length-only", "n-only",
          "bad-length", "bad-n", "task-key", "task-without-keys", "task-scalar",
          "problem-key", "problem-v1", "problem-v1-kind", "required-name",
-         "steps-fraction", "steps-zero", "steps-negative"],
+         "steps-fraction", "steps-zero", "steps-negative", "resolution-zero",
+         "resolution-inf", "p-negative", "p-nan", "p-text", "eta-above-p", "eta-zero"],
 )
 def test_config_rejects_ignored_or_incomplete_keys(tmp_path, capsys, extra, named):
     text = GRIDLESS_LINES + "run.tasks = solve\n" + extra
@@ -476,6 +487,19 @@ def test_check_inequalities_artifacts(tmp_path):
     assert not (out / "violations.csv").exists()
 
 
+def test_check_inequalities_without_a_bracket_exits_with_one_error(tmp_path, capsys):
+    # at p = 100 the L34i scan overflows, and an overflowed point never holds
+    cfg_path = write_config(tmp_path, "check_inequalities",
+                            extra="task.check_inequalities.p = 100\n")
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+    assert errors == ["error: no holding constant found up to 1.21e+24"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["error"] == "check_inequalities: no holding constant found up to 1.21e+24"
+
+
 def test_violations_csv_lists_every_recorded_violation(tmp_path, monkeypatch):
     elementary = InequalityReport(
         "elementary", {"p": 1.0, "a_max": 100.0}, 0.0, 8002, -0.25,
@@ -589,6 +613,24 @@ def test_rerun_removes_the_earlier_runs_files(tmp_path):
     # so plotting the directory finds no scan to plot
     assert main(["emit-plots", "--out", str(out)]) == 0
     assert not (out / "subadd_heatmap.csv").exists()
+
+
+def test_rerun_removes_the_plots_derived_from_the_earlier_runs_files(tmp_path):
+    out = tmp_path / "out"
+    first = write_config(tmp_path, "solve, decay_fit")
+    assert run(first, out_dir=out) == 0
+    assert main(["emit-plots", "--out", str(out)]) == 0
+    plots = ["decay_fits.csv", "decay_profile_c1.csv", "decay_profile_c2.csv"]
+    assert all((out / name).exists() for name in plots)
+    fit = (out / "decay_fit.json").read_text()
+    second = write_config(tmp_path, "solve", name="second.txt")
+    assert run(second, out_dir=out) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(p.name for p in out.iterdir()) == sorted([*manifest["files"], "manifest.json"])
+    # a result JSON that the manifest does not list is not plotted
+    (out / "decay_fit.json").write_text(fit)
+    assert emit_plot_data(out) == []
+    assert not any((out / name).exists() for name in plots)
 
 
 @pytest.mark.parametrize(

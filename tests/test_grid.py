@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from binorm_gs.grid import (
     Field,
+    _rfft_k2,
+    _rfft_weights,
     grad_norm_sq,
     inner,
     integrate,
@@ -123,6 +125,25 @@ def test_inner_is_conjugate_in_first_slot(grid_small, rng):
     g = Field(grid_small, rng.standard_normal(grid_small.shape))
     assert inner(f, g) == pytest.approx(np.conj(inner(g, f)))
     assert norm_sq(f) == pytest.approx(inner(f, f).real)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 16)])
+def test_half_spectrum_layout_matches_the_full_spectrum(dim, n):
+    g = make_grid(dim, n, 8.0)
+    half = n // 2 + 1
+    assert np.array_equal(_rfft_k2(g), g.k2[..., :half])
+    f = Field(g, np.random.default_rng(dim).standard_normal(g.shape))
+    full, part = np.fft.fftn(f.values), np.fft.rfftn(f.values)
+    w = _rfft_weights(g)
+    assert w.shape == part.shape
+    # the weighted half sums of |u^|^2 and k^2 |u^|^2 are the full sums
+    for full_mult, half_mult in ((1.0, 1.0), (g.k2, _rfft_k2(g))):
+        want = float(np.sum(full_mult * np.abs(full) ** 2))
+        got = float(np.sum(w * half_mult * np.abs(part) ** 2))
+        assert got == pytest.approx(want, rel=1e-13)
+    # an integer shift moves along the first axis only
+    moved = translate(f, 3)
+    assert np.array_equal(moved.values, translate(f, (3,) + (0,) * (dim - 1)).values)
 
 
 def test_translate_identity_and_inverse(grid_small, rng):

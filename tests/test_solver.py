@@ -52,6 +52,12 @@ def test_default_grids():
     assert (g2.dim, g2.n, g2.length) == (2, 256, 32.0)
 
 
+@pytest.mark.parametrize("dim", [0, 3])
+def test_default_grid_rejects_unsupported_dims(dim):
+    with pytest.raises(ValueError, match=f"dim = {dim}"):
+        default_grid(dim)
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
