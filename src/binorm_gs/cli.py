@@ -269,9 +269,11 @@ def config_from_dict(nested: dict) -> ExperimentConfig:
     An unknown section, problem, grid, run or task key, or task name in
     run.tasks or run.required, raises ValueError naming it, and so do grid.n
     and grid.length unless set together and valid for the problem's
-    dimension, task.scan_subadd.steps unless an integer >= 1, and
+    dimension, task.scan_subadd.steps unless an integer >= 1,
     task.check_inequalities.p, eta and resolution unless they lie in
-    (0, inf), (0, p) and (0, inf).
+    (0, inf), (0, p) and (0, inf), task.pohozaev.mu, p and gamma unless
+    they lie in (0, inf), (0, 2/N) and [0, inf), and task.decay_fit.r1 and
+    r2 unless finite.  A bool is not a number here.
     """
     for section, node in nested.items():
         if section not in _SECTIONS:
@@ -321,16 +323,26 @@ def config_from_dict(nested: dict) -> ExperimentConfig:
     steps = task_params.get("scan_subadd", {}).get("steps", 5)
     if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
         raise ValueError(f"task.scan_subadd.steps = {steps} must be an integer >= 1")
-    ineq = task_params.get("check_inequalities", {})
-    p_exp = ineq.get("p", problem.p1)
-    for key, top, label in (("p", math.inf, "inf"), ("eta", p_exp, f"p = {p_exp}"),
-                            ("resolution", math.inf, "inf")):
-        value = ineq.get(key)
-        if key in ineq and (isinstance(value, bool) or not isinstance(value, (int, float))
-                            or not 0.0 < value < top):
-            raise ValueError(
-                f"task.check_inequalities.{key} = {value} must lie in (0, {label})"
-            )
+    p_exp = task_params.get("check_inequalities", {}).get("p", problem.p1)
+    # (task, key, test, rule) of every numeric task parameter; p comes before
+    # eta, whose bound it is
+    for task, key, test, rule in (
+        ("check_inequalities", "p", lambda x: 0.0 < x < math.inf, "must lie in (0, inf)"),
+        ("check_inequalities", "eta", lambda x: 0.0 < x < p_exp, f"must lie in (0, p = {p_exp})"),
+        ("check_inequalities", "resolution", lambda x: 0.0 < x < math.inf,
+         "must lie in (0, inf)"),
+        ("pohozaev", "mu", lambda x: 0.0 < x < math.inf, "must be finite and > 0"),
+        ("pohozaev", "p", lambda x: 0.0 < x and x * problem.dim < 2.0,
+         f"must lie in (0, 2/N) with N = {problem.dim}"),
+        ("pohozaev", "gamma", lambda x: 0.0 <= x < math.inf, "must be finite and >= 0"),
+        ("decay_fit", "r1", math.isfinite, "must be a finite number"),
+        ("decay_fit", "r2", math.isfinite, "must be a finite number"),
+    ):
+        params = task_params.get(task, {})
+        value = params.get(key)
+        if key in params and (isinstance(value, bool) or not isinstance(value, (int, float))
+                              or not test(value)):
+            raise ValueError(f"task.{task}.{key} = {value} {rule}")
     return ExperimentConfig(
         problem=problem,
         solver=solver,
@@ -589,13 +601,18 @@ class _Runner:
     def task_scan_subadd(self) -> None:
         p = self.params("scan_subadd")
         ticks = np.linspace(0.0, 1.0, p.get("steps", 5)).tolist()
+        regime = self.cfg.problem.regime
         # In the trapping regime only splits that keep all of u2 are admissible.
-        ticks2 = ticks if self.cfg.problem.regime == "both_bounded" else [1.0]
-        thetas = [(t1, t2) for t1 in ticks for t2 in ticks2]
+        bounded = regime == "both_bounded"
+        thetas = [(t1, t2) for t1 in ticks for t2 in (ticks if bounded else [1.0])]
         report = scan_subadditivity(
             self.cfg.problem, thetas, config=self.cfg.solver, grid=self.grid
         )
-        self.tray.write_json("scan_subadd.json", asdict(report))
+        self.tray.write_json("scan_subadd.json", {
+            "regime": regime,
+            "split_rule": "theta in [0, 1]^2" if bounded else "theta2 = 1",
+            **asdict(report),
+        })
         trusted = [pt for pt in report.points if pt.trusted]
         worst = max((pt.gap for pt in trusted), default=math.nan)
         self.mark("scan_subadd", len(trusted) == len(report.points))

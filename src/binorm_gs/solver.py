@@ -49,9 +49,13 @@ Python floats, so it does exactly the arithmetic of a solve on its own
 and the results do not depend on what else is in the batch.  Every
 line-search round evaluates the whole batch, and a member's candidate
 replaces its accepted step only while that member is still searching.  A
-member that converges leaves the batch.  ``scan_subadditivity`` batches the
-starts of all its subproblems that share a potential: the full problem
-with every inner split, and every potential-free outer split.
+member that converges leaves the batch.  Every member of a batch shares
+the potentials and carries the same components (u1 only, both, or u2
+only), so each component's stack has one row per member.
+``scan_subadditivity`` batches the starts of all its subproblems that
+share a potential and a component set: the full problem with the inner
+splits that carry both components, those that carry only u1, those that
+carry only u2, and likewise the potential-free outer splits.
 
 Since a member's results do not depend on its batch, independent batches
 run at the same time, on up to one process per usable core (``_run_shares``,
@@ -66,7 +70,6 @@ bit-identical.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import numbers
@@ -274,55 +277,28 @@ class _Run:
         self.max_grad_ratio = 1.0
 
 
-class _Layout:
-    """Batch members ordered so that each component's members are contiguous.
-
-    Members [0, end0) carry u1 and members [start1, size) carry u2, so
-    members [start1, end0) carry both.  A component's stacked fields hold
-    one row per member that carries it, in member order: row r of
-    component c is member parts[c][r].
-    """
-
-    __slots__ = ("size", "end0", "start1", "parts", "comps")
-
-    def __init__(self, size: int, end0: int, start1: int) -> None:
-        self.size, self.end0, self.start1 = size, end0, start1
-        self.parts = (range(0, end0), range(start1, size))
-        self.comps = [c for c in (0, 1) if self.parts[c]]
-
-    def take(self, idx: list[int]) -> tuple["_Layout", tuple[list[int], list[int]]]:
-        """Layout of the members idx (increasing) and their rows in each component."""
-        end0 = bisect.bisect_left(idx, self.end0)
-        start1 = bisect.bisect_left(idx, self.start1)
-        rows1 = [m - self.start1 for m in idx[start1:]]
-        return _Layout(len(idx), end0, start1), (idx[:end0], rows1)
-
-
 class _Step:
     """Energies and rescaled fields of a candidate step of every member."""
 
-    __slots__ = ("layout", "energy", "fields", "spectra", "kinetic", "mass_error")
+    __slots__ = ("energy", "fields", "spectra", "kinetic", "mass_error")
 
     def __init__(
-        self, layout: _Layout, energy: list[float], fields: list, spectra: list,
+        self, energy: list[float], fields: list, spectra: list,
         kinetic: list[list[float]], mass_error: list[float],
     ) -> None:
-        self.layout, self.energy = layout, energy
-        self.fields, self.spectra, self.kinetic, self.mass_error = (
-            fields, spectra, kinetic, mass_error
+        self.energy, self.fields, self.spectra, self.kinetic, self.mass_error = (
+            energy, fields, spectra, kinetic, mass_error
         )
 
     def overwrite(self, other: "_Step", picks: list[int]) -> None:
-        """Take other's candidates of the members picks (increasing)."""
-        _, rows = self.layout.take(picks)
+        """Take other's candidates of the members picks."""
         for m in picks:
             self.energy[m] = other.energy[m]
             self.kinetic[m] = other.kinetic[m]
             self.mass_error[m] = other.mass_error[m]
-        for c in (0, 1):
-            if rows[c]:
-                self.fields[c][rows[c]] = other.fields[c][rows[c]]
-                self.spectra[c][rows[c]] = other.spectra[c][rows[c]]
+        for mine, theirs in zip(self.fields + self.spectra, other.fields + other.spectra):
+            if mine is not None:
+                mine[picks] = theirs[picks]
 
 
 def _decimate(rows: list[tuple[int, float, float]]) -> list[tuple[int, float, float]]:
@@ -366,16 +342,18 @@ def _flow(
 ) -> list[_Run]:
     """Run the projected, preconditioned nonlinear CG descent on a batch of starts.
 
-    Every member has its own masses (at least one positive) and start and
-    shares the exponents and couplings of spec and the sampled potentials
-    pots.  The fields of all members are stacked, one row per member that
-    carries a component, and every FFT, reduction and BLAS dot product
-    acts row by row; each member's scalars stay Python floats.  So each
-    member keeps its own step, CG state, step cuts, trajectory and
-    stopping test, and does exactly the arithmetic of a batch of one.  A
-    line-search round evaluates every member; only the rows of members
-    still searching replace their accepted step.  A converged member
-    leaves the batch.  Its _Run comes back, in member order.
+    Every member has its own masses and start and shares the exponents and
+    couplings of spec and the sampled potentials pots.  Every member must
+    carry the components of the first, those with positive mass: a
+    component the first member lacks is not stepped.  Each component's
+    fields of all members are stacked, one row per member, and every FFT,
+    reduction and BLAS dot product acts row by row; each member's scalars
+    stay Python floats.  So each member keeps its own step, CG state, step
+    cuts, trajectory and stopping test, and does exactly the arithmetic of
+    a batch of one.  A line-search round evaluates every member; only the
+    rows of members still searching replace their accepted step.  A
+    converged member leaves the batch.  Its _Run comes back, in member
+    order.
     """
     cell = grid.cell_volume
     shape = grid.shape
@@ -398,6 +376,7 @@ def _flow(
     pw = (2.0 * spec.p1, 2.0 * spec.p2)
     q3 = spec.p3 + 1.0
     s3 = spec.p3 - 1.0
+    comps = [c for c in (0, 1) if members[0].masses[c] > 0.0]
     # S, or None where V <= 0, so that S == 1 and the whole step stays in the
     # half spectrum.
     sandwich = [
@@ -428,46 +407,38 @@ def _flow(
         """Per member, the sum over its components of the L2 products <a, b>
         of real fields given by their half spectra, wb_hat carrying the
         half-spectrum weights."""
-        out = [0] * lay.size
-        for c in lay.comps:
-            for m, x in zip(lay.parts[c], _rowdot(a_hat[c], wb_hat[c], spectral_scale)):
+        out = [0] * len(runs)
+        for c in comps:
+            for m, x in enumerate(_rowdot(a_hat[c], wb_hat[c], spectral_scale)):
                 out[m] += x
         return out
 
-    def terms(lay: _Layout, ua: list, sq: list, kin: list[list[float]]) -> list[float]:
+    def terms(ua: list, sq: list, kin: list[list[float]]) -> list[float]:
         """Energies of the members' fields ua, given their squares sq."""
         e = [k[0] + k[1] for k in kin]
         mag = [None, None]
-        for c in lay.comps:
+        for c in comps:
             mag[c] = np.abs(ua[c])
             if has_potential[c]:
-                for m, p in zip(lay.parts[c], total(v[c] * sq[c])):
+                for m, p in enumerate(total(v[c] * sq[c])):
                     e[m] += 0.5 * cell * p
-            own = total(mag[c] ** (pw[c] + 2.0))
-            for m, s in zip(lay.parts[c], own):
+            for m, s in enumerate(total(mag[c] ** (pw[c] + 2.0))):
                 e[m] -= mu[c] / (pw[c] + 2.0) * cell * s
-        lo, hi = lay.start1, lay.end0
-        if lo < hi:
-            cross = total(mag[0][lo:] ** q3 * mag[1][: hi - lo] ** q3)
-            for m, s in zip(range(lo, hi), cross):
+        if len(comps) == 2:
+            for m, s in enumerate(total(mag[0] ** q3 * mag[1] ** q3)):
                 e[m] -= spec.beta / q3 * cell * s
         return e
 
-    def forces(lay: _Layout, ua: list) -> list:
+    def forces(ua: list) -> list:
         """V u minus the nonlinear force, for each component."""
         mag = [None, None]
         f = [None, None]
-        for c in lay.comps:
+        for c in comps:
             mag[c] = np.abs(ua[c])
             f[c] = mu[c] * mag[c] ** pw[c] * ua[c]
-        lo, hi = lay.start1, lay.end0
-        if lo < hi:
-            f[0][lo:] += spec.beta * mag[1][: hi - lo] ** q3 * _signed_power(
-                ua[0][lo:], mag[0][lo:], s3
-            )
-            f[1][: hi - lo] += spec.beta * mag[0][lo:] ** q3 * _signed_power(
-                ua[1][: hi - lo], mag[1][: hi - lo], s3
-            )
+        if len(comps) == 2:
+            f[0] += spec.beta * mag[1] ** q3 * _signed_power(ua[0], mag[0], s3)
+            f[1] += spec.beta * mag[0] ** q3 * _signed_power(ua[1], mag[1], s3)
         return [None if f[c] is None else v[c] * ua[c] - f[c] for c in (0, 1)]
 
     def direction(c: int, force: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -482,7 +453,7 @@ def _flow(
         u_hat = spectra[c]
         g_hat = k2_c * u_hat + np.fft.rfftn(force, s=shape, axes=axes)
         g_dot_u = _rowdot(u_hat, wgt_c * g_hat, spectral_scale)
-        lam = [-x / runs[m].masses[c] for m, x in zip(lay.parts[c], g_dot_u)]
+        lam = [-x / run.masses[c] for run, x in zip(runs, g_dot_u)]
         resolvent = 1.0 / (column([max(_PRECOND_SHIFT, x) for x in lam]) + k2)
         # complex once here, rather than cast in each product below
         w_resolvent = (wgt * resolvent).astype(complex)
@@ -511,77 +482,60 @@ def _flow(
     def candidates(steps: list[float], s_hat: list) -> _Step:
         """Energies and fields of N[u - step s], rescaled to the masses, one step per member."""
         cand_hat, cand, m_star = [None, None], [None, None], [None, None]
-        for c in lay.comps:
-            part = lay.parts[c]
-            cand_hat[c] = spectra[c] - column(steps[part.start : part.stop]) * s_hat[c]
+        for c in comps:
+            cand_hat[c] = spectra[c] - column(steps) * s_hat[c]
             cand[c] = np.fft.irfftn(cand_hat[c], s=shape, axes=axes)
             m_star[c] = [cell * s for s in total(cand[c] ** 2)]
-        if not all(all(map(math.isfinite, m_star[c])) for c in lay.comps):
-            j, c, r = min(
-                (runs[m].member, c, r)
-                for c in lay.comps
-                for r, m in enumerate(lay.parts[c])
-                if not math.isfinite(m_star[c][r])
+        if not all(all(map(math.isfinite, m_star[c])) for c in comps):
+            j, c, m = min(
+                (runs[m].member, c, m)
+                for c in comps
+                for m, mass in enumerate(m_star[c])
+                if not math.isfinite(mass)
             )
-            raise _non_finite(cand[c][r], c, it, members[j].name)
+            raise _non_finite(cand[c][m], c, it, members[j].name)
         new, new_hat, sq = [None, None], [None, None], [None, None]
-        kin = [[0.0, 0.0] for _ in range(lay.size)]
-        mass_err = [0.0] * lay.size
-        for c in lay.comps:
-            part = lay.parts[c]
-            alphas = [runs[m].masses[c] for m in part]
+        kin = [[0.0, 0.0] for _ in runs]
+        mass_err = [0.0] * len(runs)
+        for c in comps:
+            alphas = [run.masses[c] for run in runs]
             scale = [math.sqrt(a / m) for a, m in zip(alphas, m_star[c])]
             scale_c = column(scale)
             new[c] = cand[c] * scale_c
             new_hat[c] = cand_hat[c] * scale_c
             sq[c] = new[c] ** 2
             mass = total(sq[c])
-            for m, a, sc, k, ms in zip(part, alphas, scale, kinetic_of(cand_hat[c]), mass):
+            for m, (a, sc, k, ms) in enumerate(zip(alphas, scale, kinetic_of(cand_hat[c]), mass)):
                 kin[m][c] = sc**2 * k
                 mass_err[m] = max(mass_err[m], abs(cell * ms - a) / a)
-        return _Step(lay, terms(lay, new, sq, kin), new, new_hat, kin, mass_err)
+        return _Step(terms(new, sq, kin), new, new_hat, kin, mass_err)
 
-    # Members are ordered u1-only, both, u2-only, so that each component's
-    # members form one contiguous block of rows.
-    rank = {(True, False): 0, (True, True): 1, (False, True): 2}
-    order = sorted(
-        range(len(members)), key=lambda j: rank[tuple(a > 0.0 for a in members[j].masses)]
-    )
-    start: dict[tuple[int, int], np.ndarray] = {}
-    for j, member in enumerate(members):
-        for c in (0, 1):
+    rows: tuple[list, list] = ([], [])
+    for member in members:
+        for c in comps:
             mass = member.masses[c]
-            if mass > 0.0:
-                if np.any(np.imag(member.init[c])):
-                    raise ValueError(f"solver: {member.name}: u{c + 1} is not real")
-                values = np.array(np.real(member.init[c]), dtype=np.float64)
-                if not np.all(np.isfinite(values)):
-                    raise _non_finite(values, c, 0, member.name)
-                start_mass = cell * float(np.sum(values**2))
-                if start_mass == 0.0:
-                    raise ValueError(
-                        f"solver: {member.name}: u{c + 1} has zero mass and cannot be "
-                        f"rescaled to mass {mass}"
-                    )
-                start[j, c] = values * math.sqrt(mass / start_mass)
-    lay = _Layout(
-        len(members),
-        sum(1 for member in members if member.masses[0] > 0.0),
-        sum(1 for member in members if member.masses[1] == 0.0),
-    )
-    fields = [
-        np.array([start[j, c] for j in order if (j, c) in start]) if lay.parts[c] else None
-        for c in (0, 1)
-    ]
+            if np.any(np.imag(member.init[c])):
+                raise ValueError(f"solver: {member.name}: u{c + 1} is not real")
+            values = np.array(np.real(member.init[c]), dtype=np.float64)
+            if not np.all(np.isfinite(values)):
+                raise _non_finite(values, c, 0, member.name)
+            start_mass = cell * float(np.sum(values**2))
+            if start_mass == 0.0:
+                raise ValueError(
+                    f"solver: {member.name}: u{c + 1} has zero mass and cannot be "
+                    f"rescaled to mass {mass}"
+                )
+            rows[c].append(values * math.sqrt(mass / start_mass))
+    fields = [np.array(rows[c]) if c in comps else None for c in (0, 1)]
     spectra = [None if x is None else np.fft.rfftn(x, s=shape, axes=axes) for x in fields]
-    kin0 = [[0.0, 0.0] for _ in order]
-    for c in lay.comps:
-        for m, k in zip(lay.parts[c], kinetic_of(spectra[c])):
+    kin0 = [[0.0, 0.0] for _ in members]
+    for c in comps:
+        for m, k in enumerate(kinetic_of(spectra[c])):
             kin0[m][c] = k
-    energy0 = terms(lay, fields, [None if x is None else x**2 for x in fields], kin0)
+    energy0 = terms(fields, [None if x is None else x**2 for x in fields], kin0)
     runs = [
-        _Run(j, members[j].masses, e, tuple(k), config.dt)
-        for j, e, k in zip(order, energy0, kin0)
+        _Run(j, member.masses, e, tuple(k), config.dt)
+        for j, (member, e, k) in enumerate(zip(members, energy0, kin0))
     ]
     r_prev: list = [None, None]
     s_prev: list = [None, None]
@@ -590,8 +544,7 @@ def _flow(
     it = 0
     while it < config.max_iters:
         it += 1
-        comps = lay.comps
-        force = forces(lay, fields)
+        force = forces(fields)
         g_hat: list = [None, None]
         r_hat: list = [None, None]
         d_hat: list = [None, None]
@@ -613,26 +566,21 @@ def _flow(
             if any(b > 0.0 for b in beta):
                 cg_hat: list = [None, None]
                 for c in comps:
-                    part = lay.parts[c]
                     along = [
-                        x / runs[m].masses[c]
-                        for m, x in zip(
-                            part, _rowdot(spectra[c], wgt_c * s_prev[c], spectral_scale)
+                        x / run.masses[c]
+                        for run, x in zip(
+                            runs, _rowdot(spectra[c], wgt_c * s_prev[c], spectral_scale)
                         )
                     ]
-                    cg_hat[c] = d_hat[c] + column(beta[part.start:part.stop]) * (
-                        s_prev[c] - column(along) * spectra[c]
-                    )
+                    cg_hat[c] = d_hat[c] + column(beta) * (s_prev[c] - column(along) * spectra[c])
                 cg_slope = member_dots(g_hat, [None if x is None else wgt_c * x for x in cg_hat])
                 on_cg = [b > 0.0 and x > 0.0 for b, x in zip(beta, cg_slope)]
                 if all(on_cg):  # no np.where copy: 3.6% of a soliton solve's CPU time
                     s_hat, slope = cg_hat, cg_slope
                 elif any(on_cg):
                     s_hat = [
-                        None if c not in comps else np.where(
-                            column([on_cg[m] for m in lay.parts[c]]), cg_hat[c], d_hat[c]
-                        )
-                        for c in (0, 1)
+                        None if d is None else np.where(column(on_cg), cg, d)
+                        for cg, d in zip(cg_hat, d_hat)
                     ]
                     slope = [x if cg else y for cg, x, y in zip(on_cg, cg_slope, rd)]
 
@@ -643,7 +591,7 @@ def _flow(
         # searching is evaluated again at a trial it already took, so its rows
         # are finite and are discarded.
         trial = [run.tau for run in runs]
-        searching = list(range(lay.size))
+        searching = list(range(len(runs)))
         while searching:
             for m in searching:
                 runs[m].tau = trial[m]
@@ -668,7 +616,7 @@ def _flow(
                     best.overwrite(other, lower)
                 for m in lower:
                     runs[m].tau = t_quad[m]
-            if len(searching) == lay.size:
+            if len(searching) == len(runs):
                 step = best
             else:
                 step.overwrite(best, searching)
@@ -683,13 +631,11 @@ def _flow(
                     retry.append(m)
             searching = retry
 
-        moved = [None, None]
+        residual = [0.0] * len(runs)
         for c in comps:
-            moved[c] = np.maximum.reduce(np.abs(step.fields[c] - fields[c]), axis=axes).tolist()
-        residual = [0.0] * lay.size
-        for c in comps:
-            for m, x in zip(lay.parts[c], moved[c]):
-                residual[m] = max(residual[m], x / runs[m].tau)
+            moved = np.maximum.reduce(np.abs(step.fields[c] - fields[c]), axis=axes).tolist()
+            for m, (run, x) in enumerate(zip(runs, moved)):
+                residual[m] = max(residual[m], x / run.tau)
         done = []
         for m, run in enumerate(runs):
             e_new = step.energy[m]
@@ -709,27 +655,24 @@ def _flow(
         fields, spectra = step.fields, step.spectra
         r_prev, s_prev = r_hat, s_hat
 
-        leaving = range(lay.size) if it == config.max_iters else done
+        leaving = range(len(runs)) if it == config.max_iters else done
         for m in leaving:
             run = runs[m]
             run.pair = tuple(
-                fields[c][m - lay.parts[c].start].copy() if m in lay.parts[c] else np.zeros(shape)
-                for c in (0, 1)
+                np.zeros(shape) if x is None else x[m].copy() for x in fields
             )
             run.iterations, run.residual, run.converged = it, residual[m], m in done
             run.trajectory = _decimate(run.trajectory)
             out[run.member] = run
-        if len(leaving) == lay.size:
+        if len(leaving) == len(runs):
             break
         if done:
-            keep = [m for m in range(lay.size) if m not in done]
-            new_lay, rows = lay.take(keep)
+            keep = [m for m in range(len(runs)) if m not in done]
             fields, spectra, r_prev, s_prev = (
-                [None if x is None else x[rows[c]] for c, x in enumerate(arrays)]
+                [None if x is None else x[keep] for x in arrays]
                 for arrays in (fields, spectra, r_prev, s_prev)
             )
             runs = [runs[m] for m in keep]
-            lay = new_lay
     return out
 
 
@@ -774,9 +717,10 @@ def _solve_all(
 
     A group is a list of specs that differ only in their masses; its
     potentials are sampled once, from its first spec.  The starts of a
-    group's specs run as flow batches of at most _NODE_BUDGET grid nodes;
-    groups never share a batch.  All batches of all groups run in one
-    _run_shares call.  A spec with both masses zero is returned
+    group's specs that carry the same components (u1 only, both, or u2
+    only) run as flow batches of at most _NODE_BUDGET grid nodes; groups
+    and component sets never share a batch.  All batches of all groups run
+    in one _run_shares call.  A spec with both masses zero is returned
     immediately with zero energy.  Returns each group's results in spec
     order.
     """
@@ -787,12 +731,9 @@ def _solve_all(
     ]
     per_flow = max(1, _NODE_BUDGET // grid.n**grid.dim)
     starts = None
-    batches = []
-    batch_groups: list[int] = []
-    owners: list[list[int]] = []
+    # The members of each (group, component set), and the spec each serves.
+    keyed: dict[tuple, list[tuple[int, _Member]]] = {}
     for g, specs in enumerate(groups):
-        members: list[_Member] = []
-        owners.append([])
         for j, spec in enumerate(specs):
             if spec.alpha1 == 0.0 and spec.alpha2 == 0.0:
                 continue
@@ -801,24 +742,26 @@ def _solve_all(
             solve = "" if len(specs) == 1 else (
                 f" of the solve at masses ({spec.alpha1}, {spec.alpha2})"
             )
-            for k, start in enumerate(starts):
-                members.append(_Member(spec.masses, start, f"start {k}{solve}"))
-                owners[g].append(j)
-        for lo in range(0, len(members), per_flow):
-            pots = (potentials[g][0].values, potentials[g][1].values)
+            keyed.setdefault((g, tuple(a > 0.0 for a in spec.masses)), []).extend(
+                (j, _Member(spec.masses, start, f"start {k}{solve}"))
+                for k, start in enumerate(starts)
+            )
+    batches = []
+    owners: list[tuple[int, list[int]]] = []
+    for (g, _), entries in keyed.items():
+        pots = (potentials[g][0].values, potentials[g][1].values)
+        for lo in range(0, len(entries), per_flow):
+            chunk = entries[lo : lo + per_flow]
             batches.append(functools.partial(
-                _flow, grid, specs[0], pots, members[lo : lo + per_flow], config
+                _flow, grid, groups[g][0], pots, [member for _, member in chunk], config
             ))
-            batch_groups.append(g)
-    runs: list[list[_Run]] = [[] for _ in groups]
-    for g, out in zip(batch_groups, _run_shares(batches, "flow batch")):
-        runs[g] += out
+            owners.append((g, [j for j, _ in chunk]))
+    runs: list[list[list[_Run]]] = [[[] for _ in specs] for specs in groups]
+    for (g, spec_of), out in zip(owners, _run_shares(batches, "flow batch")):
+        for j, run in zip(spec_of, out):
+            runs[g][j].append(run)
     return [
-        [
-            _result(grid, spec, potentials[g], config,
-                    [r for r, o in zip(runs[g], owners[g]) if o == j])
-            for j, spec in enumerate(specs)
-        ]
+        [_result(grid, spec, potentials[g], config, runs[g][j]) for j, spec in enumerate(specs)]
         for g, specs in enumerate(groups)
     ]
 
@@ -1021,9 +964,9 @@ def minimize(
 ) -> SolveResult:
     """Minimize the constrained energy; best of multi_start flow runs.
 
-    The starts run as one flow batch, or, past _NODE_BUDGET grid nodes, as
-    several, on up to one process per usable core (serially on a single
-    core).  Raises ValueError when the problem violates the standing
+    The starts carry the same components, so they run as one flow batch,
+    or, past _NODE_BUDGET grid nodes, as several, on up to one process per
+    usable core (serially on a single core).  Raises ValueError when the problem violates the standing
     hypotheses.  A state with both masses zero is returned immediately with
     zero energy.
     """
@@ -1078,9 +1021,10 @@ def scan_subadditivity(
     converge are marked untrusted.  Every theta must lie in [0, 1]^2, with
     theta2 = 1 in the trapping regime (the paper's case (ii): the trapped u2
     loses no mass to infinity, so e_inf is +inf for theta2 < 1); all are
-    checked before any solve runs.  The full problem and every inner split
-    e(theta alpha) run as one flow batch, and every potential-free outer
-    split as a second one (each split further past _NODE_BUDGET grid nodes).
+    checked before any solve runs.  The full problem and the inner splits
+    e(theta alpha) run as one flow batch per component set they carry (u1
+    only, both, or u2 only), and the potential-free outer splits likewise:
+    up to six batches, each split further past _NODE_BUDGET grid nodes.
     The batches run at the same time on up to one process per usable core,
     and one after another on a single core; the results are the same
     either way.

@@ -163,12 +163,24 @@ GRIDLESS_LINES = "".join(
         ("task.check_inequalities.p = 1\ntask.check_inequalities.eta = 5.0\n",
          "task.check_inequalities.eta = 5.0"),
         ("task.check_inequalities.eta = 0\n", "task.check_inequalities.eta = 0"),
+        ("task.pohozaev.mu = 0\n", "task.pohozaev.mu = 0"),
+        ("task.pohozaev.mu = nan\n", "task.pohozaev.mu = nan"),
+        ("task.pohozaev.mu = true\n", "task.pohozaev.mu = True"),
+        ("task.pohozaev.p = 3\n", "task.pohozaev.p = 3"),
+        ("task.pohozaev.p = 0.0\n", "task.pohozaev.p = 0.0"),
+        ("task.pohozaev.gamma = -1\n", "task.pohozaev.gamma = -1"),
+        ("task.pohozaev.gamma = inf\n", "task.pohozaev.gamma = inf"),
+        ("task.decay_fit.r1 = abc\n", "task.decay_fit.r1 = abc"),
+        ("task.decay_fit.r2 = -inf\n", "task.decay_fit.r2 = -inf"),
+        ("task.decay_fit.r2 = false\n", "task.decay_fit.r2 = False"),
     ],
     ids=["grid-key", "run-key", "section", "task-name", "length-only", "n-only",
          "bad-length", "bad-n", "task-key", "task-without-keys", "task-scalar",
          "problem-key", "problem-v1", "problem-v1-kind", "required-name",
          "steps-fraction", "steps-zero", "steps-negative", "resolution-zero",
-         "resolution-inf", "p-negative", "p-nan", "p-text", "eta-above-p", "eta-zero"],
+         "resolution-inf", "p-negative", "p-nan", "p-text", "eta-above-p", "eta-zero",
+         "mu-zero", "mu-nan", "mu-bool", "pohozaev-p-above", "pohozaev-p-zero",
+         "gamma-negative", "gamma-inf", "r1-text", "r2-inf", "r2-bool"],
 )
 def test_config_rejects_ignored_or_incomplete_keys(tmp_path, capsys, extra, named):
     text = GRIDLESS_LINES + "run.tasks = solve\n" + extra
@@ -397,7 +409,8 @@ def test_scan_subadd_artifacts(tmp_path):
     out = tmp_path / "out"
     assert run(cfg_path, out_dir=out) == 0
     payload = json.loads((out / "scan_subadd.json").read_text())
-    assert set(payload) == {"e_total", "points"}
+    assert set(payload) == {"regime", "split_rule", "e_total", "points"}
+    assert (payload["regime"], payload["split_rule"]) == ("both_bounded", "theta in [0, 1]^2")
     assert len(payload["points"]) == 3  # 2x2 grid minus the full split
     for pt in payload["points"]:
         assert set(pt) == {"theta1", "theta2", "e_inner", "e_outer", "gap", "trusted"}
@@ -413,7 +426,9 @@ def test_scan_subadd_keeps_the_trapped_mass(tmp_path):
     )
     out = tmp_path / "out"
     assert run(write_config(tmp_path, "scan_subadd", extra=extra), out_dir=out) == 0
-    points = json.loads((out / "scan_subadd.json").read_text())["points"]
+    payload = json.loads((out / "scan_subadd.json").read_text())
+    assert (payload["regime"], payload["split_rule"]) == ("trapping", "theta2 = 1")
+    points = payload["points"]
     assert [(pt["theta1"], pt["theta2"]) for pt in points] == [(0.0, 1.0), (0.5, 1.0)]
     assert all(pt["trusted"] and pt["gap"] < 0.0 for pt in points)
 

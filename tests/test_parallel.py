@@ -79,7 +79,7 @@ def _recorded_scan(monkeypatch, cores: int):
 def test_parallel_scan_equals_serial(monkeypatch):
     forks = _count_forks(monkeypatch)
     report, records = _recorded_scan(monkeypatch, 2)
-    assert len(forks) == 1  # the outer batch ran in a child
+    assert len(forks) == 1  # flow batches 1, 3 and 5 of 6 ran in a child
     _assert_no_children()
     serial_report, serial_records = _recorded_scan(monkeypatch, 1)
     assert len(forks) == 1
@@ -87,6 +87,30 @@ def test_parallel_scan_equals_serial(monkeypatch):
     assert repr(report.points) == repr(serial_report.points)
     assert len(records) == 1 + 2 * len(THETAS)
     assert records == serial_records
+
+
+def test_flow_batches_share_one_component_set(monkeypatch):
+    # _flow steps only the components of its first member, so a u1-only
+    # member followed by a two-component one would lose u2
+    _cores(monkeypatch, 1)  # every batch runs, and is recorded, in this process
+    batches = []
+    flow = solver._flow
+
+    def recorded(grid, spec, pots, members, config):
+        batches.append([tuple(a > 0.0 for a in m.masses) for m in members])
+        return flow(grid, spec, pots, members, config)
+
+    monkeypatch.setattr(solver, "_flow", recorded)
+    config = replace(SCAN, max_iters=2000)
+    grid = make_grid(1, 256, 64.0)
+    scan_subadditivity(wells_spec(), THETAS, config=config, grid=grid)
+    # the wells group and the potential-free group each hold splits that
+    # carry both components, u1 only and u2 only
+    both, u1, u2 = (True, True), (True, False), (False, True)
+    assert sorted(kinds[0] for kinds in batches) == sorted([both, u1, u2] * 2)
+    solver.minimize_scalar(1.0, 1.0, 1.0, config=config, grid=grid)
+    assert batches[6:] == [[u1] * SCAN.multi_start]
+    assert all(len(set(kinds)) == 1 for kinds in batches)
 
 
 def _scan_error(monkeypatch, cores: int) -> str:

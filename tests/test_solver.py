@@ -450,17 +450,24 @@ def test_step_survives_the_energy_rounding_floor():
 
 
 def _batch_and_singles(spec, masses, config, grid):
-    """Runs of one _flow batch over every start at each mass pair, and of
-    batches of one on the same members."""
+    """Runs of one _flow batch per component set over every start at each
+    mass pair with those components, and of batches of one on the same
+    members, both in member order."""
     config = replace(config, max_iters=2000)  # a broken batch fails fast
     pots = (sample_potential(spec.v1, grid).values, sample_potential(spec.v2, grid).values)
     starts = solver._initializations(grid, config, None)
     members = [
         solver._Member(m, start, f"start {k}") for m in masses for k, start in enumerate(starts)
     ]
-    batch = solver._flow(grid, spec, pots, members, config)
+    sets = {}
+    for member in members:
+        sets.setdefault(tuple(a > 0.0 for a in member.masses), []).append(member)
+    assert all(len(batch) >= 2 for batch in sets.values())
+    runs = {}
+    for batch in sets.values():
+        runs.update(zip(map(id, batch), solver._flow(grid, spec, pots, batch, config)))
     singles = [solver._flow(grid, spec, pots, [member], config)[0] for member in members]
-    return batch, singles
+    return [runs[id(member)] for member in members], singles
 
 
 def _assert_bit_identical(batch, singles):
@@ -525,3 +532,23 @@ def test_scan_matches_separate_minimize_calls():
         assert point.e_outer == outer_res.report.total
         assert point.gap == full.report.total - inner_res.report.total - outer_res.report.total
         assert point.trusted == (full.converged and inner_res.converged and outer_res.converged)
+
+
+def test_scan_gap_follows_the_multiplier_identity():
+    # de/d alpha_i = -lambda_i / 2, so near theta = 1 the gap is
+    # -1/2 sum_i lambda_i (1 - theta_i) alpha_i; the three outer problems
+    # carry both components, u1 only and u2 only
+    spec = wells_spec()
+    grid = make_grid(1, 512, 128.0)
+    config = replace(SCAN, tol_residual=1e-10)
+    eps = 1e-3
+    thetas = [(1.0 - eps, 1.0 - eps), (1.0 - eps, 1.0), (1.0, 1.0 - eps)]
+    report = scan_subadditivity(spec, thetas, config=config, grid=grid)
+    lam = minimize(spec, config=config, grid=grid).multipliers
+    for point in report.points:
+        predicted = -0.5 * (
+            lam.lambda1 * (1.0 - point.theta1) * spec.alpha1
+            + lam.lambda2 * (1.0 - point.theta2) * spec.alpha2
+        )
+        assert point.trusted
+        assert abs(point.gap / predicted - 1.0) <= 5e-4
