@@ -42,19 +42,21 @@ from collections.abc import Callable
 from dataclasses import asdict, dataclass, field as dc_field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Any
 
 import numpy as np
 
 from . import __version__
 from .analysis import (
+    WINDOW_FRACTION,
     classify_decay_regime,
     convolution_limit_check,
     decay_fit,
     glue_energy_gap,
     pohozaev_check,
 )
-from .grid import Grid, make_grid, write_field_csv
+from .grid import DIMS, Grid, make_grid, write_field_csv
 from .inequalities import (
     check_elementary_p3,
     check_lemma34i,
@@ -84,17 +86,54 @@ __all__ = [
     "main",
 ]
 
-# Every task, with the task.<name>.<key> parameters it reads.
-TASK_KEYS = {
-    "solve": (),
-    "scan_subadd": ("steps",),
-    "decay_fit": ("r1", "r2"),
-    "glue_test": ("gamma1", "gamma2", "n_cells"),
-    "pohozaev": ("mu", "p", "gamma"),
-    "check_inequalities": ("p", "eta", "resolution"),
-    "conv_limit": ("f_rate", "g_rate", "poly_power", "r_values"),
-    "emit_plots": (),
+# The test and rule of a task's own exponent p: validate's subcritical window.
+_SUBCRITICAL = (lambda s: 0.0 < s.p < 2.0 / s.dim, "must lie in (0, 2/N) with N = {s.dim}")
+# Every task, with each task.<name>.<key> it reads as (default, test, rule).
+# default and test take a namespace s of the problem's fields, the run grid's
+# s.n and s.L, s.edge = WINDOW_FRACTION * L and the task's values (a default
+# reads those above it).  A default fixes its key's kind: float, int or a list
+# of either.  A failed test reports rule, formatted with s and wf = WINDOW_FRACTION.
+_TASK_PARAMS: dict[str, dict[str, tuple]] = {
+    "solve": {},
+    "scan_subadd": {"steps": (lambda s: 5, lambda s: s.steps >= 1, "must be an integer >= 1")},
+    "decay_fit": {
+        "r1": (lambda s: 0.15 * s.L, lambda s: 0.0 <= s.r1 < s.r2, "must lie in [0, r2 = {s.r2})"),
+        "r2": (lambda s: 0.35 * s.L, lambda s: s.r1 < s.r2 <= s.edge,
+               "must lie in (r1 = {s.r1}, {wf} L = {s.edge}]"),
+    },
+    "glue_test": {
+        "gamma1": (lambda s: 0.5 * s.alpha1, lambda s: 0.0 <= s.gamma1 <= s.alpha1,
+                   "must lie in [0, {s.alpha1}] (componentwise split of the problem masses)"),
+        "gamma2": (lambda s: 0.5 * s.alpha2, lambda s: 0.0 <= s.gamma2 <= s.alpha2,
+                   "must lie in [0, {s.alpha2}] (componentwise split of the problem masses)"),
+        # any whole numbers of cells: the shifts are periodic
+        "n_cells": (lambda s: [round(f * s.n) for f in (0.125, 0.1875, 0.25)], lambda s: True, ""),
+    },
+    "pohozaev": {
+        "mu": (lambda s: float(s.mu1), lambda s: 0.0 < s.mu < math.inf, "must be finite and > 0"),
+        "p": (lambda s: float(s.p1), *_SUBCRITICAL),
+        "gamma": (lambda s: float(s.alpha1), lambda s: 0.0 <= s.gamma < math.inf,
+                  "must be finite and >= 0"),
+    },
+    "check_inequalities": {
+        "p": (lambda s: float(s.p1), *_SUBCRITICAL),
+        "eta": (lambda s: 0.5 * s.p, lambda s: 0.0 < s.eta < s.p, "must lie in (0, p = {s.p})"),
+        "resolution": (lambda s: 1e-3, lambda s: 0.0 < s.resolution < math.inf,
+                       "must lie in (0, inf)"),
+    },
+    "conv_limit": {
+        "f_rate": (lambda s: 2.0, lambda s: s.g_rate < s.f_rate < math.inf,
+                   "must be finite and > g_rate = {s.g_rate}"),
+        "g_rate": (lambda s: 1.0, lambda s: -math.inf < s.g_rate < s.f_rate,
+                   "must be finite and < f_rate = {s.f_rate}"),
+        "poly_power": (lambda s: 0.0, lambda s: math.isfinite(s.poly_power), "must be finite"),
+        "r_values": (lambda s: [0.125 * s.L, 0.25 * s.L],
+                     lambda s: all(0.0 <= r <= s.edge for r in s.r_values),
+                     "must each lie in [0, {wf} L = {s.edge}]"),
+    },
+    "emit_plots": {},
 }
+TASK_KEYS = {task: tuple(params) for task, params in _TASK_PARAMS.items()}
 TASK_NAMES = tuple(TASK_KEYS)
 SOLVER_TASKS = ("solve", "scan_subadd", "decay_fit", "glue_test", "pohozaev")
 
@@ -222,6 +261,43 @@ class ExperimentConfig:
             return set(self.tasks) & set(SOLVER_TASKS)
         return set(self.required)
 
+    def task_values(self) -> dict[str, dict[str, Any]]:
+        """Every task's parameters: task.<name>.<key> where given, else its default.
+
+        A given value is stored as its default's kind ("mu": 2 reads 2.0) and
+        must pass its test in _TASK_PARAMS, else ValueError names the key.
+        None, "" and [] count as not given, as in the flat format.
+        """
+        grid = self.grid()
+        values = {}
+        for task, params in _TASK_PARAMS.items():
+            given = {key: value for key, value in self.task_params.get(task, {}).items()
+                     if value not in (None, "", [])}
+            s = SimpleNamespace(**vars(self.problem), n=grid.n, L=grid.length,
+                                edge=WINDOW_FRACTION * grid.length)
+            for key, (default, _, _) in params.items():
+                like, name = default(s), f"task.{task}.{key}"
+                setattr(s, key, _as_kind(given[key], like, name) if key in given else like)
+            for key, (_, test, rule) in params.items():
+                if key in given and not test(s):
+                    raise ValueError(f"task.{task}.{key} = {given[key]} "
+                                     + rule.format(s=s, wf=WINDOW_FRACTION))
+            values[task] = {key: getattr(s, key) for key in params}
+        return values
+
+
+def _as_kind(value: Any, like: Any, name: str) -> Any:
+    """value as a value of like's kind: a float takes any number and an int an
+    integer, a bool neither; a list takes one or more values of its first
+    entry's kind.  Otherwise ValueError names name and value."""
+    many = isinstance(like, list)
+    kind = type(like[0] if many else like)
+    items = _as_list(value) if many else [value]
+    if any(isinstance(v, bool) or not isinstance(v, (int, kind)) for v in items):
+        noun = "a number" if kind is float else "an integer"
+        raise ValueError(f"{name} = {value} must be {noun}" + " or a list of them" * many)
+    return [kind(v) for v in items] if many else kind(value)
+
 
 # Near-decoupled symmetric cubic system: total energy is 2 x (-1/96) up
 # to O(beta), a closed-form check for minimal configs.
@@ -269,11 +345,10 @@ def config_from_dict(nested: dict) -> ExperimentConfig:
     An unknown section, problem, grid, run or task key, or task name in
     run.tasks or run.required, raises ValueError naming it, and so do grid.n
     and grid.length unless set together and valid for the problem's
-    dimension, task.scan_subadd.steps unless an integer >= 1,
-    task.check_inequalities.p, eta and resolution unless they lie in
-    (0, inf), (0, p) and (0, inf), task.pohozaev.mu, p and gamma unless
-    they lie in (0, inf), (0, 2/N) and [0, inf), and task.decay_fit.r1 and
-    r2 unless finite.  A bool is not a number here.
+    dimension, and every task.<name>.<key> that ExperimentConfig.task_values
+    rejects (the rules are in _TASK_PARAMS; a bool is not a number there).
+    The task keys are checked only for a dimension in grid.DIMS, so that
+    validate names any other.
     """
     for section, node in nested.items():
         if section not in _SECTIONS:
@@ -313,37 +388,7 @@ def config_from_dict(nested: dict) -> ExperimentConfig:
     task_params = {
         name: dict(params) for name, params in nested.get("task", {}).items()
     }
-    glue = task_params.get("glue_test", {})
-    for key, alpha in (("gamma1", problem.alpha1), ("gamma2", problem.alpha2)):
-        if key in glue and not (0.0 <= float(glue[key]) <= alpha):
-            raise ValueError(
-                f"glue_test.{key} = {glue[key]} must lie in [0, {alpha}] "
-                f"(componentwise split of the problem masses)"
-            )
-    steps = task_params.get("scan_subadd", {}).get("steps", 5)
-    if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
-        raise ValueError(f"task.scan_subadd.steps = {steps} must be an integer >= 1")
-    p_exp = task_params.get("check_inequalities", {}).get("p", problem.p1)
-    # (task, key, test, rule) of every numeric task parameter; p comes before
-    # eta, whose bound it is
-    for task, key, test, rule in (
-        ("check_inequalities", "p", lambda x: 0.0 < x < math.inf, "must lie in (0, inf)"),
-        ("check_inequalities", "eta", lambda x: 0.0 < x < p_exp, f"must lie in (0, p = {p_exp})"),
-        ("check_inequalities", "resolution", lambda x: 0.0 < x < math.inf,
-         "must lie in (0, inf)"),
-        ("pohozaev", "mu", lambda x: 0.0 < x < math.inf, "must be finite and > 0"),
-        ("pohozaev", "p", lambda x: 0.0 < x and x * problem.dim < 2.0,
-         f"must lie in (0, 2/N) with N = {problem.dim}"),
-        ("pohozaev", "gamma", lambda x: 0.0 <= x < math.inf, "must be finite and >= 0"),
-        ("decay_fit", "r1", math.isfinite, "must be a finite number"),
-        ("decay_fit", "r2", math.isfinite, "must be a finite number"),
-    ):
-        params = task_params.get(task, {})
-        value = params.get(key)
-        if key in params and (isinstance(value, bool) or not isinstance(value, (int, float))
-                              or not test(value)):
-            raise ValueError(f"task.{task}.{key} = {value} {rule}")
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         problem=problem,
         solver=solver,
         grid_n=int(grid_node.get("n", 0)),
@@ -353,6 +398,9 @@ def config_from_dict(nested: dict) -> ExperimentConfig:
         required=required,
         task_params=task_params,
     )
+    if problem.dim in DIMS:  # else validate names the dimension
+        cfg.task_values()
+    return cfg
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -419,11 +467,24 @@ def _dumps(obj: Any) -> str:
     return json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n"
 
 
-# The plot CSVs emit_plot_data derives from each result JSON.
-_PLOT_FILES = {
-    "scan_subadd.json": ("subadd_heatmap.csv",),
-    "decay_fit.json": ("decay_fits.csv", "decay_profile_c1.csv", "decay_profile_c2.csv"),
-    "glue_test.json": ("gap_vs_n.csv",),
+# Every plot CSV that emit_plot_data derives, by the result JSON it reads:
+# (name, header, rows), rows a function of the parsed JSON; a row is written as
+# the repr of its entries.
+_PLOTS = {
+    "scan_subadd.json": [("subadd_heatmap.csv", "theta1,theta2,e_inner,e_outer,gap", lambda d: (
+        [pt[k] for k in ("theta1", "theta2", "e_inner", "e_outer", "gap")] for pt in d["points"]
+    ))],
+    "decay_fit.json": [
+        ("decay_fits.csv", "component,r1,r2,rate,poly,expected,r2", lambda d: ([
+            f["component"], *f["window"], f["rate"], f["poly"], f["expected"], f["r_squared"]
+        ] for f in d["fits"])),
+        *((f"decay_profile_c{c}.csv", "r,log_value,fit_value", lambda d, c=c: zip(
+            *(d["fits"][c - 1]["profile"][k] for k in ("r", "log_value", "fit_value"))
+        )) for c in (1, 2)),
+    ],
+    "glue_test.json": [("gap_vs_n.csv", "n,kappa1,kappa2,tau1,tau2,gap", lambda d: (
+        [lg[k] for k in ("n", "kappa1", "kappa2", "tau1", "tau2", "gap")] for lg in d
+    ))],
 }
 
 
@@ -461,7 +522,7 @@ class _OutputTray:
         self.files: dict[str, str] = {}
         out_dir.mkdir(parents=True, exist_ok=True)
         names = _listed_files(out_dir)
-        plots = [csv for name in names for csv in _PLOT_FILES.get(name, ())]
+        plots = [csv for name in names for csv, _, _ in _PLOTS.get(name, ())]
         for name in [*names, *plots, "manifest.json"]:
             (out_dir / name).unlink(missing_ok=True)
 
@@ -506,14 +567,12 @@ class _Runner:
     def __init__(self, cfg: ExperimentConfig, out_dir: Path) -> None:
         self.cfg = cfg
         self.grid = cfg.grid()
+        self.params = cfg.task_values()
         self.tray = _OutputTray(out_dir)
         self.summary: list[str] = []
         self.failed_required: list[str] = []
         self.error: str | None = None
         self._values: dict[str, Any] = {}
-
-    def params(self, task: str) -> dict:
-        return self.cfg.task_params.get(task, {})
 
     def note(self, line: str) -> None:
         self.summary.append(line)
@@ -599,8 +658,7 @@ class _Runner:
         )
 
     def task_scan_subadd(self) -> None:
-        p = self.params("scan_subadd")
-        ticks = np.linspace(0.0, 1.0, p.get("steps", 5)).tolist()
+        ticks = np.linspace(0.0, 1.0, self.params["scan_subadd"]["steps"]).tolist()
         regime = self.cfg.problem.regime
         # In the trapping regime only splits that keep all of u2 are admissible.
         bounded = regime == "both_bounded"
@@ -622,13 +680,9 @@ class _Runner:
         )
 
     def task_decay_fit(self) -> None:
-        p = self.params("decay_fit")
+        p = self.params["decay_fit"]
         res = self.value("solve")
-        length = self.grid.length
-        window = (
-            float(p.get("r1", 0.15 * length)),
-            float(p.get("r2", 0.35 * length)),
-        )
+        window = (p["r1"], p["r2"])
         lam = (res.multipliers.lambda1, res.multipliers.lambda2)
         order = (0, 1) if lam[0] <= lam[1] else (1, 0)
         lo, hi = lam[order[0]], lam[order[1]]
@@ -667,12 +721,9 @@ class _Runner:
             )
 
     def glue_specs(self) -> tuple[ProblemSpec, ProblemSpec]:
-        p = self.params("glue_test")
-        prob = self.cfg.problem
-        gamma1 = float(p.get("gamma1", 0.5 * prob.alpha1))
-        gamma2 = float(p.get("gamma2", 0.5 * prob.alpha2))
-        return prob.with_masses(gamma1, gamma2), prob.without_potentials().with_masses(
-            prob.alpha1 - gamma1, prob.alpha2 - gamma2
+        p, prob = self.params["glue_test"], self.cfg.problem
+        return prob.with_masses(p["gamma1"], p["gamma2"]), prob.without_potentials().with_masses(
+            prob.alpha1 - p["gamma1"], prob.alpha2 - p["gamma2"]
         )
 
     def calc_glue_inner(self):
@@ -682,11 +733,8 @@ class _Runner:
         return minimize(self.glue_specs()[1], config=self.cfg.solver, grid=self.grid)
 
     def task_glue_test(self) -> None:
-        p = self.params("glue_test")
-        n_cells = [int(n) for n in _as_list(p.get("n_cells"))]
-        if not n_cells:
-            n_cells = [int(round(f * self.grid.n)) for f in (0.125, 0.1875, 0.25)]
         inner, outer = self.value("glue_inner"), self.value("glue_outer")
+        n_cells = self.params["glue_test"]["n_cells"]
         ledgers = glue_energy_gap(self.cfg.problem, inner, outer, n_cells)
         payload = [
             {
@@ -708,49 +756,34 @@ class _Runner:
         )
 
     def calc_pohozaev(self):
-        p = self.params("pohozaev")
-        prob = self.cfg.problem
-        mu = float(p.get("mu", prob.mu1))
-        pexp = float(p.get("p", prob.p1))
-        gamma = float(p.get("gamma", prob.alpha1))
-        res = minimize_scalar(
-            mu, pexp, gamma, dim=prob.dim, config=self.cfg.solver, grid=self.grid
-        )
-        return mu, pexp, gamma, res
+        return minimize_scalar(**self.params["pohozaev"], dim=self.cfg.problem.dim,
+                               config=self.cfg.solver, grid=self.grid)
 
     def task_pohozaev(self) -> None:
-        mu, pexp, gamma, res = self.value("pohozaev")
+        p, res = self.params["pohozaev"], self.value("pohozaev")
         lam1 = res.multipliers.lambda1
-        check = pohozaev_check(res.state.u1, lam1, mu, pexp)
-        payload = {
-            "mu": mu,
-            "p": pexp,
-            "gamma": gamma,
-            "lambda": lam1,
-            **asdict(check),
-            "converged": res.converged,
-        }
+        check = pohozaev_check(res.state.u1, lam1, p["mu"], p["p"])
+        payload = {**p, "lambda": lam1, **asdict(check), "converged": res.converged}
         self.tray.write_json("pohozaev.json", payload)
         self.mark("pohozaev", res.converged)
-        self.note(f"pohozaev: residual {check.residual:.3g} at p={pexp}, mu={mu}")
+        self.note(f"pohozaev: residual {check.residual:.3g} at p={p['p']}, mu={p['mu']}")
 
     def calc_check_inequalities(self):
-        """The exponent and the two scans of Lemma 3.4, with their notes."""
-        p = self.params("check_inequalities")
-        p_exp = float(p.get("p", self.cfg.problem.p1))
-        eta = float(p.get("eta", 0.5 * p_exp))
-        c_min = min_constant_34i(p_exp, resolution=float(p.get("resolution", 1e-3)))
+        """The two scans of Lemma 3.4, with their notes."""
+        p = self.params["check_inequalities"]
+        p_exp, eta = p["p"], p["eta"]
+        c_min = min_constant_34i(p_exp, resolution=p["resolution"])
         rep_i = replace(check_lemma34i(p_exp, c_min), min_constant_estimate=c_min)
         c_suf = sufficient_constant_34ii(p_exp, eta)
         c_min_ii = min_constant_34ii(p_exp, eta)
         rep_ii = replace(
             check_lemma34ii(p_exp, eta, c_suf), min_constant_estimate=c_min_ii
         )
-        return p_exp, [("min constant", rep_i), ("sufficient constant", rep_ii)]
+        return [("min constant", rep_i), ("sufficient constant", rep_ii)]
 
     def task_check_inequalities(self) -> None:
-        p_exp, scans = self.value("check_inequalities")
-        reports = [*scans, ("", check_elementary_p3(p_exp))]
+        p_exp = self.params["check_inequalities"]["p"]
+        reports = [*self.value("check_inequalities"), ("", check_elementary_p3(p_exp))]
         payload = [
             {**asdict(rep), "note": note, "violations": len(rep.violations),
              "holds": rep.holds}
@@ -776,14 +809,8 @@ class _Runner:
             )
 
     def calc_conv_limit(self):
-        p = self.params("conv_limit")
-        f_rate = float(p.get("f_rate", 2.0))
-        g_rate = float(p.get("g_rate", 1.0))
-        poly_power = float(p.get("poly_power", 0.0))
-        r_values = [float(r) for r in _as_list(p.get("r_values"))] or [
-            0.125 * self.grid.length,
-            0.25 * self.grid.length,
-        ]
+        p = self.params["conv_limit"]
+        f_rate, g_rate, poly_power = p["f_rate"], p["g_rate"], p["poly_power"]
 
         def f(*coords):
             r = np.sqrt(sum(c**2 for c in coords))
@@ -794,7 +821,7 @@ class _Runner:
             return (1.0 + r) ** (-poly_power) * np.exp(-g_rate * r)
 
         return convolution_limit_check(
-            f, g, poly_power, g_rate, 1.0, self.grid, r_values, f_rate=f_rate
+            f, g, poly_power, g_rate, 1.0, self.grid, p["r_values"], f_rate=f_rate
         )
 
     def task_conv_limit(self) -> None:
@@ -888,62 +915,25 @@ def run(
 def emit_plot_data(out_dir: str | Path) -> list[str]:
     """Derive plot-ready CSVs from the result JSONs a directory's manifest lists.
 
-    Produces subadd_heatmap.csv (theta1,theta2,e_inner,e_outer,gap),
-    decay_fits.csv (component,r1,r2,rate,poly,expected,r2), one
-    decay_profile_c<i>.csv (r,log_value,fit_value) per fitted component,
-    and gap_vs_n.csv (n,kappa1,kappa2,tau1,tau2,gap) for whichever
-    inputs are listed; returns the names written.  A JSON file that
-    manifest.json does not list is not read.
+    Writes the CSVs of _PLOTS (subadd_heatmap.csv, decay_fits.csv,
+    decay_profile_c<i>.csv, gap_vs_n.csv) whose source is listed; returns
+    the names written.  A JSON file that manifest.json does not list is not
+    read.
     """
     return _emit_plots(Path(out_dir), set(_listed_files(Path(out_dir))))
 
 
 def _emit_plots(out: Path, sources) -> list[str]:
-    """emit_plot_data, reading only the JSON files of out named in sources."""
+    """emit_plot_data, reading only the JSON files of out named in sources;
+    writes each one's _PLOTS in table order."""
     written = []
-    scan = out / "scan_subadd.json"
-    if scan.name in sources:
-        data = json.loads(scan.read_text())
-        rows = ["theta1,theta2,e_inner,e_outer,gap"]
-        for pt in data["points"]:
-            rows.append(
-                f"{pt['theta1']!r},{pt['theta2']!r},{pt['e_inner']!r},"
-                f"{pt['e_outer']!r},{pt['gap']!r}"
-            )
-        (out / "subadd_heatmap.csv").write_text("\n".join(rows) + "\n")
-        written.append("subadd_heatmap.csv")
-    decay = out / "decay_fit.json"
-    if decay.name in sources:
-        data = json.loads(decay.read_text())
-        rows = ["component,r1,r2,rate,poly,expected,r2"]
-        for f in data["fits"]:
-            rows.append(
-                f"{f['component']},{f['window'][0]!r},{f['window'][1]!r},"
-                f"{f['rate']!r},{f['poly']!r},{f['expected']!r},{f['r_squared']!r}"
-            )
-        (out / "decay_fits.csv").write_text("\n".join(rows) + "\n")
-        written.append("decay_fits.csv")
-        for f in data["fits"]:
-            prof = f.get("profile")
-            if not prof:
-                continue
-            name = f"decay_profile_c{f['component']}.csv"
-            rows = ["r,log_value,fit_value"]
-            for r, lv, fv in zip(prof["r"], prof["log_value"], prof["fit_value"]):
-                rows.append(f"{r!r},{lv!r},{fv!r}")
-            (out / name).write_text("\n".join(rows) + "\n")
-            written.append(name)
-    glue = out / "glue_test.json"
-    if glue.name in sources:
-        data = json.loads(glue.read_text())
-        rows = ["n,kappa1,kappa2,tau1,tau2,gap"]
-        for lg in data:
-            rows.append(
-                f"{lg['n']},{lg['kappa1']!r},{lg['kappa2']!r},"
-                f"{lg['tau1']!r},{lg['tau2']!r},{lg['gap']!r}"
-            )
-        (out / "gap_vs_n.csv").write_text("\n".join(rows) + "\n")
-        written.append("gap_vs_n.csv")
+    for source, plots in _PLOTS.items():
+        if source in sources:
+            data = json.loads((out / source).read_text())
+            for name, header, rows in plots:
+                lines = [header, *(",".join(map(repr, row)) for row in rows(data))]
+                (out / name).write_text("\n".join(lines) + "\n")
+                written.append(name)
     return written
 
 

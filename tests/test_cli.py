@@ -173,6 +173,17 @@ GRIDLESS_LINES = "".join(
         ("task.decay_fit.r1 = abc\n", "task.decay_fit.r1 = abc"),
         ("task.decay_fit.r2 = -inf\n", "task.decay_fit.r2 = -inf"),
         ("task.decay_fit.r2 = false\n", "task.decay_fit.r2 = False"),
+        ("grid.n = 256\ngrid.length = 32.0\ntask.decay_fit.r1 = 20\n", "task.decay_fit.r1 = 20"),
+        ("task.decay_fit.r1 = 8.0\ntask.decay_fit.r2 = 8.0\n", "task.decay_fit.r1 = 8.0"),
+        ("task.decay_fit.r2 = 30.0\n", "task.decay_fit.r2 = 30.0"),
+        ("task.conv_limit.g_rate = 3\n", "task.conv_limit.g_rate = 3"),
+        ("task.conv_limit.f_rate = 1.0\n", "task.conv_limit.f_rate = 1.0"),
+        ("task.conv_limit.poly_power = nan\n", "task.conv_limit.poly_power = nan"),
+        ("grid.n = 256\ngrid.length = 32.0\ntask.conv_limit.r_values = 100\n",
+         "task.conv_limit.r_values = 100"),
+        ("task.glue_test.n_cells = abc\n", "task.glue_test.n_cells = abc"),
+        ("task.glue_test.gamma1 = true\n", "task.glue_test.gamma1 = True"),
+        ("task.check_inequalities.p = 45\n", "task.check_inequalities.p = 45"),
     ],
     ids=["grid-key", "run-key", "section", "task-name", "length-only", "n-only",
          "bad-length", "bad-n", "task-key", "task-without-keys", "task-scalar",
@@ -180,7 +191,10 @@ GRIDLESS_LINES = "".join(
          "steps-fraction", "steps-zero", "steps-negative", "resolution-zero",
          "resolution-inf", "p-negative", "p-nan", "p-text", "eta-above-p", "eta-zero",
          "mu-zero", "mu-nan", "mu-bool", "pohozaev-p-above", "pohozaev-p-zero",
-         "gamma-negative", "gamma-inf", "r1-text", "r2-inf", "r2-bool"],
+         "gamma-negative", "gamma-inf", "r1-text", "r2-inf", "r2-bool", "r1-above-r2-default",
+         "r1-not-below-r2", "r2-past-window", "g-rate-above-f", "f-rate-at-g",
+         "poly-power-nan", "r-values-past-window", "n-cells-text", "gamma1-bool",
+         "p-above-window"],
 )
 def test_config_rejects_ignored_or_incomplete_keys(tmp_path, capsys, extra, named):
     text = GRIDLESS_LINES + "run.tasks = solve\n" + extra
@@ -203,6 +217,27 @@ def test_config_rejects_glue_masses_outside_split():
     }
     with pytest.raises(ValueError, match="componentwise split"):
         config_from_dict(nested)
+
+
+def test_task_values_default_from_the_problem_and_grid_and_keep_their_kinds():
+    cfg = config_from_dict({
+        "problem": {"mu1": 3, "p1": 0.5, "alpha1": 2},
+        "grid": {"n": 256, "length": 32.0},
+        "task": {"pohozaev": {"mu": 2}, "glue_test": {"n_cells": 5, "gamma2": 1},
+                 "conv_limit": {"r_values": [4, 8.5], "f_rate": []}},
+    })
+    values = cfg.task_values()
+    assert values["pohozaev"] == {"mu": 2.0, "p": 0.5, "gamma": 2.0}
+    assert type(values["pohozaev"]["mu"]) is float and type(values["pohozaev"]["gamma"]) is float
+    assert values["glue_test"] == {"gamma1": 1.0, "gamma2": 1.0, "n_cells": [5]}
+    assert values["decay_fit"] == {"r1": 0.15 * 32.0, "r2": 0.35 * 32.0}
+    assert values["check_inequalities"] == {"p": 0.5, "eta": 0.25, "resolution": 1e-3}
+    # an empty list counts as not given, as the flat format cannot hold it
+    assert values["conv_limit"] == {
+        "f_rate": 2.0, "g_rate": 1.0, "poly_power": 0.0, "r_values": [4.0, 8.5]
+    }
+    assert values["scan_subadd"] == {"steps": 5}
+    assert config_from_dict({}).task_values()["glue_test"]["n_cells"] == [512, 768, 1024]
 
 
 def test_required_tasks_default_excludes_pure_checks():
@@ -377,10 +412,17 @@ def test_unrequired_failure_keeps_exit_zero(tmp_path):
     assert run(cfg_path, out_dir=tmp_path / "out") == 0
 
 
-def test_raising_task_leaves_summary_and_manifest(tmp_path, capsys):
-    cfg_path = write_config(
-        tmp_path, "solve, conv_limit", extra="task.conv_limit.f_rate = 1.0\n"
-    )
+def _diverging_conv_limit(monkeypatch):
+    """Make the conv_limit task raise: its check runs with f_rate = 1.0, the
+    default g_rate, which config_from_dict refuses."""
+    check = cli.convolution_limit_check
+    monkeypatch.setattr(cli, "convolution_limit_check",
+                        lambda *args, **kwargs: check(*args, **{**kwargs, "f_rate": 1.0}))
+
+
+def test_raising_task_leaves_summary_and_manifest(tmp_path, capsys, monkeypatch):
+    _diverging_conv_limit(monkeypatch)
+    cfg_path = write_config(tmp_path, "solve, conv_limit")
     out = tmp_path / "out"
     with pytest.raises(ValueError, match="the limit integral diverges"):
         run(cfg_path, out_dir=out, seed=2)
@@ -502,17 +544,16 @@ def test_check_inequalities_artifacts(tmp_path):
     assert not (out / "violations.csv").exists()
 
 
-def test_check_inequalities_without_a_bracket_exits_with_one_error(tmp_path, capsys):
-    # at p = 100 the L34i scan overflows, and an overflowed point never holds
+def test_check_inequalities_p_outside_the_window_exits_with_one_error(tmp_path, capsys):
+    # at p = 100 the L34i scan would overflow and find no bracket
+    # (tests/test_inequalities.py); the run refuses p before anything is written
     cfg_path = write_config(tmp_path, "check_inequalities",
                             extra="task.check_inequalities.p = 100\n")
     out = tmp_path / "out"
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
     errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
-    assert errors == ["error: no holding constant found up to 1.21e+24"]
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["error"] == "check_inequalities: no holding constant found up to 1.21e+24"
+    assert errors == ["error: task.check_inequalities.p = 100 must lie in (0, 2/N) with N = 1"]
+    assert not out.exists()
 
 
 def test_violations_csv_lists_every_recorded_violation(tmp_path, monkeypatch):

@@ -260,6 +260,14 @@ def test_overflowing_scan_does_not_hold(scan):
     assert not any(math.isfinite(v[-1]) for v in report.violations)
 
 
+def test_threshold_search_without_a_bracket_raises():
+    # at p = 100 the scan overflows, and an overflowed point never holds, so
+    # no holding constant is found in 80 doublings
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=r"^no holding constant found up to 1\.21e\+24$"):
+            min_constant_34i(100.0)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     p=st.floats(min_value=0.1, max_value=2.0),

@@ -300,11 +300,15 @@ def test_cli_run_on_two_cores_writes_the_serial_files(monkeypatch, tmp_path):
 
 def test_cli_side_error_matches_serial(monkeypatch, tmp_path):
     forks = _count_forks(monkeypatch)
+    # conv_limit's check, in the forked worker too, runs with f_rate = 1.0, the
+    # default g_rate, which config_from_dict refuses
+    check = cli.convolution_limit_check
+    monkeypatch.setattr(cli, "convolution_limit_check",
+                        lambda *args, **kwargs: check(*args, **{**kwargs, "f_rate": 1.0}))
     tasks = "solve, pohozaev, conv_limit, check_inequalities"
-    extra = "task.conv_limit.f_rate = 1.0\n"
-    parallel = _cli_run(monkeypatch, tmp_path, 2, tasks, extra)
+    parallel = _cli_run(monkeypatch, tmp_path, 2, tasks)
     assert len(forks) == 2  # the task computations' worker and the u2 write's
-    serial = _cli_run(monkeypatch, tmp_path, 1, tasks, extra)
+    serial = _cli_run(monkeypatch, tmp_path, 1, tasks)
     assert parallel == serial
     assert serial["error"].startswith("ValueError: f decays at rate 1.0")
     assert serial["manifest"]["error"].startswith("conv_limit: f decays at rate 1.0")
