@@ -330,7 +330,7 @@ def overlap_series(
     g = u0.grid
     kappas = []
     for n in n_cells:
-        kappas.append(float(np.real(inner(u0, translate(w0, int(n))))))
+        kappas.append(inner(u0, translate(w0, int(n))))
     d = np.array([n * g.h for n in n_cells])
     k = np.array(kappas)
     usable = k > PROFILE_FLOOR
@@ -395,7 +395,7 @@ def glue_states(
                 f"to the target {alpha[i]}"
             )
         wn = translate(wc, int(n_cells))
-        kappa = float(np.real(inner(uc, wn)))
+        kappa = inner(uc, wn)
         summed = uc.values + wn.values
         norm2 = alpha[i] + 2.0 * kappa
         if alpha[i] == 0.0:

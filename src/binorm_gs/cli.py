@@ -21,8 +21,7 @@ the binorm_gs, numpy and Python versions; the manifest timestamp is the
 only thing that varies between reruns with the same seed.  Both are
 written even when a task raises; the manifest then also names the failing
 task and its error.  A run first removes the files an earlier run's
-manifest in the output directory lists, the plot CSVs derived from them,
-and that manifest.
+manifest in the output directory lists, and that manifest.
 
 Exit codes: 0 success, 1 invalid config, hypothesis violation or a task
 that raised, 2 a required solve failed to converge.
@@ -65,7 +64,7 @@ from .inequalities import (
     min_constant_34ii,
     sufficient_constant_34ii,
 )
-from .model import ProblemSpec, sample_potential, validate
+from .model import PotentialSpec, ProblemSpec, sample_potential, validate
 from .solver import (
     SolverConfig,
     _run_shares,
@@ -82,7 +81,6 @@ __all__ = [
     "load_config",
     "save_config",
     "run",
-    "emit_plot_data",
     "main",
 ]
 
@@ -343,7 +341,10 @@ def config_from_dict(nested: dict) -> ExperimentConfig:
     """Build a validated config from a nested dict, applying defaults.
 
     An unknown section, problem, grid, run or task key, or task name in
-    run.tasks or run.required, raises ValueError naming it, and so do grid.n
+    run.tasks or run.required, raises ValueError naming it, and so does a
+    problem.* or potential*.* number not of its kind in the default problem
+    or potential (an integer dim, any other number a float, a center a list
+    of them; a bool is none of these), and so do grid.n
     and grid.length unless set together and valid for the problem's
     dimension, and every task.<name>.<key> that ExperimentConfig.task_values
     rejects (the rules are in _TASK_PARAMS; a bool is not a number there).
@@ -356,6 +357,12 @@ def config_from_dict(nested: dict) -> ExperimentConfig:
                 f"unknown config section {section!r}; known: {', '.join(_SECTIONS)}"
             )
         _check_keys(section, node, _SECTION_KEYS.get(section))
+    for section, default in (("problem", _DEFAULT_PROBLEM), ("potential1", PotentialSpec.zero()),
+                             ("potential2", PotentialSpec.zero())):
+        for key, value in nested.get(section, {}).items():
+            like = [0.0] if key == "center" else getattr(default, key, None)
+            if isinstance(like, (int, float, list)):  # a number, or a list of them
+                _as_kind(value, like, f"{section}.{key}")
     problem = ProblemSpec.from_dict({
         **_DEFAULT_PROBLEM.to_dict(),
         **nested.get("problem", {}),
@@ -467,7 +474,7 @@ def _dumps(obj: Any) -> str:
     return json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n"
 
 
-# Every plot CSV that emit_plot_data derives, by the result JSON it reads:
+# Every plot CSV that the emit_plots task derives, by the result JSON it reads:
 # (name, header, rows), rows a function of the parsed JSON; a row is written as
 # the repr of its entries.
 _PLOTS = {
@@ -512,18 +519,15 @@ def _listed_files(out_dir: Path) -> list[str]:
 class _OutputTray:
     """Collects written files and their hashes for the manifest.
 
-    An earlier run's manifest.json in out_dir, every file it lists and the
-    plot CSVs emit_plot_data derives from those files are removed first, so
-    the directory holds only this run's files.
+    An earlier run's manifest.json in out_dir and every file it lists are
+    removed first, so the directory holds only this run's files.
     """
 
     def __init__(self, out_dir: Path) -> None:
         self.out_dir = out_dir
         self.files: dict[str, str] = {}
         out_dir.mkdir(parents=True, exist_ok=True)
-        names = _listed_files(out_dir)
-        plots = [csv for name in names for csv, _, _ in _PLOTS.get(name, ())]
-        for name in [*names, *plots, "manifest.json"]:
+        for name in [*_listed_files(out_dir), "manifest.json"]:
             (out_dir / name).unlink(missing_ok=True)
 
     def write_text(self, name: str, text: str) -> Path:
@@ -837,9 +841,15 @@ class _Runner:
         )
 
     def task_emit_plots(self) -> None:
-        written = _emit_plots(self.tray.out_dir, self.tray.files)
-        for name in written:
-            self.tray.add_existing(name)
+        """The _PLOTS CSVs of the result JSONs this run wrote, in table order."""
+        written = []
+        for source, plots in _PLOTS.items():
+            if source in self.tray.files:
+                data = json.loads((self.tray.out_dir / source).read_text())
+                for name, header, rows in plots:
+                    lines = [header, *(",".join(map(repr, row)) for row in rows(data))]
+                    self.tray.write_text(name, "\n".join(lines) + "\n")
+                    written.append(name)
         self.note(f"emit_plots: wrote {', '.join(written) if written else 'nothing'}")
 
     def run_tasks(self, tasks: list[str]) -> None:
@@ -884,9 +894,10 @@ def run(
     """Execute a config's tasks; returns the process exit code.
 
     tasks, out_dir and seed override the config when given.  A potential
-    that cannot be sampled on the run grid (a missing, mismatched or complex
-    table) raises before any file is written.  If a task raises, summary.txt
-    and manifest.json are still written and the error propagates.
+    that cannot be sampled on the run grid (a missing or mismatched table, or
+    one with a nonzero last column) raises before any file is written.  If a
+    task raises, summary.txt and manifest.json are still written and the
+    error propagates.
     """
     cfg = load_config(config_path)
     if seed is not None:
@@ -909,40 +920,14 @@ def run(
 
 
 # ---------------------------------------------------------------------------
-# plot data
-
-
-def emit_plot_data(out_dir: str | Path) -> list[str]:
-    """Derive plot-ready CSVs from the result JSONs a directory's manifest lists.
-
-    Writes the CSVs of _PLOTS (subadd_heatmap.csv, decay_fits.csv,
-    decay_profile_c<i>.csv, gap_vs_n.csv) whose source is listed; returns
-    the names written.  A JSON file that manifest.json does not list is not
-    read.
-    """
-    return _emit_plots(Path(out_dir), set(_listed_files(Path(out_dir))))
-
-
-def _emit_plots(out: Path, sources) -> list[str]:
-    """emit_plot_data, reading only the JSON files of out named in sources;
-    writes each one's _PLOTS in table order."""
-    written = []
-    for source, plots in _PLOTS.items():
-        if source in sources:
-            data = json.loads((out / source).read_text())
-            for name, header, rows in plots:
-                lines = [header, *(",".join(map(repr, row)) for row in rows(data))]
-                (out / name).write_text("\n".join(lines) + "\n")
-                written.append(name)
-    return written
-
-
-# ---------------------------------------------------------------------------
 # command line
 
 
-# One subcommand per task, and run for the config's full task list.
-_SUBCOMMANDS = {**{t.replace("_", "-"): [t] for t in TASK_NAMES}, "run": None}
+# One subcommand per task but emit_plots, which plots the files of its own
+# run, and run for the config's full task list.
+_SUBCOMMANDS = {
+    **{t.replace("_", "-"): [t] for t in TASK_NAMES if t != "emit_plots"}, "run": None
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -953,21 +938,12 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _SUBCOMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--config", required=name != "emit-plots")
+        p.add_argument("--config", required=True)
         p.add_argument("--out", help="output directory (overrides the config)")
-        if name != "emit-plots":
-            p.add_argument("--seed", type=int, help="solver rng seed override")
+        p.add_argument("--seed", type=int, help="solver rng seed override")
     args = parser.parse_args(argv)
 
     try:
-        if args.command == "emit-plots":
-            # Plots only: the run that wrote the directory keeps its manifest.
-            if args.config is None and args.out is None:
-                print("emit-plots needs --config or --out", file=sys.stderr)
-                return 1
-            out = args.out if args.out is not None else load_config(args.config).output_dir
-            emit_plot_data(out)
-            return 0
         return run(
             args.config,
             tasks=_SUBCOMMANDS[args.command],

@@ -10,8 +10,11 @@ self-interaction and cross-interaction pieces:
 The gradient pair (G1, G2) collects the first variations, so that a
 constrained critical point satisfies G_i(u) = -lambda_i u_i; the
 multiplier of a component with mass m_i is recovered as
-lambda_i = -Re<G_i(u), u_i> / m_i and is expected to be positive at
-ground states.
+lambda_i = -<G_i(u), u_i> / m_i.  At a ground state with both potentials
+bounded (case (i)) both multipliers are positive.  In the trapping regime
+(case (ii)) only lambda1 must be: lambda2 carries -int V2 |u2|^2 / m2 <= -1
+from the trap, so it is negative unless the interactions outweigh the trap
+(1D, V2 = 1 + |x|^2, beta = 0.5, masses (1, 0.01): lambda2 = -1.86).
 """
 
 from __future__ import annotations
@@ -56,7 +59,8 @@ class Multipliers:
 
     Components that are absent from a degenerate problem (mass fixed at
     zero) carry nan; for a genuine two-component minimizer both entries
-    are finite and positive.
+    are finite.  Both are positive with bounded potentials; in the trapping
+    regime lambda2 may be negative (see the module docstring).
     """
 
     lambda1: float
@@ -123,7 +127,7 @@ def gradient(
 
     G1 = -lap u1 + V1 u1 - mu1 |u1|^(2 p1) u1 - beta |u1|^(p3-1) |u2|^(p3+1) u1
     and symmetrically for G2.  For any perturbation (v1, v2),
-    (d/dt) E(u + t v) at t = 0 equals sum_i Re<G_i, v_i>.
+    (d/dt) E(u + t v) at t = 0 equals sum_i <G_i, v_i>.
     """
     g = state.grid
     if potentials is None:
@@ -158,14 +162,15 @@ def multipliers(
     spec: ProblemSpec,
     potentials: tuple[Field, Field] | None = None,
 ) -> Multipliers:
-    """Constraint multipliers lambda_i = -Re<G_i(u), u_i> / mass_i.
+    """Constraint multipliers lambda_i = -<G_i(u), u_i> / mass_i.
 
-    At a constrained minimizer both values are expected to be positive.
+    At a constrained minimizer lambda1 is positive, and so is lambda2 with
+    bounded potentials; a trapped lambda2 may be negative.
     A component with zero mass has no multiplier: its entry is nan.
     """
     grad = gradient(state, spec, potentials)
     out = []
     for gi, ui in ((grad.u1, state.u1), (grad.u2, state.u2)):
         mass = norm_sq(ui)
-        out.append(-float(np.real(inner(gi, ui))) / mass if mass > 0.0 else float("nan"))
+        out.append(-inner(gi, ui) / mass if mass > 0.0 else float("nan"))
     return Multipliers(lambda1=out[0], lambda2=out[1])

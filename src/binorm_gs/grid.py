@@ -103,11 +103,12 @@ def _squared_distance(grid: Grid, center: Sequence[float]) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Field:
-    """Scalar field sampled on a grid.
+    """Real scalar field sampled on a grid.
 
-    Values are node-ordered lexicographically (C order).  A field is
-    treated as real when its array dtype is real; imaginary parts are
-    then identically zero by construction.
+    Values are node-ordered lexicographically (C order) and stored as
+    float64.  An array that is not real raises ValueError: the energy sees
+    only |u| and |grad u|, and |grad |u|| <= |grad u| pointwise, so every
+    infimum is attained by a real state.
     """
 
     grid: Grid
@@ -119,13 +120,9 @@ class Field:
             raise ValueError(
                 f"field shape {v.shape} does not match grid shape {self.grid.shape}"
             )
-        if v.dtype not in (np.float64, np.complex128):
-            v = v.astype(np.complex128 if np.iscomplexobj(v) else np.float64)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def real_valued(self) -> bool:
-        return not np.iscomplexobj(self.values)
+        if not np.isrealobj(v):
+            raise ValueError(f"field values must be real, got dtype {v.dtype}")
+        object.__setattr__(self, "values", v.astype(np.float64, copy=False))
 
     def with_values(self, values: np.ndarray) -> "Field":
         return Field(self.grid, values)
@@ -156,8 +153,9 @@ def make_grid(dim: int, n: int, length: float) -> Grid:
     return Grid(dim=dim, n=n, length=length)
 
 
-def integrate(field: Field | np.ndarray, grid: Grid | None = None) -> float | complex:
-    """Integral over the box: cell volume times the node sum.
+def integrate(field: Field | np.ndarray, grid: Grid | None = None) -> float:
+    """Integral of a real field or array over the box: cell volume times the
+    node sum.
 
     Raises
     ------
@@ -172,36 +170,29 @@ def integrate(field: Field | np.ndarray, grid: Grid | None = None) -> float | co
         if grid is None:
             raise ValueError("grid required when integrating a bare array")
         values = field
-    total = values.sum()
+    total = float(values.sum())
     if not np.isfinite(total):
         raise ValueError("integrate: non-finite samples")
-    if not np.iscomplexobj(values):
-        total = float(total)
     return grid.cell_volume * total
 
 
-def inner(f: Field, g: Field) -> complex | float:
-    """L2 pairing <f, g> = integral of conj(f) * g."""
+def inner(f: Field, g: Field) -> float:
+    """L2 pairing <f, g> = integral of f * g."""
     if f.grid != g.grid:
         raise ValueError("fields live on different grids")
-    return integrate(np.conj(f.values) * g.values, f.grid)
+    return integrate(f.values * g.values, f.grid)
 
 
 def norm_sq(f: Field) -> float:
     """Squared L2 norm."""
-    return float(integrate(np.abs(f.values) ** 2, f.grid))
+    return integrate(f.values**2, f.grid)
 
 
 def laplacian(f: Field) -> Field:
-    """Spectral Laplacian, diagonal multiplier -|k|^2."""
+    """Spectral Laplacian, diagonal multiplier -|k|^2 on the half spectrum."""
     g = f.grid
-    if f.real_valued:
-        spec = np.fft.rfftn(f.values)
-        k2r = _rfft_k2(g)
-        out = np.fft.irfftn(-k2r * spec, s=g.shape, axes=tuple(range(g.dim)))
-    else:
-        out = np.fft.ifftn(-g.k2 * np.fft.fftn(f.values))
-    return Field(g, out)
+    spec = np.fft.rfftn(f.values)
+    return Field(g, np.fft.irfftn(-_rfft_k2(g) * spec, s=g.shape, axes=tuple(range(g.dim))))
 
 
 def grad_norm_sq(f: Field) -> float:
@@ -263,16 +254,13 @@ def radial_profile(f: Field) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_field_csv(f: Field, path: str) -> None:
-    """Dump a field to CSV: header line '# dim,n,L', rows 'index,re,im'.
+    """Dump a field to CSV: header line '# dim,n,L', rows 'index,value,0.0'.
 
-    Floats are written with repr so the dump round-trips bit-exactly;
-    real fields get 0.0 as the imaginary part.
+    Floats are written with repr so the dump round-trips bit-exactly.  The
+    constant last column keeps the format of dumps from before fields were
+    real only.
     """
-    flat = np.ravel(f.values)
-    rows = [
-        f"{i},{re!r},{im!r}\n"
-        for i, (re, im) in enumerate(zip(flat.real.tolist(), flat.imag.tolist()))
-    ]
+    rows = [f"{i},{v!r},0.0\n" for i, v in enumerate(np.ravel(f.values).tolist())]
     with open(path, "w", newline="") as fh:
         fh.write(f"# {f.grid.dim},{f.grid.n},{f.grid.length!r}\n")
         fh.write("".join(rows))
@@ -282,9 +270,9 @@ def read_field_csv(path: str) -> Field:
     """Load a field written by write_field_csv.
 
     Every node must appear exactly once.  A malformed header, or a row
-    that does not have three fields, does not parse, or carries an index
-    outside [0, n**dim) or one already seen, raises ValueError naming its
-    line (and index).
+    that does not have three fields, does not parse, has a nonzero last
+    column, or carries an index outside [0, n**dim) or one already seen,
+    raises ValueError naming its line (and index).
     """
     with open(path, newline="") as fh:
         header = fh.readline()
@@ -297,8 +285,7 @@ def read_field_csv(path: str) -> Field:
             raise ValueError(f"{path}, line 1: malformed header {header!r}") from None
         grid = make_grid(dim, n, length)
         size = n**dim
-        re = np.empty(size)
-        im = np.empty(size)
+        values = np.empty(size)
         seen = np.zeros(size, dtype=bool)
         for line, row in enumerate(csv.reader(fh), start=2):
             if not row:
@@ -306,24 +293,23 @@ def read_field_csv(path: str) -> Field:
             where = f"{path}, line {line}"
             if len(row) != 3:
                 raise ValueError(
-                    f"{where}: expected 3 fields 'index,re,im', got {len(row)}"
+                    f"{where}: expected 3 fields 'index,value,0.0', got {len(row)}"
                 )
             try:
-                i = int(row[0])
-                re_i, im_i = float(row[1]), float(row[2])
+                i, value, last = int(row[0]), float(row[1]), float(row[2])
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
+            if last != 0.0:
+                raise ValueError(f"{where}: last column is {row[2]}, not 0: fields are real")
             if not 0 <= i < size:
                 raise ValueError(f"{where}: index {i} outside [0, {size})")
             if seen[i]:
                 raise ValueError(f"{where}: index {i} repeats an earlier row")
             seen[i] = True
-            re[i] = re_i
-            im[i] = im_i
+            values[i] = value
     if not seen.all():
         raise ValueError(
             f"{path}: expected {size} rows, found {int(seen.sum())}; "
             f"index {int(np.argmin(seen))} is missing"
         )
-    values = re if not im.any() else re + 1j * im
     return Field(grid, values.reshape(grid.shape))

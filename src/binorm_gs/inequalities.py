@@ -18,6 +18,11 @@ A scan point is a violation only when the defect drops below
 large arguments, or when it is not finite: a term that overflowed
 leaves nothing to certify.
 
+Every scan takes p in (0, 2), the widest subcritical window (N = 1), and
+raises ValueError naming p outside it.  Far outside it the powers overflow
+and an overflowed point certifies nothing: at p = 45 the four-variable scan
+at its sufficient constant would report 36 violations of a bound that holds.
+
 The four-variable scan never forms the full 2D grid: on its slice the
 defect is evaluated from broadcast x-row and y-column views, a block of
 rows at a time, and gives exactly the results of a whole-grid scan.
@@ -75,6 +80,11 @@ class InequalityReport:
         return not self.violations
 
 
+def _check_p(p: float) -> None:
+    if not 0.0 < p < 2.0:
+        raise ValueError(f"p must lie in (0, 2), the subcritical window for N = 1; got {p}")
+
+
 def _axis(max_value: float, samples: int) -> np.ndarray:
     """Zero plus a log-spaced sweep up to max_value."""
     return np.concatenate(([0.0], np.logspace(-6.0, math.log10(max_value), samples)))
@@ -124,8 +134,7 @@ def check_lemma34i(
 ) -> InequalityReport:
     """Scan the expansion bound on the slice b = 1 (exhaustive by
     homogeneity and symmetry of the defect)."""
-    if not (p > 0):
-        raise ValueError(f"p must be positive, got {p}")
+    _check_p(p)
     a = _axis(a_max, samples)
     d, norm = defect_34i(p, constant, a, 1.0), np.maximum(1.0, (a + 1.0) ** (2.0 * p + 2.0))
     return _report("L34i", {"p": p, "a_max": a_max}, constant, a.size, [(d, norm, (a, 1.0))])
@@ -230,6 +239,7 @@ def check_lemma34ii(
     Each point goes through the same operations as on the full grid, so
     the report equals a whole-grid scan's exactly.
     """
+    _check_p(p)
     if not (0.0 < eta < p):
         raise ValueError(f"need 0 < eta < p, got eta={eta}, p={p}")
     ax = _axis(x_max, samples)
@@ -276,6 +286,7 @@ def sufficient_constant_34ii(p: float, eta: float) -> float:
     matching y threshold; the constant then covers the three compact
     corner regions left over.
     """
+    _check_p(p)
     if not (0.0 < eta < p):
         raise ValueError(f"need 0 < eta < p, got eta={eta}, p={p}")
     q = p + 1.0
@@ -305,8 +316,7 @@ def check_elementary_p3(
 
     Violations are tagged 'lower' or 'upper' by which bound failed.
     """
-    if not (p > 0):
-        raise ValueError(f"p must be positive, got {p}")
+    _check_p(p)
     q = p + 1.0
     a = _axis(a_max, samples)
     norm = np.maximum(1.0, (a + 1.0) ** q)

@@ -235,8 +235,6 @@ def sample_potential(pot: PotentialSpec, grid: Grid) -> Field:
                 f"tabulated potential grid {(f.grid.dim, f.grid.n, f.grid.length)} "
                 f"does not match solve grid {(grid.dim, grid.n, grid.length)}"
             )
-        if not f.real_valued:
-            raise ValueError("tabulated potential must be real")
         return f
     if pot.kind == "zero":
         return Field(grid, np.zeros(grid.shape))

@@ -1,7 +1,7 @@
 """Constrained ground-state solver: projected, preconditioned nonlinear CG.
 
 The minimizer of the energy over the two-mass constraint set is found by
-a projected, preconditioned nonlinear conjugate-gradient method (after
+a projected, preconditioned nonlinear CG method (after
 Antoine, Levitt and Tang, J. Comput. Phys. 343, 2017, and Danaila and
 Protas, SIAM J. Sci. Comput. 39, 2017).  Each component has the
 preconditioned, projected gradient
@@ -514,9 +514,7 @@ def _flow(
     for member in members:
         for c in comps:
             mass = member.masses[c]
-            if np.any(np.imag(member.init[c])):
-                raise ValueError(f"solver: {member.name}: u{c + 1} is not real")
-            values = np.array(np.real(member.init[c]), dtype=np.float64)
+            values = member.init[c]
             if not np.all(np.isfinite(values)):
                 raise _non_finite(values, c, 0, member.name)
             start_mass = cell * float(np.sum(values**2))

@@ -202,16 +202,12 @@ def trapping_matrix() -> dict[str, ProblemSpec]:
 def random_state(
     grid: Grid,
     rng: np.random.Generator,
-    complex_valued: bool = False,
     width: float = 4.0,
 ) -> State:
     """Smooth random two-component state, localized away from the boundary."""
     envelope = np.exp(-grid.radius() ** 2 / (2.0 * width**2))
 
     def field() -> Field:
-        vals = rng.standard_normal(grid.shape)
-        if complex_valued:
-            vals = vals + 1j * rng.standard_normal(grid.shape)
-        return Field(grid, vals * envelope)
+        return Field(grid, rng.standard_normal(grid.shape) * envelope)
 
     return State(field(), field())

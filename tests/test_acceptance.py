@@ -324,7 +324,7 @@ def test_criterion_12_solver_trust_checks(crit1, grid_small, report):
     for _ in range(20):
         direction = random_state(grid_small, rng)
         predicted = float(
-            np.real(inner(grad.u1, direction.u1) + inner(grad.u2, direction.u2))
+            inner(grad.u1, direction.u1) + inner(grad.u2, direction.u2)
         )
         plus = State(
             state.u1.with_values(state.u1.values + eps * direction.u1.values),

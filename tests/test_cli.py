@@ -22,7 +22,6 @@ from binorm_gs.cli import (
     ExperimentConfig,
     config_from_dict,
     config_to_dict,
-    emit_plot_data,
     format_flat,
     load_config,
     main,
@@ -184,6 +183,12 @@ GRIDLESS_LINES = "".join(
         ("task.glue_test.n_cells = abc\n", "task.glue_test.n_cells = abc"),
         ("task.glue_test.gamma1 = true\n", "task.glue_test.gamma1 = True"),
         ("task.check_inequalities.p = 45\n", "task.check_inequalities.p = 45"),
+        ("problem.p1 = abc\n", "problem.p1 = abc must be a number"),
+        ("problem.mu1 = abc\n", "problem.mu1 = abc must be a number"),
+        ("potential1.depth = abc\n", "potential1.depth = abc must be a number"),
+        ("problem.alpha1 = true\n", "problem.alpha1 = True must be a number"),
+        ("potential1.center = 0.0, abc\n",
+         "potential1.center = [0.0, 'abc'] must be a number or a list of them"),
     ],
     ids=["grid-key", "run-key", "section", "task-name", "length-only", "n-only",
          "bad-length", "bad-n", "task-key", "task-without-keys", "task-scalar",
@@ -194,7 +199,8 @@ GRIDLESS_LINES = "".join(
          "gamma-negative", "gamma-inf", "r1-text", "r2-inf", "r2-bool", "r1-above-r2-default",
          "r1-not-below-r2", "r2-past-window", "g-rate-above-f", "f-rate-at-g",
          "poly-power-nan", "r-values-past-window", "n-cells-text", "gamma1-bool",
-         "p-above-window"],
+         "p-above-window", "problem-p1-text", "problem-mu1-text", "potential-depth-text",
+         "problem-alpha1-bool", "potential-center-text"],
 )
 def test_config_rejects_ignored_or_incomplete_keys(tmp_path, capsys, extra, named):
     text = GRIDLESS_LINES + "run.tasks = solve\n" + extra
@@ -379,11 +385,18 @@ def test_run_refuses_non_finite_mass(tmp_path, capsys):
             "potential2.kind = tabulated\npotential2.samples_path = nope.csv\n",
             "error: [Errno 2] No such file or directory: 'nope.csv'",
         ),
+        (
+            "potential2.kind = tabulated\npotential2.samples_path = v2.csv\n",
+            "error: v2.csv, line 2: last column is 1.0, not 0: fields are real",
+        ),
     ],
-    ids=["center-length", "missing-table"],
+    ids=["center-length", "missing-table", "nonzero-last-column"],
 )
 def test_run_refuses_unsampleable_potential(tmp_path, capsys, monkeypatch, extra, message):
     monkeypatch.chdir(tmp_path)
+    # a table on the run grid whose first row has a nonzero last column
+    rows = [f"{i},0.0,{1.0 if i == 0 else 0.0}\n" for i in range(256)]
+    (tmp_path / "v2.csv").write_text("# 1,256,32.0\n" + "".join(rows))
     cfg_path = write_config(tmp_path, "solve, scan_subadd", extra=extra)
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
@@ -618,28 +631,6 @@ def test_emit_plots_derives_csvs(tmp_path):
     assert "subadd_heatmap.csv" in manifest["files"]
 
 
-def test_emit_plots_standalone_on_existing_dir(tmp_path):
-    cfg_path = write_config(tmp_path, "solve, scan_subadd",
-                            extra="task.scan_subadd.steps = 2\n")
-    out = tmp_path / "out"
-    assert run(cfg_path, out_dir=out) == 0
-    written = emit_plot_data(out)
-    assert "subadd_heatmap.csv" in written
-
-
-def test_emit_plots_leaves_the_run_record_alone(tmp_path):
-    out = tmp_path / "out"
-    cfg_path = write_config(tmp_path, "solve, scan_subadd",
-                            extra=f"task.scan_subadd.steps = 2\nrun.output_dir = {out}\n")
-    assert main(["run", "--config", str(cfg_path)]) == 0
-    record = {name: (out / name).read_bytes() for name in ("manifest.json", "summary.txt")}
-    assert len(json.loads(record["manifest.json"])["files"]) == 6
-    assert main(["emit-plots", "--config", str(cfg_path)]) == 0
-    assert {name: (out / name).read_bytes() for name in record} == record
-    heat = (out / "subadd_heatmap.csv").read_text().splitlines()
-    assert heat[0] == "theta1,theta2,e_inner,e_outer,gap" and len(heat) == 4
-
-
 def test_emit_plots_task_reads_only_its_own_run(tmp_path):
     out = tmp_path / "out"
     first = write_config(tmp_path, "solve, scan_subadd, emit_plots",
@@ -666,27 +657,6 @@ def test_rerun_removes_the_earlier_runs_files(tmp_path):
         [*manifest["files"], "manifest.json", "notes.txt"]
     )
     assert not (out / "scan_subadd.json").exists()
-    # so plotting the directory finds no scan to plot
-    assert main(["emit-plots", "--out", str(out)]) == 0
-    assert not (out / "subadd_heatmap.csv").exists()
-
-
-def test_rerun_removes_the_plots_derived_from_the_earlier_runs_files(tmp_path):
-    out = tmp_path / "out"
-    first = write_config(tmp_path, "solve, decay_fit")
-    assert run(first, out_dir=out) == 0
-    assert main(["emit-plots", "--out", str(out)]) == 0
-    plots = ["decay_fits.csv", "decay_profile_c1.csv", "decay_profile_c2.csv"]
-    assert all((out / name).exists() for name in plots)
-    fit = (out / "decay_fit.json").read_text()
-    second = write_config(tmp_path, "solve", name="second.txt")
-    assert run(second, out_dir=out) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert sorted(p.name for p in out.iterdir()) == sorted([*manifest["files"], "manifest.json"])
-    # a result JSON that the manifest does not list is not plotted
-    (out / "decay_fit.json").write_text(fit)
-    assert emit_plot_data(out) == []
-    assert not any((out / name).exists() for name in plots)
 
 
 @pytest.mark.parametrize(
@@ -719,10 +689,11 @@ def test_main_subcommands(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["solve", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert (out / "solve.json").exists()
-    # standalone plot emission needs one of --config / --out
-    assert main(["emit-plots", "--out", str(out)]) == 0
-    assert main(["emit-plots"]) == 1
-    assert "needs --config or --out" in capsys.readouterr().err
+    # plots come from the emit_plots task of a run, not a subcommand
+    with pytest.raises(SystemExit) as info:
+        main(["emit-plots", "--config", str(cfg_path), "--out", str(out)])
+    assert info.value.code == 2
+    assert "invalid choice: 'emit-plots'" in capsys.readouterr().err
 
 
 def test_main_reports_readable_errors(tmp_path, capsys):

@@ -44,14 +44,16 @@ def test_zero_state_has_zero_energy(grid_1d):
 
 
 def test_energy_invariant_under_global_phase(grid_small, rng):
-    state = random_state(grid_small, rng, complex_valued=True)
+    # a real field's global phases are the signs +1 and -1
+    state = random_state(grid_small, rng)
     spec = replace(wells_spec(), p1=0.7, p2=0.9, p3=0.8, mu2=2.0)
     base = energy(state, spec).total
-    rotated = State(
-        state.u1.with_values(np.exp(1j * 0.73) * state.u1.values),
-        state.u2.with_values(np.exp(1j * 2.11) * state.u2.values),
-    )
-    assert energy(rotated, spec).total == pytest.approx(base, rel=1e-12)
+    for s1, s2 in ((-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)):
+        flipped = State(
+            state.u1.with_values(s1 * state.u1.values),
+            state.u2.with_values(s2 * state.u2.values),
+        )
+        assert energy(flipped, spec).total == pytest.approx(base, rel=1e-12)
 
 
 def test_scalar_energy_scaling_split(grid_1d):
@@ -92,7 +94,7 @@ def test_energy_report_decomposition_on_random_states():
     v2 = sample_potential(spec.v2, g)
     rng = np.random.default_rng(7)
     for _ in range(1000):
-        state = random_state(g, rng, complex_valued=True)
+        state = random_state(g, rng)
         rep = energy(state, spec, potentials=(v1, v2))
         parts = (
             rep.kinetic1 + rep.kinetic2 + rep.potential1 + rep.potential2
@@ -118,7 +120,7 @@ def test_energy_report_decomposition_on_random_states():
 def test_modulus_never_increases_energy(grid_small, rng):
     spec = replace(wells_spec(), p3=0.8)
     for _ in range(25):
-        state = random_state(grid_small, rng, complex_valued=True)
+        state = random_state(grid_small, rng)
         rectified = State(
             state.u1.with_values(np.abs(state.u1.values)),
             state.u2.with_values(np.abs(state.u2.values)),
@@ -162,9 +164,7 @@ def test_gradient_matches_finite_differences(grid_small, rng):
     eps = 1e-5
     for _ in range(50):
         direction = random_state(grid_small, rng)
-        predicted = float(
-            np.real(inner(grad.u1, direction.u1) + inner(grad.u2, direction.u2))
-        )
+        predicted = inner(grad.u1, direction.u1) + inner(grad.u2, direction.u2)
         plus = State(
             state.u1.with_values(state.u1.values + eps * direction.u1.values),
             state.u2.with_values(state.u2.values + eps * direction.u2.values),
@@ -198,7 +198,7 @@ def test_gradient_decouples_at_zero_coupling(grid_small, rng):
 
 
 def test_constraint_values_track_masses(grid_small, rng):
-    state = random_state(grid_small, rng, complex_valued=True)
+    state = random_state(grid_small, rng)
     q1, q2 = state.masses()
     assert q1 == pytest.approx(norm_sq(state.u1), abs=1e-13)
     assert q2 == pytest.approx(norm_sq(state.u2), abs=1e-13)
@@ -226,13 +226,13 @@ def test_multipliers_phase_invariant(grid_1d):
     state = State(w, w)
     spec = replace(symmetric_cubic(), beta=0.0)
     base = multipliers(state, spec)
-    rotated = State(
-        w.with_values(np.exp(1j * 0.4) * w.values),
-        w.with_values(np.exp(1j * 1.9) * w.values),
-    )
-    rot = multipliers(rotated, spec)
-    assert rot.lambda1 == pytest.approx(base.lambda1, rel=1e-12)
-    assert rot.lambda2 == pytest.approx(base.lambda2, rel=1e-12)
+    # a real field's global phases are the signs +1 and -1
+    for s1, s2 in ((-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)):
+        flipped = multipliers(
+            State(w.with_values(s1 * w.values), w.with_values(s2 * w.values)), spec
+        )
+        assert flipped.lambda1 == pytest.approx(base.lambda1, rel=1e-12)
+        assert flipped.lambda2 == pytest.approx(base.lambda2, rel=1e-12)
 
 
 def test_multipliers_nan_for_zero_mass(grid_1d):
@@ -242,7 +242,7 @@ def test_multipliers_nan_for_zero_mass(grid_1d):
     assert math.isnan(lam.lambda2)
     # the present component's multiplier is the one it has on its own
     g1 = gradient(state, spec).u1
-    assert lam.lambda1 == -float(np.real(inner(g1, state.u1))) / norm_sq(state.u1)
+    assert lam.lambda1 == -inner(g1, state.u1) / norm_sq(state.u1)
     assert abs(lam.lambda1 - soliton_multiplier_p1(1.0, 1.0)) < 1e-4
     swapped = multipliers(State(state.u2, state.u1), spec)
     assert math.isnan(swapped.lambda1)

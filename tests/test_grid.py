@@ -50,7 +50,7 @@ def test_make_grid_rejects_bad_sizes():
 
 def test_plane_wave_is_laplacian_eigenfunction(grid_1d):
     k = 2.0 * np.pi * 7 / grid_1d.length
-    f = Field(grid_1d, np.exp(1j * k * grid_1d.axes[0]))
+    f = Field(grid_1d, np.cos(k * grid_1d.axes[0]))
     lap = laplacian(f)
     # sampling roundoff leaks into high modes and gets multiplied by |k|^2
     # there, so normalize the error by the largest spectral multiplier
@@ -80,10 +80,10 @@ def test_laplacian_is_symmetric(grid_small, rng):
 
 
 def test_grad_norm_matches_plane_wave(grid_1d):
-    # Parseval: |grad e^{ikx}|^2 integrates to k^2 L
+    # Parseval: |grad cos(kx)|^2 integrates to k^2 L / 2
     k = 2.0 * np.pi * 5 / grid_1d.length
-    f = Field(grid_1d, np.exp(1j * k * grid_1d.axes[0]))
-    expected = k**2 * grid_1d.length
+    f = Field(grid_1d, np.cos(k * grid_1d.axes[0]))
+    expected = 0.5 * k**2 * grid_1d.length
     assert abs(grad_norm_sq(f) - expected) / expected < 1e-12
 
 
@@ -120,11 +120,12 @@ def test_integrate_rejects_non_finite(grid_small):
         integrate(bad, grid_small)
 
 
-def test_inner_is_conjugate_in_first_slot(grid_small, rng):
-    f = Field(grid_small, rng.standard_normal(grid_small.shape) * 1j + 1.0)
+def test_inner_is_symmetric(grid_small, rng):
+    f = Field(grid_small, rng.standard_normal(grid_small.shape) + 1.0)
     g = Field(grid_small, rng.standard_normal(grid_small.shape))
-    assert inner(f, g) == pytest.approx(np.conj(inner(g, f)))
-    assert norm_sq(f) == pytest.approx(inner(f, f).real)
+    assert isinstance(inner(f, g), float)
+    assert inner(f, g) == inner(g, f)
+    assert norm_sq(f) == inner(f, f)
 
 
 @pytest.mark.parametrize("dim, n", [(1, 64), (2, 16)])
@@ -212,11 +213,7 @@ def test_radial_profile_2d_shells(grid_2d_small):
 
 
 def test_field_csv_round_trip_bit_exact(tmp_path, grid_small, rng):
-    f = Field(
-        grid_small,
-        rng.standard_normal(grid_small.shape)
-        + 1j * rng.standard_normal(grid_small.shape),
-    )
+    f = Field(grid_small, rng.standard_normal(grid_small.shape))
     path = tmp_path / "field.csv"
     write_field_csv(f, str(path))
     back = read_field_csv(str(path))
@@ -230,7 +227,7 @@ def test_field_csv_real_round_trip(tmp_path):
     path = tmp_path / "field2d.csv"
     write_field_csv(f, str(path))
     back = read_field_csv(str(path))
-    assert np.array_equal(back.values.real, f.values)
+    assert np.array_equal(back.values, f.values)
 
 
 def test_read_field_csv_rejects_missing_header(tmp_path):
@@ -264,20 +261,6 @@ def test_field_csv_text_format(tmp_path):
         "6,1e+300,0.0\n"
         "7,123456789.0,0.0\n"
     )
-    cplx = np.zeros(8, dtype=complex)
-    cplx[0] = complex(1.0 / 3.0, -0.0)
-    cplx[1] = complex(-0.0, 5e-324)
-    cplx[2] = complex(2.0, -1e-7)
-    path = tmp_path / "complex.csv"
-    write_field_csv(Field(g, cplx), str(path))
-    lines = path.read_text().splitlines()
-    assert lines[:4] == [
-        "# 1,8,4.0",
-        "0,0.3333333333333333,-0.0",
-        "1,-0.0,5e-324",
-        "2,2.0,-1e-07",
-    ]
-    assert lines[4:] == [f"{i},0.0,0.0" for i in range(3, 8)]
 
 
 def _csv_rows(rows):
@@ -313,6 +296,11 @@ def _csv_rows(rows):
             [f"{i},1.0,0.0" for i in range(7)] + ["7,one,0.0"],
             r"line 9: could not convert",
         ),
+        # a field is real, so every row's last column is zero
+        (
+            [f"{i},1.0,0.0" for i in range(5)] + ["5,1.0,-1e-07", "6,1.0,0.0", "7,1.0,0.0"],
+            r"line 7: last column is -1e-07, not 0",
+        ),
         (
             [f"{i},1.0,0.0" for i in range(8) if i != 5],
             r"found 7; index 5 is missing",
@@ -320,7 +308,7 @@ def _csv_rows(rows):
     ],
     ids=[
         "repeat", "negative", "past-end", "short-row", "long-row", "non-numeric",
-        "missing",
+        "nonzero-last-column", "missing",
     ],
 )
 def test_read_field_csv_rejects_bad_rows(tmp_path, rows, message):
@@ -333,3 +321,10 @@ def test_read_field_csv_rejects_bad_rows(tmp_path, rows, message):
 def test_field_rejects_wrong_shape(grid_small):
     with pytest.raises(ValueError):
         Field(grid_small, np.zeros(grid_small.n + 1))
+
+
+def test_field_stores_real_values_as_float64(grid_small):
+    ones = np.ones(grid_small.shape)
+    assert Field(grid_small, ones).values is ones
+    assert Field(grid_small, ones.astype(np.float32)).values.dtype == np.float64
+    assert Field(grid_small, ones.astype(int)).values.dtype == np.float64

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from binorm_gs.inequalities import (
     MAX_RECORDED,
     SLACK,
+    _bisect_constant,
     check_elementary_p3,
     check_lemma34i,
     check_lemma34ii,
@@ -70,7 +71,7 @@ def test_expansion_threshold_half():
     assert abs(again - c) <= 2e-3
 
 
-@pytest.mark.parametrize("p", [0.3, 0.5, 1.0, 1.5, 2.0])
+@pytest.mark.parametrize("p", [0.3, 0.5, 1.0, 1.5, 1.9])
 def test_expansion_threshold_brackets(p):
     c = min_constant_34i(p)
     assert math.isfinite(c)
@@ -246,12 +247,14 @@ def test_elementary_bounds_reject_bad_exponent():
 
 @pytest.mark.parametrize(
     "scan",
-    [lambda: check_lemma34i(100.0, 0.0), lambda: check_elementary_p3(200.0)],
+    [lambda: check_lemma34i(1.0, 0.0, a_max=1e200),
+     lambda: check_elementary_p3(1.0, a_max=1e200)],
     ids=["L34i", "elementary"],
 )
 def test_overflowing_scan_does_not_hold(scan):
-    # Past a ~ 32 the leading power overflows: the defect is inf, then nan,
-    # and certifies nothing.  Every finite point holds.
+    # Past a ~ 1e77 (L34i) or 1e154 (elementary) the leading power
+    # overflows: the defect is nan and certifies nothing.  Every finite
+    # point holds.
     with np.errstate(over="ignore", invalid="ignore"):
         report = scan()
     assert not report.holds
@@ -261,11 +264,29 @@ def test_overflowing_scan_does_not_hold(scan):
 
 
 def test_threshold_search_without_a_bracket_raises():
-    # at p = 100 the scan overflows, and an overflowed point never holds, so
-    # no holding constant is found in 80 doublings
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match=r"^no holding constant found up to 1\.21e\+24$"):
-            min_constant_34i(100.0)
+    # a bound that holds for no constant: 80 doublings find no bracket
+    with pytest.raises(ValueError, match=r"^no holding constant found up to 1\.21e\+24$"):
+        _bisect_constant(lambda c: False, 1e-3)
+
+
+@pytest.mark.parametrize("p", [0.0, -1.0, 2.0, 45.0, math.nan])
+@pytest.mark.parametrize(
+    "scan",
+    [
+        lambda p: check_lemma34i(p, 0.0),
+        lambda p: min_constant_34i(p),
+        lambda p: check_lemma34ii(p, 0.5 * p, 1.0),
+        lambda p: min_constant_34ii(p, 0.5 * p),
+        lambda p: sufficient_constant_34ii(p, 0.5 * p),
+        lambda p: check_elementary_p3(p),
+    ],
+    ids=["L34i", "min-L34i", "L34ii", "min-L34ii", "sufficient-L34ii", "elementary"],
+)
+def test_scans_refuse_p_outside_the_subcritical_window(scan, p):
+    # from p = 45 the L34ii scan at its sufficient constant overflowed into
+    # 36 false violations; (0, 2) is the subcritical window for N = 1
+    with pytest.raises(ValueError, match=r"^p must lie in \(0, 2\).*; got "):
+        scan(p)
 
 
 @settings(max_examples=50, deadline=None)

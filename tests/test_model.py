@@ -193,7 +193,7 @@ def test_energy_refuses_a_shifted_potential(grid_small, rng):
 
 
 def test_state_masses_match_norms(grid_small, rng):
-    st_ = random_state(grid_small, rng, complex_valued=True)
+    st_ = random_state(grid_small, rng)
     m1, m2 = st_.masses()
     assert m1 == pytest.approx(norm_sq(st_.u1), abs=0.0)
     assert m2 == pytest.approx(norm_sq(st_.u2), abs=0.0)

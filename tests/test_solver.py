@@ -299,6 +299,19 @@ def test_trapped_regime_converges_with_positive_multipliers():
     assert res.multipliers.lambda2 > 0.0
 
 
+def test_trapped_multiplier_is_negative_when_the_trap_dominates():
+    # a small trapped mass feels the trap V2 >= 1 more than the coupling:
+    # lambda2 reads -1.861 (lambda1 0.442), so only lambda1 must be positive
+    spec = replace(
+        wells_spec(), alpha2=0.01, v2=PotentialSpec.harmonic_trap(stiffness=1.0),
+        regime="trapping",
+    )
+    cfg = SolverConfig(multi_start=2, tol_residual=1e-10)
+    res = minimize(spec, config=cfg, grid=make_grid(1, 512, 32.0))
+    assert res.converged
+    assert res.multipliers.lambda2 < 0.0 < res.multipliers.lambda1
+
+
 @pytest.mark.parametrize(
     "name, spec",
     [*bounded_matrix().items(), *trapping_matrix().items()],
@@ -336,21 +349,21 @@ def test_nan_in_a_batched_start_names_the_start():
 @pytest.mark.parametrize(
     "component, make, message",
     [
-        (0, lambda b: (1.0 + 0.5j) * b, r"start 0: u1 is not real$"),
-        (0, lambda b: 1j * b, r"start 0: u1 is not real$"),
+        (0, lambda b: (1.0 + 0.5j) * b, r"^field values must be real, got dtype complex128$"),
+        (0, lambda b: 1j * b, r"^field values must be real, got dtype complex128$"),
         (1, np.zeros_like, r"start 0: u2 has zero mass and cannot be rescaled to mass 1\.0$"),
     ],
     ids=["complex", "imaginary", "zero"],
 )
 def test_bad_init_component_fails_fast(component, make, message):
-    # the solver steps real fields, so a complex start is an error rather
-    # than cut to its real part
+    # fields are real, so a complex start is refused when its Field is made
+    # rather than cut to its real part
     grid = make_grid(1, 512, 32.0)
     bump = np.exp(-grid.radius() ** 2 / 8.0)
     pair = [bump, bump]
     pair[component] = make(bump)
-    init = State(Field(grid, pair[0]), Field(grid, pair[1]))
     with pytest.raises(ValueError, match=message):
+        init = State(Field(grid, pair[0]), Field(grid, pair[1]))
         minimize(wells_spec(), config=QUICK, grid=grid, init=init)
 
 
