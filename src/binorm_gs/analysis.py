@@ -21,8 +21,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .energy import energy, grad_norm_sq
+from .energy import energy
 from .grid import Field, Grid, State, inner, integrate, norm_sq, radial_profile, translate
+from .grid import grad_norm_sq
 from .model import ProblemSpec
 from .solver import SolveResult
 

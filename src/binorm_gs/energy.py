@@ -15,6 +15,10 @@ bounded (case (i)) both multipliers are positive.  In the trapping regime
 (case (ii)) only lambda1 must be: lambda2 carries -int V2 |u2|^2 / m2 <= -1
 from the trap, so it is negative unless the interactions outweigh the trap
 (1D, V2 = 1 + |x|^2, beta = 0.5, masses (1, 0.01): lambda2 = -1.86).
+
+E and the force V u - f(u) of G = -lap u + V u - f(u) are written once, in
+_Kernel, for stacks of states: the solver's flow steps its batches with it,
+and energy(), gradient() and multipliers() apply it to one state.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, State, grad_norm_sq, inner, integrate, laplacian, norm_sq
+from .grid import Field, Grid, State, _rfft_k2, _rfft_weights, inner, laplacian, norm_sq
 from .model import ProblemSpec, sample_potential
 
 __all__ = [
@@ -39,8 +43,8 @@ __all__ = [
 class EnergyReport:
     """Itemized energy of a two-component state.
 
-    total always equals kinetic1 + kinetic2 + potential1 + potential2
-    - self1 - self2 - cross; it is stored for readability of dumps.
+    total = kinetic1 + kinetic2 + potential1 - self1 + potential2 - self2 - cross,
+    summed in that order (the flow's); it is stored for readability of dumps.
     """
 
     kinetic1: float
@@ -70,42 +74,6 @@ class Multipliers:
         return (self.lambda1, self.lambda2)
 
 
-def _abs_power_integral(f: Field, exponent: float) -> float:
-    return float(integrate(np.abs(f.values) ** exponent, f.grid))
-
-
-def energy(
-    state: State,
-    spec: ProblemSpec,
-    potentials: tuple[Field, Field] | None = None,
-) -> EnergyReport:
-    """Itemized energy of a state under a problem specification.
-
-    potentials, if given, must be the two sampled potential fields on the
-    state's grid; otherwise they are sampled from ``spec``.
-    """
-    g = state.grid
-    if potentials is None:
-        potentials = (sample_potential(spec.v1, g), sample_potential(spec.v2, g))
-    v1, v2 = potentials
-    kin1 = 0.5 * grad_norm_sq(state.u1)
-    kin2 = 0.5 * grad_norm_sq(state.u2)
-    pot1 = 0.5 * float(integrate(v1.values * np.abs(state.u1.values) ** 2, g))
-    pot2 = 0.5 * float(integrate(v2.values * np.abs(state.u2.values) ** 2, g))
-    self1 = spec.mu1 / (2.0 * spec.p1 + 2.0) * _abs_power_integral(
-        state.u1, 2.0 * spec.p1 + 2.0
-    )
-    self2 = spec.mu2 / (2.0 * spec.p2 + 2.0) * _abs_power_integral(
-        state.u2, 2.0 * spec.p2 + 2.0
-    )
-    cross = spec.beta / (spec.p3 + 1.0) * float(integrate(
-        np.abs(state.u1.values) ** (spec.p3 + 1.0)
-        * np.abs(state.u2.values) ** (spec.p3 + 1.0), g
-    ))
-    total = kin1 + kin2 + pot1 + pot2 - self1 - self2 - cross
-    return EnergyReport(kin1, kin2, pot1, pot2, self1, self2, cross, total)
-
-
 def _signed_power(values: np.ndarray, magnitude: np.ndarray, q: float) -> np.ndarray:
     """|u|^q u with the q < 0 singularity at u = 0 removed (limit value 0)."""
     if q == 0:
@@ -118,6 +86,145 @@ def _signed_power(values: np.ndarray, magnitude: np.ndarray, q: float) -> np.nda
     return out
 
 
+def _non_finite(values: np.ndarray, component: int) -> str:
+    """Message naming the first node where a component's values are not
+    finite; if all are finite (a squared sum overflowed), the largest one's."""
+    flat = np.flatnonzero(~np.isfinite(values))
+    index = int(flat[0]) if flat.size else int(np.argmax(np.abs(values)))
+    node = tuple(int(j) for j in np.unravel_index(index, values.shape))
+    return f"non-finite value in u{component + 1} at node {node}"
+
+
+class _Kernel:
+    """E and the force V u - f(u) of stacked states, on the real-FFT half spectrum.
+
+    Built from a grid, a problem, its two sampled potentials as arrays and
+    comps, the components the states carry.  Every per-component list holds
+    one stack per carried component, of fields (one row per state) or their
+    rfftn spectra.  Every reduction is taken row by row into Python floats,
+    so each row gets the arithmetic of a stack of one.
+    """
+
+    def __init__(
+        self, grid: Grid, spec: ProblemSpec, pots: tuple[np.ndarray, np.ndarray], comps: list[int]
+    ) -> None:
+        self.comps, self.pair, self.shape = comps, len(comps) == 2, grid.shape
+        self.axes = tuple(range(1, grid.dim + 1))
+        self.cell = cell = grid.cell_volume
+        self.spectral_scale = cell / grid.n**grid.dim
+        # Per-grid arrays carry a leading axis of length 1, so that with one
+        # row every operation meets arrays of equal shape.  Complex copies
+        # scale complex spectra without a cast on every call, to the same
+        # bits; without them an n = 4096 soliton solve takes 2.8% more CPU time.
+        self.k2 = _rfft_k2(grid)[None]
+        self.wgt = _rfft_weights(grid)[None]
+        self.wk2 = self.wgt * self.k2
+        self.k2_c, self.wgt_c = self.k2.astype(complex), self.wgt.astype(complex)
+        self.v = [pots[c][None] for c in comps]
+        # Where a potential is 0 everywhere its energy term is an exact +0.0,
+        # and adding it would change no sum but -0.0, so it is skipped: that
+        # saves 3.6% of an n = 4096 soliton solve's CPU time.
+        self.has_potential = [bool(np.any(v)) for v in self.v]
+        self.mu = [(spec.mu1, spec.mu2)[c] for c in comps]
+        self.pw = [(2.0 * spec.p1, 2.0 * spec.p2)[c] for c in comps]
+        self.beta, self.q3, self.s3 = spec.beta, spec.p3 + 1.0, spec.p3 - 1.0
+        # E's factors of the row sums of V u^2, |u|^(2 p + 2) and |u1 u2|^(p3+1)
+        self.pot_coef = 0.5 * cell
+        self.self_coef = [m / (p + 2.0) * cell for m, p in zip(self.mu, self.pw)]
+        self.cross_coef = spec.beta / self.q3 * cell
+
+    def total(self, x: np.ndarray) -> list[float]:
+        """Row sums of a stack."""
+        return np.add.reduce(x, axis=self.axes).tolist()
+
+    def kinetic(self, spectra: np.ndarray) -> list[float]:
+        """Per-row 1/2 int |grad u|^2, by Parseval over the half spectrum."""
+        scale = 0.5 * self.spectral_scale
+        return [scale * s for s in self.total(self.wk2 * np.abs(spectra) ** 2)]
+
+    def energies(
+        self, u: list, sq: list, kin: list[list[float]], parts: dict | None = None
+    ) -> list[float]:
+        """Per-row energies of the fields u, given their squares sq and their
+        per-row kinetic energies kin: each row sums its kinetic energies, each
+        component's potential and self terms, then the cross term.  parts, if
+        given, receives row 0's terms under EnergyReport's field names."""
+        total = self.total
+        e = [a + b for a, b in zip(*kin)] if self.pair else list(kin[0])
+        mag = list(map(np.abs, u))
+        for i, c in enumerate(self.comps):
+            if self.has_potential[i]:
+                pot = total(self.v[i] * sq[i])
+                for m, s in enumerate(pot):
+                    e[m] += self.pot_coef * s
+                if parts is not None:
+                    parts[f"potential{c + 1}"] = self.pot_coef * pot[0]
+            coef = self.self_coef[i]
+            own = total(mag[i] ** (self.pw[i] + 2.0))
+            for m, s in enumerate(own):
+                e[m] -= coef * s
+            if parts is not None:
+                parts[f"kinetic{c + 1}"], parts[f"self{c + 1}"] = kin[i][0], coef * own[0]
+        if self.pair:
+            cross = total(mag[0] ** self.q3 * mag[1] ** self.q3)
+            for m, s in enumerate(cross):
+                e[m] -= self.cross_coef * s
+            if parts is not None:
+                parts["cross"] = self.cross_coef * cross[0]
+        return e
+
+    def forces(self, u: list) -> list:
+        """V u - f(u) per carried component, with the nonlinear force
+        f_i = mu_i |u_i|^(2 p_i) u_i + beta |u_j|^(p3+1) |u_i|^(p3-1) u_i."""
+        mag = list(map(np.abs, u))
+        f = [mu * m**pw * x for mu, pw, m, x in zip(self.mu, self.pw, mag, u)]
+        if self.pair:
+            f[0] += self.beta * mag[1] ** self.q3 * _signed_power(u[0], mag[0], self.s3)
+            f[1] += self.beta * mag[0] ** self.q3 * _signed_power(u[1], mag[1], self.s3)
+        return [v * x - y for v, x, y in zip(self.v, u, f)]
+
+    def gradient_spectra(self, u_hat: np.ndarray, force: np.ndarray) -> np.ndarray:
+        """Half spectrum of G = -lap u + V u - f(u), given u's and the force."""
+        return self.k2_c * u_hat + np.fft.rfftn(force, s=self.shape, axes=self.axes)
+
+
+def _one_state(
+    state: State, spec: ProblemSpec, potentials: tuple[Field, Field] | None
+) -> tuple[_Kernel, list]:
+    """The kernel of one state, carrying its nonzero components, and their
+    fields as stacks of one row.  A non-finite value raises ValueError naming
+    the component and the node, before any arithmetic."""
+    g, fields = state.grid, (state.u1.values, state.u2.values)
+    for c, values in enumerate(fields):
+        if not np.isfinite(values).all():
+            raise ValueError(_non_finite(values, c))
+    comps = [c for c in (0, 1) if fields[c].any()]
+    if potentials is None:
+        potentials = (sample_potential(spec.v1, g), sample_potential(spec.v2, g))
+    pots = (potentials[0].values, potentials[1].values)
+    return _Kernel(g, spec, pots, comps), [fields[c][None] for c in comps]
+
+
+def energy(
+    state: State,
+    spec: ProblemSpec,
+    potentials: tuple[Field, Field] | None = None,
+) -> EnergyReport:
+    """Itemized energy of a state under a problem specification.
+
+    potentials, if given, must be the two sampled potential fields on the
+    state's grid; otherwise they are sampled from ``spec``.  A non-finite
+    value in the state, or a total that overflows, raises ValueError.
+    """
+    kern, u = _one_state(state, spec, potentials)
+    kin = [kern.kinetic(np.fft.rfftn(x, s=kern.shape, axes=kern.axes)) for x in u]
+    parts = dict.fromkeys(EnergyReport.__dataclass_fields__, 0.0)
+    parts["total"] = kern.energies(u, [x**2 for x in u], kin, parts)[0] if u else 0.0
+    if not np.isfinite(parts["total"]):
+        raise ValueError(f"energy: the total {parts['total']} is not finite (the state overflows)")
+    return EnergyReport(**parts)
+
+
 def gradient(
     state: State,
     spec: ProblemSpec,
@@ -127,34 +234,14 @@ def gradient(
 
     G1 = -lap u1 + V1 u1 - mu1 |u1|^(2 p1) u1 - beta |u1|^(p3-1) |u2|^(p3+1) u1
     and symmetrically for G2.  For any perturbation (v1, v2),
-    (d/dt) E(u + t v) at t = 0 equals sum_i <G_i, v_i>.
+    (d/dt) E(u + t v) at t = 0 equals sum_i <G_i, v_i>.  A non-finite value
+    raises ValueError.
     """
-    g = state.grid
-    if potentials is None:
-        potentials = (sample_potential(spec.v1, g), sample_potential(spec.v2, g))
-    v1, v2 = potentials
-    u1, u2 = state.u1.values, state.u2.values
-    for label, values in (("u1", u1), ("u2", u2)):
-        bad = ~np.isfinite(values)
-        if bad.any():
-            node = np.unravel_index(int(np.flatnonzero(bad.ravel())[0]), values.shape)
-            raise ValueError(
-                f"gradient: non-finite value in {label} at node {tuple(node)}"
-            )
-    m1, m2 = np.abs(u1), np.abs(u2)
-    g1 = (
-        -laplacian(state.u1).values
-        + v1.values * u1
-        - spec.mu1 * m1 ** (2.0 * spec.p1) * u1
-        - spec.beta * m2 ** (spec.p3 + 1.0) * _signed_power(u1, m1, spec.p3 - 1.0)
-    )
-    g2 = (
-        -laplacian(state.u2).values
-        + v2.values * u2
-        - spec.mu2 * m2 ** (2.0 * spec.p2) * u2
-        - spec.beta * m1 ** (spec.p3 + 1.0) * _signed_power(u2, m2, spec.p3 - 1.0)
-    )
-    return State(Field(g, g1), Field(g, g2))
+    kern, u = _one_state(state, spec, potentials)
+    g = [np.zeros(kern.shape), np.zeros(kern.shape)]
+    for c, force in zip(kern.comps, kern.forces(u)):
+        g[c] = force[0] - laplacian((state.u1, state.u2)[c]).values
+    return State(Field(state.grid, g[0]), Field(state.grid, g[1]))
 
 
 def multipliers(
@@ -166,7 +253,8 @@ def multipliers(
 
     At a constrained minimizer lambda1 is positive, and so is lambda2 with
     bounded potentials; a trapped lambda2 may be negative.
-    A component with zero mass has no multiplier: its entry is nan.
+    A component with zero mass has no multiplier: its entry is nan.  A
+    non-finite value raises ValueError.
     """
     grad = gradient(state, spec, potentials)
     out = []

@@ -55,7 +55,8 @@ class Grid:
     axes : tuple of ndarray
         Node coordinates per axis, x_i = -L/2 + i h (origin on node n/2).
     k2 : ndarray
-        Squared wavenumber magnitude |k|^2 on the full grid, FFT layout.
+        Squared wavenumber magnitude |k|^2 on the full grid, FFT layout; the
+        package reads its half (_rfft_k2); the full array is for bench/make_references.py.
     shape : tuple of int
         Array shape of a field on this grid.
     """
@@ -123,9 +124,6 @@ class Field:
         if not np.isrealobj(v):
             raise ValueError(f"field values must be real, got dtype {v.dtype}")
         object.__setattr__(self, "values", v.astype(np.float64, copy=False))
-
-    def with_values(self, values: np.ndarray) -> "Field":
-        return Field(self.grid, values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,10 +194,10 @@ def laplacian(f: Field) -> Field:
 
 
 def grad_norm_sq(f: Field) -> float:
-    """Squared H1 seminorm, integral of |grad f|^2, via Parseval."""
+    """Squared H1 seminorm, integral of |grad f|^2, via Parseval on the half spectrum."""
     g = f.grid
-    spec = np.fft.fftn(f.values)
-    total = float(np.sum(g.k2 * np.abs(spec) ** 2))
+    spec = np.fft.rfftn(f.values)
+    total = float(np.sum(_rfft_weights(g) * _rfft_k2(g) * np.abs(spec) ** 2))
     return g.cell_volume * total / g.n**g.dim
 
 
@@ -269,10 +267,10 @@ def write_field_csv(f: Field, path: str) -> None:
 def read_field_csv(path: str) -> Field:
     """Load a field written by write_field_csv.
 
-    Every node must appear exactly once.  A malformed header, or a row
-    that does not have three fields, does not parse, has a nonzero last
-    column, or carries an index outside [0, n**dim) or one already seen,
-    raises ValueError naming its line (and index).
+    Every node must appear exactly once.  A malformed or unsupported
+    header, or a row that does not have three fields, does not parse, has
+    a nonzero last column, or carries an index outside [0, n**dim) or one
+    already seen, raises ValueError naming its line (and index).
     """
     with open(path, newline="") as fh:
         header = fh.readline()
@@ -280,11 +278,10 @@ def read_field_csv(path: str) -> Field:
             raise ValueError(f"{path}, line 1: missing '# dim,n,L' header line")
         try:
             dim_s, n_s, length_s = header[1:].strip().split(",")
-            dim, n, length = int(dim_s), int(n_s), float(length_s)
-        except ValueError:
-            raise ValueError(f"{path}, line 1: malformed header {header!r}") from None
-        grid = make_grid(dim, n, length)
-        size = n**dim
+            grid = make_grid(int(dim_s), int(n_s), float(length_s))
+        except ValueError as exc:
+            raise ValueError(f"{path}, line 1: malformed header {header!r}: {exc}") from None
+        size = grid.n**grid.dim
         values = np.empty(size)
         seen = np.zeros(size, dtype=bool)
         for line, row in enumerate(csv.reader(fh), start=2):

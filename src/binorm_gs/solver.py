@@ -8,9 +8,12 @@ preconditioned, projected gradient
 
     d = P G - (<u, P G> / <u, P u>) P u,    P = S (a - lap)^-1 S,
 
-where G is the L2 gradient of the energy (see ``energy.gradient``),
+where G = -lap u + V u - f(u) is the L2 gradient of the energy,
 S = (1 + max(V, 0))^(-1/2) and the shift a is the larger of 1 and the
-current multiplier estimate.  d is orthogonal to u and vanishes exactly
+current multiplier estimate.  E and V u - f(u) come from ``energy._Kernel``,
+the one kernel that ``energy()``, ``gradient()`` and ``multipliers()`` apply
+to a single state: a start's energy in the flow is the one ``energy()``
+gives for its fields.  d is orthogonal to u and vanishes exactly
 when G = -lambda u, so a converged state solves the Euler-Lagrange system
 itself, whatever the step size.
 
@@ -51,11 +54,8 @@ line-search round evaluates the whole batch, and a member's candidate
 replaces its accepted step only while that member is still searching.  A
 member that converges leaves the batch.  Every member of a batch shares
 the potentials and carries the same components (u1 only, both, or u2
-only), so each component's stack has one row per member.
-``scan_subadditivity`` batches the starts of all its subproblems that
-share a potential and a component set: the full problem with the inner
-splits that carry both components, those that carry only u1, those that
-carry only u2, and likewise the potential-free outer splits.
+only), so each component's stack has one row per member;
+``scan_subadditivity`` batches its subproblems likewise.
 
 Since a member's results do not depend on its batch, independent batches
 run at the same time, on up to one process per usable core (``_run_shares``,
@@ -84,12 +84,13 @@ import numpy as np
 from .energy import (
     EnergyReport,
     Multipliers,
-    _signed_power,
+    _Kernel,
+    _non_finite,
     energy,
     gradient,  # noqa: F401  unused here; bench/tracing.py wraps solver.gradient
     multipliers,
 )
-from .grid import Field, Grid, State, _rfft_k2, _rfft_weights, _squared_distance, make_grid
+from .grid import Field, Grid, State, _squared_distance, make_grid
 from .model import ProblemSpec, PotentialSpec, sample_potential, validate
 
 __all__ = [
@@ -169,7 +170,9 @@ class SolveResult:
     trajectory_energies holds (iteration, energy, residual) rows of the
     winning run, decimated to at most TRAJECTORY_CAP entries.
     diagnostics["per_start"] lists the iterations, final energy,
-    convergence flag and step cuts of every start, in start order.
+    convergence flag and step cuts of every start, in start order: the flow's
+    own energies.  report is energy() of the final state, which transforms
+    the fields afresh, so the two may differ in the last bits.
     """
 
     state: State
@@ -250,6 +253,7 @@ class _Run:
     """Scalar state of one member of a flow batch while it steps, and its
     outcome once it leaves the batch.
 
+    masses and kin0 (the start's kinetic energies) are per carried component.
     rd_prev is <r, d> of the previous step; None after a vanishing
     direction, when there is no previous CG direction to continue.  On
     leaving, the member's final fields go to pair and its trajectory is
@@ -263,8 +267,7 @@ class _Run:
     )
 
     def __init__(
-        self, member: int, masses: tuple[float, float], energy: float,
-        kin0: tuple[float, float], tau: float,
+        self, member: int, masses: list[float], energy: float, kin0: list[float], tau: float,
     ) -> None:
         self.member, self.masses, self.energy, self.kin0, self.tau = (
             member, masses, energy, kin0, tau
@@ -294,11 +297,11 @@ class _Step:
         """Take other's candidates of the members picks."""
         for m in picks:
             self.energy[m] = other.energy[m]
-            self.kinetic[m] = other.kinetic[m]
             self.mass_error[m] = other.mass_error[m]
+            for mine, theirs in zip(self.kinetic, other.kinetic):
+                mine[m] = theirs[m]
         for mine, theirs in zip(self.fields + self.spectra, other.fields + other.spectra):
-            if mine is not None:
-                mine[picks] = theirs[picks]
+            mine[picks] = theirs[picks]
 
 
 def _decimate(rows: list[tuple[int, float, float]]) -> list[tuple[int, float, float]]:
@@ -309,21 +312,6 @@ def _decimate(rows: list[tuple[int, float, float]]) -> list[tuple[int, float, fl
     if out[-1] != rows[-1]:
         out.append(rows[-1])
     return out
-
-
-def _non_finite(values: np.ndarray, component: int, iteration: int, name: str) -> ValueError:
-    """Error naming the start and the first node where a flow iterate is not finite.
-
-    Finite values whose squared sum overflows are located at their largest
-    magnitude.
-    """
-    flat = np.flatnonzero(~np.isfinite(values))
-    index = int(flat[0]) if flat.size else int(np.argmax(np.abs(values)))
-    node = tuple(int(j) for j in np.unravel_index(index, values.shape))
-    return ValueError(
-        f"solver: {name}: non-finite value in u{component + 1} at node {node}, "
-        f"iteration {iteration}"
-    )
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray, scale: float = 1.0) -> list[float]:
@@ -344,59 +332,27 @@ def _flow(
 
     Every member has its own masses and start and shares the exponents and
     couplings of spec and the sampled potentials pots.  Every member must
-    carry the components of the first, those with positive mass: a
-    component the first member lacks is not stepped.  Each component's
-    fields of all members are stacked, one row per member, and every FFT,
-    reduction and BLAS dot product acts row by row; each member's scalars
-    stay Python floats.  So each member keeps its own step, CG state, step
-    cuts, trajectory and stopping test, and does exactly the arithmetic of
-    a batch of one.  A line-search round evaluates every member; only the
-    rows of members still searching replace their accepted step.  A
-    converged member leaves the batch.  Its _Run comes back, in member
-    order.
+    carry the components of the first, those with positive mass.  Energies
+    and forces come from energy._Kernel, and every per-component list holds
+    one stack per carried component, one row per member; the module
+    docstring says how each member still does the arithmetic of a batch of
+    one.  Their _Runs come back, in member order.
     """
-    cell = grid.cell_volume
-    shape = grid.shape
-    axes = tuple(range(1, grid.dim + 1))
-    col = (slice(None),) + (None,) * grid.dim
-    # Per-grid arrays carry a leading axis of length 1, so that with one
-    # member every operation meets arrays of equal shape.
-    k2 = _rfft_k2(grid)[None]
-    wgt = _rfft_weights(grid)[None]
-    wk2 = wgt * k2
-    # Complex copies scale complex spectra without a cast on every call; the
-    # products are the same, as numpy casts a real factor to complex anyway.
-    # Without them an n = 4096 soliton solve takes 2.8% more CPU time.
-    k2_c = k2.astype(complex)
-    wgt_c = wgt.astype(complex)
-    spectral_scale = cell / grid.n**grid.dim
-
-    v = (pots[0][None], pots[1][None])
-    mu = (spec.mu1, spec.mu2)
-    pw = (2.0 * spec.p1, 2.0 * spec.p2)
-    q3 = spec.p3 + 1.0
-    s3 = spec.p3 - 1.0
     comps = [c for c in (0, 1) if members[0].masses[c] > 0.0]
+    kern = _Kernel(grid, spec, pots, comps)
+    n_comps = len(comps)
+    carried = range(n_comps)
+    cell, shape, axes = kern.cell, kern.shape, kern.axes
+    col = (slice(None),) + (None,) * grid.dim
+    k2, wgt, wgt_c, spectral_scale = kern.k2, kern.wgt, kern.wgt_c, kern.spectral_scale
     # S, or None where V <= 0, so that S == 1 and the whole step stays in the
     # half spectrum.
     sandwich = [
-        np.sqrt(_PRECOND_SHIFT / (_PRECOND_SHIFT + np.maximum(v[c], 0.0)))
-        if float(np.max(v[c])) > 0.0
+        np.sqrt(_PRECOND_SHIFT / (_PRECOND_SHIFT + np.maximum(v, 0.0)))
+        if float(np.max(v)) > 0.0
         else None
-        for c in (0, 1)
+        for v in kern.v
     ]
-
-    # Where a potential is 0 everywhere its energy term is an exact +0.0,
-    # and adding it would change no sum but -0.0, so it is skipped: that saves
-    # 3.6% of an n = 4096 soliton solve's CPU time.
-    has_potential = [bool(np.any(v[c])) for c in (0, 1)]
-    add_reduce = np.add.reduce
-
-    def total(x: np.ndarray) -> list[float]:
-        return add_reduce(x, axis=axes).tolist()
-
-    def kinetic_of(spectra: np.ndarray) -> list[float]:
-        return [0.5 * spectral_scale * s for s in total(wk2 * np.abs(spectra) ** 2)]
 
     def column(values: list[float]) -> np.ndarray | float:
         """Per-member factors shaped to scale stacked rows; one member's is a
@@ -408,40 +364,12 @@ def _flow(
         of real fields given by their half spectra, wb_hat carrying the
         half-spectrum weights."""
         out = [0] * len(runs)
-        for c in comps:
-            for m, x in enumerate(_rowdot(a_hat[c], wb_hat[c], spectral_scale)):
+        for a, wb in zip(a_hat, wb_hat):
+            for m, x in enumerate(_rowdot(a, wb, spectral_scale)):
                 out[m] += x
         return out
 
-    def terms(ua: list, sq: list, kin: list[list[float]]) -> list[float]:
-        """Energies of the members' fields ua, given their squares sq."""
-        e = [k[0] + k[1] for k in kin]
-        mag = [None, None]
-        for c in comps:
-            mag[c] = np.abs(ua[c])
-            if has_potential[c]:
-                for m, p in enumerate(total(v[c] * sq[c])):
-                    e[m] += 0.5 * cell * p
-            for m, s in enumerate(total(mag[c] ** (pw[c] + 2.0))):
-                e[m] -= mu[c] / (pw[c] + 2.0) * cell * s
-        if len(comps) == 2:
-            for m, s in enumerate(total(mag[0] ** q3 * mag[1] ** q3)):
-                e[m] -= spec.beta / q3 * cell * s
-        return e
-
-    def forces(ua: list) -> list:
-        """V u minus the nonlinear force, for each component."""
-        mag = [None, None]
-        f = [None, None]
-        for c in comps:
-            mag[c] = np.abs(ua[c])
-            f[c] = mu[c] * mag[c] ** pw[c] * ua[c]
-        if len(comps) == 2:
-            f[0] += spec.beta * mag[1] ** q3 * _signed_power(ua[0], mag[0], s3)
-            f[1] += spec.beta * mag[0] ** q3 * _signed_power(ua[1], mag[1], s3)
-        return [None if f[c] is None else v[c] * ua[c] - f[c] for c in (0, 1)]
-
-    def direction(c: int, force: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def direction(i: int, force: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Spectra of G, of the residual G + lambda u and of the direction d.
 
         d = P G - (<u, P G> / <u, P u>) P u with P = S (a - lap)^-1 S.  The
@@ -450,22 +378,22 @@ def _flow(
         the energy Hessian is -lap + V + lambda, this keeps the eigenvalues
         of P times the Hessian at most 1 for components with lambda > 1.
         """
-        u_hat = spectra[c]
-        g_hat = k2_c * u_hat + np.fft.rfftn(force, s=shape, axes=axes)
+        u_hat = spectra[i]
+        g_hat = kern.gradient_spectra(u_hat, force)
         g_dot_u = _rowdot(u_hat, wgt_c * g_hat, spectral_scale)
-        lam = [-x / run.masses[c] for run, x in zip(runs, g_dot_u)]
+        lam = [-x / run.masses[i] for run, x in zip(runs, g_dot_u)]
         resolvent = 1.0 / (column([max(_PRECOND_SHIFT, x) for x in lam]) + k2)
         # complex once here, rather than cast in each product below
         w_resolvent = (wgt * resolvent).astype(complex)
         resolvent = resolvent.astype(complex)
         sg_hat = g_hat
         su_hat = u_hat
-        s_c = sandwich[c]
-        if s_c is not None:
+        s_i = sandwich[i]
+        if s_i is not None:
             sg_hat = np.fft.rfftn(
-                s_c * np.fft.irfftn(g_hat, s=shape, axes=axes), s=shape, axes=axes
+                s_i * np.fft.irfftn(g_hat, s=shape, axes=axes), s=shape, axes=axes
             )
-            su_hat = np.fft.rfftn(s_c * fields[c], s=shape, axes=axes)
+            su_hat = np.fft.rfftn(s_i * fields[i], s=shape, axes=axes)
         coef = [
             x / y
             for x, y in zip(
@@ -473,86 +401,76 @@ def _flow(
             )
         ]
         d_hat = resolvent * (sg_hat - column(coef) * su_hat)
-        if s_c is not None:
+        if s_i is not None:
             d_hat = np.fft.rfftn(
-                s_c * np.fft.irfftn(d_hat, s=shape, axes=axes), s=shape, axes=axes
+                s_i * np.fft.irfftn(d_hat, s=shape, axes=axes), s=shape, axes=axes
             )
         return g_hat, g_hat + column(lam) * u_hat, d_hat
 
     def candidates(steps: list[float], s_hat: list) -> _Step:
         """Energies and fields of N[u - step s], rescaled to the masses, one step per member."""
-        cand_hat, cand, m_star = [None, None], [None, None], [None, None]
-        for c in comps:
-            cand_hat[c] = spectra[c] - column(steps) * s_hat[c]
-            cand[c] = np.fft.irfftn(cand_hat[c], s=shape, axes=axes)
-            m_star[c] = [cell * s for s in total(cand[c] ** 2)]
-        if not all(all(map(math.isfinite, m_star[c])) for c in comps):
-            j, c, m = min(
-                (runs[m].member, c, m)
-                for c in comps
-                for m, mass in enumerate(m_star[c])
-                if not math.isfinite(mass)
+        steps_c = column(steps)
+        cand_hat = [u_hat - steps_c * x for u_hat, x in zip(spectra, s_hat)]
+        cand = [np.fft.irfftn(x, s=shape, axes=axes) for x in cand_hat]
+        m_star = [[cell * s for s in kern.total(x**2)] for x in cand]
+        if not all(all(map(math.isfinite, m)) for m in m_star):
+            j, i, m = min(
+                (runs[m].member, i, m)
+                for i in carried for m, mass in enumerate(m_star[i]) if not math.isfinite(mass)
             )
-            raise _non_finite(cand[c][m], c, it, members[j].name)
-        new, new_hat, sq = [None, None], [None, None], [None, None]
-        kin = [[0.0, 0.0] for _ in runs]
+            raise ValueError(
+                f"solver: {members[j].name}: {_non_finite(cand[i][m], comps[i])}, iteration {it}"
+            )
+        new, new_hat = [None] * n_comps, [None] * n_comps
+        sq, kin = [None] * n_comps, [None] * n_comps
         mass_err = [0.0] * len(runs)
-        for c in comps:
-            alphas = [run.masses[c] for run in runs]
-            scale = [math.sqrt(a / m) for a, m in zip(alphas, m_star[c])]
+        for i in carried:
+            alphas = [run.masses[i] for run in runs]
+            scale = [math.sqrt(a / m) for a, m in zip(alphas, m_star[i])]
             scale_c = column(scale)
-            new[c] = cand[c] * scale_c
-            new_hat[c] = cand_hat[c] * scale_c
-            sq[c] = new[c] ** 2
-            mass = total(sq[c])
-            for m, (a, sc, k, ms) in enumerate(zip(alphas, scale, kinetic_of(cand_hat[c]), mass)):
-                kin[m][c] = sc**2 * k
+            new[i] = cand[i] * scale_c
+            new_hat[i] = cand_hat[i] * scale_c
+            sq[i] = new[i] ** 2
+            kin[i] = kern.kinetic(cand_hat[i])
+            for m, (a, sc, ms) in enumerate(zip(alphas, scale, kern.total(sq[i]))):
+                kin[i][m] *= sc**2
                 mass_err[m] = max(mass_err[m], abs(cell * ms - a) / a)
-        return _Step(terms(new, sq, kin), new, new_hat, kin, mass_err)
+        return _Step(kern.energies(new, sq, kin), new, new_hat, kin, mass_err)
 
-    rows: tuple[list, list] = ([], [])
+    rows: list[list[np.ndarray]] = [[] for _ in comps]
     for member in members:
-        for c in comps:
+        for i, c in enumerate(comps):
             mass = member.masses[c]
             values = member.init[c]
             if not np.all(np.isfinite(values)):
-                raise _non_finite(values, c, 0, member.name)
+                raise ValueError(f"solver: {member.name}: {_non_finite(values, c)}, iteration 0")
             start_mass = cell * float(np.sum(values**2))
             if start_mass == 0.0:
                 raise ValueError(
                     f"solver: {member.name}: u{c + 1} has zero mass and cannot be "
                     f"rescaled to mass {mass}"
                 )
-            rows[c].append(values * math.sqrt(mass / start_mass))
-    fields = [np.array(rows[c]) if c in comps else None for c in (0, 1)]
-    spectra = [None if x is None else np.fft.rfftn(x, s=shape, axes=axes) for x in fields]
-    kin0 = [[0.0, 0.0] for _ in members]
-    for c in comps:
-        for m, k in enumerate(kinetic_of(spectra[c])):
-            kin0[m][c] = k
-    energy0 = terms(fields, [None if x is None else x**2 for x in fields], kin0)
+            rows[i].append(values * math.sqrt(mass / start_mass))
+    fields = [np.array(x) for x in rows]
+    spectra = [np.fft.rfftn(x, s=shape, axes=axes) for x in fields]
+    kin0 = [kern.kinetic(x) for x in spectra]
+    energy0 = kern.energies(fields, [x**2 for x in fields], kin0)
     runs = [
-        _Run(j, member.masses, e, tuple(k), config.dt)
-        for j, (member, e, k) in enumerate(zip(members, energy0, kin0))
+        _Run(j, [member.masses[c] for c in comps], e, [k[j] for k in kin0], config.dt)
+        for j, (member, e) in enumerate(zip(members, energy0))
     ]
-    r_prev: list = [None, None]
-    s_prev: list = [None, None]
+    r_prev, s_prev = [], []
     out: list[_Run] = [None] * len(members)
 
     it = 0
     while it < config.max_iters:
         it += 1
-        force = forces(fields)
-        g_hat: list = [None, None]
-        r_hat: list = [None, None]
-        d_hat: list = [None, None]
-        for c in comps:
-            g_hat[c], r_hat[c], d_hat[c] = direction(c, force[c])
+        g_hat, r_hat, d_hat = zip(*map(direction, carried, kern.forces(fields)))
 
         # Polak-Ribiere+ with one beta for both components; the previous
         # search direction is projected onto the tangent space at u.
         # Since <u, d> = 0, <G, d> = <r, d>: the slope along d.
-        wd_hat = [None if d is None else wgt_c * d for d in d_hat]
+        wd_hat = [wgt_c * d for d in d_hat]
         rd = member_dots(r_hat, wd_hat)
         s_hat, slope = d_hat, rd
         if any(run.rd_prev is not None for run in runs):
@@ -562,24 +480,21 @@ def _flow(
                 for run, x, y in zip(runs, rd, rd_mixed)
             ]
             if any(b > 0.0 for b in beta):
-                cg_hat: list = [None, None]
-                for c in comps:
+                cg_hat = list(d_hat)
+                for i in carried:
                     along = [
-                        x / run.masses[c]
+                        x / run.masses[i]
                         for run, x in zip(
-                            runs, _rowdot(spectra[c], wgt_c * s_prev[c], spectral_scale)
+                            runs, _rowdot(spectra[i], wgt_c * s_prev[i], spectral_scale)
                         )
                     ]
-                    cg_hat[c] = d_hat[c] + column(beta) * (s_prev[c] - column(along) * spectra[c])
-                cg_slope = member_dots(g_hat, [None if x is None else wgt_c * x for x in cg_hat])
+                    cg_hat[i] = d_hat[i] + column(beta) * (s_prev[i] - column(along) * spectra[i])
+                cg_slope = member_dots(g_hat, [wgt_c * x for x in cg_hat])
                 on_cg = [b > 0.0 and x > 0.0 for b, x in zip(beta, cg_slope)]
                 if all(on_cg):  # no np.where copy: 3.6% of a soliton solve's CPU time
                     s_hat, slope = cg_hat, cg_slope
                 elif any(on_cg):
-                    s_hat = [
-                        None if d is None else np.where(column(on_cg), cg, d)
-                        for cg, d in zip(cg_hat, d_hat)
-                    ]
+                    s_hat = [np.where(column(on_cg), cg, d) for cg, d in zip(cg_hat, d_hat)]
                     slope = [x if cg else y for cg, x, y in zip(on_cg, cg_slope, rd)]
 
         # One trial at the last accepted step, then the minimizer of the
@@ -630,8 +545,8 @@ def _flow(
             searching = retry
 
         residual = [0.0] * len(runs)
-        for c in comps:
-            moved = np.maximum.reduce(np.abs(step.fields[c] - fields[c]), axis=axes).tolist()
+        for new, old in zip(step.fields, fields):
+            moved = np.maximum.reduce(np.abs(new - old), axis=axes).tolist()
             for m, (run, x) in enumerate(zip(runs, moved)):
                 residual[m] = max(residual[m], x / run.tau)
         done = []
@@ -639,11 +554,9 @@ def _flow(
             e_new = step.energy[m]
             run.max_inc = max(run.max_inc, e_new - run.energy)
             run.max_mass_err = max(run.max_mass_err, step.mass_error[m])
-            for c in comps:
-                if run.kin0[c] > 0.0:
-                    run.max_grad_ratio = max(
-                        run.max_grad_ratio, math.sqrt(step.kinetic[m][c] / run.kin0[c])
-                    )
+            for k0, k in zip(run.kin0, step.kinetic):
+                if k0 > 0.0:
+                    run.max_grad_ratio = max(run.max_grad_ratio, math.sqrt(k[m] / k0))
             delta_e = abs(e_new - run.energy)
             run.energy = e_new
             run.trajectory.append((it, e_new, residual[m]))
@@ -656,9 +569,9 @@ def _flow(
         leaving = range(len(runs)) if it == config.max_iters else done
         for m in leaving:
             run = runs[m]
-            run.pair = tuple(
-                np.zeros(shape) if x is None else x[m].copy() for x in fields
-            )
+            run.pair = [np.zeros(shape), np.zeros(shape)]
+            for c, x in zip(comps, fields):
+                run.pair[c] = x[m].copy()
             run.iterations, run.residual, run.converged = it, residual[m], m in done
             run.trajectory = _decimate(run.trajectory)
             out[run.member] = run
@@ -667,7 +580,7 @@ def _flow(
         if done:
             keep = [m for m in range(len(runs)) if m not in done]
             fields, spectra, r_prev, s_prev = (
-                [None if x is None else x[keep] for x in arrays]
+                [x[keep] for x in arrays]
                 for arrays in (fields, spectra, r_prev, s_prev)
             )
             runs = [runs[m] for m in keep]

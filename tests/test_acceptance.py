@@ -22,7 +22,7 @@ from binorm_gs.analysis import (
     pohozaev_check,
 )
 from binorm_gs.energy import energy, gradient
-from binorm_gs.grid import State, inner, make_grid
+from binorm_gs.grid import Field, State, inner, make_grid
 from binorm_gs.inequalities import (
     check_lemma34ii,
     min_constant_34i,
@@ -327,12 +327,12 @@ def test_criterion_12_solver_trust_checks(crit1, grid_small, report):
             inner(grad.u1, direction.u1) + inner(grad.u2, direction.u2)
         )
         plus = State(
-            state.u1.with_values(state.u1.values + eps * direction.u1.values),
-            state.u2.with_values(state.u2.values + eps * direction.u2.values),
+            Field(grid_small, state.u1.values + eps * direction.u1.values),
+            Field(grid_small, state.u2.values + eps * direction.u2.values),
         )
         minus = State(
-            state.u1.with_values(state.u1.values - eps * direction.u1.values),
-            state.u2.with_values(state.u2.values - eps * direction.u2.values),
+            Field(grid_small, state.u1.values - eps * direction.u1.values),
+            Field(grid_small, state.u2.values - eps * direction.u2.values),
         )
         fd = (energy(plus, spec).total - energy(minus, spec).total) / (2 * eps)
         worst_fd = max(worst_fd, abs(fd - predicted) / abs(predicted))

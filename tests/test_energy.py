@@ -50,8 +50,8 @@ def test_energy_invariant_under_global_phase(grid_small, rng):
     base = energy(state, spec).total
     for s1, s2 in ((-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)):
         flipped = State(
-            state.u1.with_values(s1 * state.u1.values),
-            state.u2.with_values(s2 * state.u2.values),
+            Field(grid_small, s1 * state.u1.values),
+            Field(grid_small, s2 * state.u2.values),
         )
         assert energy(flipped, spec).total == pytest.approx(base, rel=1e-12)
 
@@ -62,7 +62,7 @@ def test_scalar_energy_scaling_split(grid_1d):
     spec = replace(symmetric_cubic(1.0), p1=0.8, mu1=1.3, alpha2=0.0)
     c = 1.7
     rep = energy(State(w, zero), spec)
-    scaled = energy(State(w.with_values(c * w.values), zero), spec).total
+    scaled = energy(State(Field(grid_1d, c * w.values), zero), spec).total
     # kinetic part is quadratic, focusing part degree 2p+2
     expected = c**2 * rep.kinetic1 - c ** (2 * 0.8 + 2) * rep.self1
     assert scaled == pytest.approx(expected, rel=1e-12)
@@ -122,8 +122,8 @@ def test_modulus_never_increases_energy(grid_small, rng):
     for _ in range(25):
         state = random_state(grid_small, rng)
         rectified = State(
-            state.u1.with_values(np.abs(state.u1.values)),
-            state.u2.with_values(np.abs(state.u2.values)),
+            Field(grid_small, np.abs(state.u1.values)),
+            Field(grid_small, np.abs(state.u2.values)),
         )
         assert energy(rectified, spec).total <= energy(state, spec).total + 1e-12
 
@@ -166,12 +166,12 @@ def test_gradient_matches_finite_differences(grid_small, rng):
         direction = random_state(grid_small, rng)
         predicted = inner(grad.u1, direction.u1) + inner(grad.u2, direction.u2)
         plus = State(
-            state.u1.with_values(state.u1.values + eps * direction.u1.values),
-            state.u2.with_values(state.u2.values + eps * direction.u2.values),
+            Field(grid_small, state.u1.values + eps * direction.u1.values),
+            Field(grid_small, state.u2.values + eps * direction.u2.values),
         )
         minus = State(
-            state.u1.with_values(state.u1.values - eps * direction.u1.values),
-            state.u2.with_values(state.u2.values - eps * direction.u2.values),
+            Field(grid_small, state.u1.values - eps * direction.u1.values),
+            Field(grid_small, state.u2.values - eps * direction.u2.values),
         )
         fd = (energy(plus, spec).total - energy(minus, spec).total) / (2 * eps)
         assert fd == pytest.approx(predicted, rel=1e-5)
@@ -183,7 +183,7 @@ def test_gradient_decouples_at_zero_coupling(grid_small, rng):
     free = replace(spec, beta=0.0)
     g_free = gradient(state, free)
     # component 1 must not see u2 at all
-    other = State(state.u1, state.u2.with_values(2.0 * state.u2.values))
+    other = State(state.u1, Field(grid_small, 2.0 * state.u2.values))
     g_other = gradient(other, free)
     assert np.array_equal(g_free.u1.values, g_other.u1.values)
     # and matches the beta-independent part of the coupled gradient
@@ -205,7 +205,7 @@ def test_constraint_values_track_masses(grid_small, rng):
     moved = State(translate(state.u1, 11), translate(state.u2, 11))
     m1, m2 = moved.masses()
     assert m1 == pytest.approx(q1, rel=1e-13)
-    zeroed = State(state.u1, state.u2.with_values(np.zeros(grid_small.shape)))
+    zeroed = State(state.u1, Field(grid_small, np.zeros(grid_small.shape)))
     assert zeroed.masses()[1] == 0.0
 
 
@@ -229,7 +229,7 @@ def test_multipliers_phase_invariant(grid_1d):
     # a real field's global phases are the signs +1 and -1
     for s1, s2 in ((-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)):
         flipped = multipliers(
-            State(w.with_values(s1 * w.values), w.with_values(s2 * w.values)), spec
+            State(Field(grid_1d, s1 * w.values), Field(grid_1d, s2 * w.values)), spec
         )
         assert flipped.lambda1 == pytest.approx(base.lambda1, rel=1e-12)
         assert flipped.lambda2 == pytest.approx(base.lambda2, rel=1e-12)
@@ -249,12 +249,21 @@ def test_multipliers_nan_for_zero_mass(grid_1d):
     assert swapped.lambda2 == lam.lambda1
 
 
-def test_gradient_rejects_non_finite(grid_small):
+@pytest.mark.parametrize("func", [energy, gradient, multipliers])
+def test_gradient_rejects_non_finite(grid_small, func):
     vals = np.zeros(grid_small.shape)
     vals[5] = np.inf
     state = State(Field(grid_small, vals), Field(grid_small, np.zeros(grid_small.shape)))
-    with pytest.raises(ValueError):
-        gradient(state, wells_spec())
+    with pytest.raises(ValueError, match=r"^non-finite value in u1 at node \(5,\)$"):
+        func(state, wells_spec())
+
+
+def test_energy_rejects_an_overflowing_finite_state(grid_small):
+    vals = np.zeros(grid_small.shape)
+    vals[5] = 1e200
+    state = State(Field(grid_small, vals), Field(grid_small, np.zeros(grid_small.shape)))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+        energy(state, wells_spec())
 
 
 @settings(max_examples=20, deadline=None)
@@ -269,7 +278,7 @@ def test_self_interaction_homogeneity(scale, seed):
     state = random_state(g, np.random.default_rng(seed))
     rep = energy(state, spec)
     scaled = State(
-        state.u1.with_values(scale * state.u1.values),
+        Field(g, scale * state.u1.values),
         state.u2,
     )
     rep_s = energy(scaled, spec)
@@ -281,7 +290,7 @@ def test_self_interaction_homogeneity(scale, seed):
 
 def test_cross_term_vanishes_when_component_dies(grid_small, rng):
     state = random_state(grid_small, rng)
-    dead = State(state.u1, state.u2.with_values(np.zeros(grid_small.shape)))
+    dead = State(state.u1, Field(grid_small, np.zeros(grid_small.shape)))
     spec = replace(wells_spec(), p3=0.5)
     rep = energy(dead, spec)
     assert rep.cross == 0.0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -237,11 +238,21 @@ def test_read_field_csv_rejects_missing_header(tmp_path):
         read_field_csv(str(path))
 
 
-@pytest.mark.parametrize("header", ["# 1,8", "# 1,eight,4.0", "# 1,8,4.0,0"])
-def test_read_field_csv_rejects_malformed_header(tmp_path, header):
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("# 1,8", "malformed header"),
+        ("# 1,eight,4.0", "malformed header"),
+        ("# 1,8,4.0,0", "malformed header"),
+        ("# 3,8,4.0", r"malformed header .*: dim must be one of \(1, 2\), got 3"),
+        ("# 1,6,4.0", "malformed header .*: n must be a power of two >= 8, got 6"),
+    ],
+    ids=["# 1,8", "# 1,eight,4.0", "# 1,8,4.0,0", "# 3,8,4.0", "# 1,6,4.0"],
+)
+def test_read_field_csv_rejects_malformed_header(tmp_path, header, message):
     path = tmp_path / "junk.csv"
     path.write_text(header + "\n0,1.0,0.0\n")
-    with pytest.raises(ValueError, match="line 1: malformed header"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line 1: {message}"):
         read_field_csv(str(path))
 
 

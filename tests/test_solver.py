@@ -28,7 +28,9 @@ from _cases import (
     QUICK,
     REFERENCE,
     SCAN,
+    anomalous_decay_spec,
     bounded_matrix,
+    standard_decay_spec,
     symmetric_cubic,
     trapping_matrix,
     wells_spec,
@@ -138,6 +140,40 @@ def test_long_trajectory_is_decimated_to_the_cap():
     ]
     assert rows[0][0] == 0 and rows[0][2] == math.inf
     assert rows[0][1] == pytest.approx(energy(State(*start), spec).total, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "spec, grid",
+    [
+        (wells_spec(), make_grid(1, 1024, 64.0)),
+        (replace(wells_spec(), alpha2=0.0), make_grid(1, 1024, 64.0)),
+        (replace(wells_spec(), alpha1=0.0), make_grid(1, 1024, 64.0)),
+        (anomalous_decay_spec(), make_grid(1, 1024, 64.0)),
+        (standard_decay_spec(), make_grid(1, 1024, 64.0)),
+        (
+            replace(wells_spec(), v2=PotentialSpec.harmonic_trap(stiffness=1.0),
+                    regime="trapping"),
+            make_grid(1, 512, 32.0),
+        ),
+        (
+            ProblemSpec(dim=2, p1=0.6, p2=0.6, p3=0.6, mu1=4.0, mu2=4.0, beta=0.5,
+                        alpha1=1.0, alpha2=1.0,
+                        v1=PotentialSpec.gaussian_well(depth=0.5, width=2.0)),
+            make_grid(2, 64, 32.0),
+        ),
+    ],
+    ids=["wells", "wells-u1-only", "wells-u2-only", "anomalous", "standard", "trapped",
+         "pipeline-2d"],
+)
+def test_flow_and_energy_share_one_kernel(spec, grid):
+    # the flow's energy of a start is energy() of that start, bit for bit
+    config = replace(QUICK, max_iters=1)
+    res = minimize(spec, config=config, grid=grid)
+    start = [
+        Field(grid, u * math.sqrt(mass / norm_sq(Field(grid, u))))
+        for u, mass in zip(solver._initializations(grid, config, None)[0], spec.masses)
+    ]
+    assert res.trajectory_energies[0][1] == energy(State(*start), spec).total
 
 
 def test_a_later_start_can_win():
