@@ -24,7 +24,7 @@ import numpy as np
 from .energy import energy
 from .grid import Field, Grid, State, inner, integrate, norm_sq, radial_profile, translate
 from .grid import grad_norm_sq
-from .model import ProblemSpec
+from .model import ProblemSpec, sample_potential
 from .solver import SolveResult
 
 __all__ = [
@@ -433,14 +433,16 @@ def glue_energy_gap(
     w0_result the potential-free problem at masses delta, with
     gamma + delta equal to spec's masses.  The reference energy is the
     sum of the two converged energies; a negative gap at large shifts
-    witnesses the strict inequality behind the gluing construction.
+    witnesses the strict inequality behind the gluing construction.  The
+    potentials are sampled once, for every shift.
     """
     reference = u0_result.report.total + w0_result.report.total
     alpha = (spec.alpha1, spec.alpha2)
+    potentials = tuple(sample_potential(v, u0_result.state.grid) for v in (spec.v1, spec.v2))
     out = []
     for n in n_cells_list:
         glued, ledger = glue_states(u0_result.state, w0_result.state, int(n), alpha)
-        e_glued = energy(glued, spec).total
+        e_glued = energy(glued, spec, potentials).total
         out.append(
             replace(
                 ledger,

@@ -895,9 +895,9 @@ def run(
 
     tasks, out_dir and seed override the config when given.  A potential
     that cannot be sampled on the run grid (a missing or mismatched table, or
-    one with a nonzero last column) raises before any file is written.  If a
-    task raises, summary.txt and manifest.json are still written and the
-    error propagates.
+    one with a nonzero last column), or decay_fit in the trapping regime,
+    raises before any file is written.  If a task raises, summary.txt and
+    manifest.json are still written and the error propagates.
     """
     cfg = load_config(config_path)
     if seed is not None:
@@ -907,13 +907,18 @@ def run(
         for v in violations:
             print(f"hypothesis violation: {v}", file=sys.stderr)
         return 1
+    tasks = tasks if tasks is not None else cfg.tasks
+    if "decay_fit" in tasks and cfg.problem.regime == "trapping":
+        raise ValueError("decay_fit is not available in the trapping regime (problem.regime = "
+                         "trapping): the trapped u2 has a Gaussian tail, not exp(-sqrt(lambda2) "
+                         "r), and lambda2 may be negative")
     grid = cfg.grid()
     for pot in (cfg.problem.v1, cfg.problem.v2):
         sample_potential(pot, grid)
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
     runner = _Runner(cfg, out)
     try:
-        runner.run_tasks(tasks if tasks is not None else cfg.tasks)
+        runner.run_tasks(tasks)
     finally:
         exit_code = runner.finish(cfg.solver.rng_seed)
     return exit_code

@@ -18,7 +18,8 @@ from the trap, so it is negative unless the interactions outweigh the trap
 
 E and the force V u - f(u) of G = -lap u + V u - f(u) are written once, in
 _Kernel, for stacks of states: the solver's flow steps its batches with it,
-and energy(), gradient() and multipliers() apply it to one state.
+and energy(), gradient() and multipliers() apply it to one state.  The
+kinetic term, -lap u and every transform come from grid._HalfSpectrum.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid, State, _rfft_k2, _rfft_weights, inner, laplacian, norm_sq
+from .grid import Field, State, _HalfSpectrum, integrate, norm_sq
 from .model import ProblemSpec, sample_potential
 
 __all__ = [
@@ -96,30 +97,18 @@ def _non_finite(values: np.ndarray, component: int) -> str:
 
 
 class _Kernel:
-    """E and the force V u - f(u) of stacked states, on the real-FFT half spectrum.
-
-    Built from a grid, a problem, its two sampled potentials as arrays and
-    comps, the components the states carry.  Every per-component list holds
-    one stack per carried component, of fields (one row per state) or their
-    rfftn spectra.  Every reduction is taken row by row into Python floats,
-    so each row gets the arithmetic of a stack of one.
+    """E's local terms and the force V u - f(u) of stacked states, built from
+    a grid's half-spectrum layout (which gives the kinetic terms and the row
+    sums), a problem, its two sampled potentials as arrays and comps, the
+    components the states carry.  Every per-component list holds one stack
+    per carried component, one row per state.
     """
 
     def __init__(
-        self, grid: Grid, spec: ProblemSpec, pots: tuple[np.ndarray, np.ndarray], comps: list[int]
+        self, half: _HalfSpectrum, spec: ProblemSpec, pots: tuple[np.ndarray, np.ndarray],
+        comps: list[int],
     ) -> None:
-        self.comps, self.pair, self.shape = comps, len(comps) == 2, grid.shape
-        self.axes = tuple(range(1, grid.dim + 1))
-        self.cell = cell = grid.cell_volume
-        self.spectral_scale = cell / grid.n**grid.dim
-        # Per-grid arrays carry a leading axis of length 1, so that with one
-        # row every operation meets arrays of equal shape.  Complex copies
-        # scale complex spectra without a cast on every call, to the same
-        # bits; without them an n = 4096 soliton solve takes 2.8% more CPU time.
-        self.k2 = _rfft_k2(grid)[None]
-        self.wgt = _rfft_weights(grid)[None]
-        self.wk2 = self.wgt * self.k2
-        self.k2_c, self.wgt_c = self.k2.astype(complex), self.wgt.astype(complex)
+        self.comps, self.pair, self.total = comps, len(comps) == 2, half.total
         self.v = [pots[c][None] for c in comps]
         # Where a potential is 0 everywhere its energy term is an exact +0.0,
         # and adding it would change no sum but -0.0, so it is skipped: that
@@ -129,18 +118,9 @@ class _Kernel:
         self.pw = [(2.0 * spec.p1, 2.0 * spec.p2)[c] for c in comps]
         self.beta, self.q3, self.s3 = spec.beta, spec.p3 + 1.0, spec.p3 - 1.0
         # E's factors of the row sums of V u^2, |u|^(2 p + 2) and |u1 u2|^(p3+1)
-        self.pot_coef = 0.5 * cell
-        self.self_coef = [m / (p + 2.0) * cell for m, p in zip(self.mu, self.pw)]
-        self.cross_coef = spec.beta / self.q3 * cell
-
-    def total(self, x: np.ndarray) -> list[float]:
-        """Row sums of a stack."""
-        return np.add.reduce(x, axis=self.axes).tolist()
-
-    def kinetic(self, spectra: np.ndarray) -> list[float]:
-        """Per-row 1/2 int |grad u|^2, by Parseval over the half spectrum."""
-        scale = 0.5 * self.spectral_scale
-        return [scale * s for s in self.total(self.wk2 * np.abs(spectra) ** 2)]
+        self.pot_coef = 0.5 * half.cell
+        self.self_coef = [m / (p + 2.0) * half.cell for m, p in zip(self.mu, self.pw)]
+        self.cross_coef = spec.beta / self.q3 * half.cell
 
     def energies(
         self, u: list, sq: list, kin: list[list[float]], parts: dict | None = None
@@ -183,32 +163,58 @@ class _Kernel:
             f[1] += self.beta * mag[0] ** self.q3 * _signed_power(u[1], mag[1], self.s3)
         return [v * x - y for v, x, y in zip(self.v, u, f)]
 
-    def gradient_spectra(self, u_hat: np.ndarray, force: np.ndarray) -> np.ndarray:
-        """Half spectrum of G = -lap u + V u - f(u), given u's and the force."""
-        return self.k2_c * u_hat + np.fft.rfftn(force, s=self.shape, axes=self.axes)
 
+class _OneState:
+    """One state's kernel, carrying its nonzero components, and their fields
+    and half spectra as stacks of one row, transformed once for the energy,
+    the gradient and the multipliers alike.  A non-finite value raises
+    ValueError naming the component and the node, before any arithmetic."""
 
-def _one_state(
-    state: State, spec: ProblemSpec, potentials: tuple[Field, Field] | None
-) -> tuple[_Kernel, list]:
-    """The kernel of one state, carrying its nonzero components, and their
-    fields as stacks of one row.  A non-finite value raises ValueError naming
-    the component and the node, before any arithmetic."""
-    g, fields = state.grid, (state.u1.values, state.u2.values)
-    for c, values in enumerate(fields):
-        if not np.isfinite(values).all():
-            raise ValueError(_non_finite(values, c))
-    comps = [c for c in (0, 1) if fields[c].any()]
-    if potentials is None:
-        potentials = (sample_potential(spec.v1, g), sample_potential(spec.v2, g))
-    pots = (potentials[0].values, potentials[1].values)
-    return _Kernel(g, spec, pots, comps), [fields[c][None] for c in comps]
+    def __init__(
+        self, state: State, spec: ProblemSpec, potentials: tuple[Field, Field] | None
+    ) -> None:
+        g, fields = state.grid, (state.u1.values, state.u2.values)
+        for c, values in enumerate(fields):
+            if not np.isfinite(values).all():
+                raise ValueError(_non_finite(values, c))
+        comps = [c for c in (0, 1) if fields[c].any()]
+        if potentials is None:
+            potentials = (sample_potential(spec.v1, g), sample_potential(spec.v2, g))
+        self.state, self.half = state, _HalfSpectrum(g)
+        self.kern = _Kernel(self.half, spec, (potentials[0].values, potentials[1].values), comps)
+        self.u = [fields[c][None] for c in comps]
+        self.u_hat = [self.half.forward(x) for x in self.u]
+
+    def report(self) -> EnergyReport:
+        """energy()'s itemized energy; an overflowing total raises ValueError."""
+        u = self.u
+        kin = [self.half.kinetic(x) for x in self.u_hat]
+        parts = dict.fromkeys(EnergyReport.__dataclass_fields__, 0.0)
+        parts["total"] = self.kern.energies(u, [x**2 for x in u], kin, parts)[0] if u else 0.0
+        if not np.isfinite(parts["total"]):
+            raise ValueError(
+                f"energy: the total {parts['total']} is not finite (the state overflows)"
+            )
+        return EnergyReport(**parts)
+
+    def gradient(self) -> list[np.ndarray]:
+        """The arrays of gradient()'s pair (G1, G2)."""
+        g = [np.zeros(self.half.shape), np.zeros(self.half.shape)]
+        for c, force, x_hat in zip(self.kern.comps, self.kern.forces(self.u), self.u_hat):
+            g[c] = force[0] - self.half.laplacian(x_hat)[0]
+        return g
+
+    def multipliers(self) -> Multipliers:
+        """multipliers()'s pair; nan for a component without mass."""
+        out = []
+        for gi, ui in zip(self.gradient(), (self.state.u1, self.state.u2)):
+            mass = norm_sq(ui)
+            out.append(-integrate(gi * ui.values, ui.grid) / mass if mass > 0.0 else float("nan"))
+        return Multipliers(lambda1=out[0], lambda2=out[1])
 
 
 def energy(
-    state: State,
-    spec: ProblemSpec,
-    potentials: tuple[Field, Field] | None = None,
+    state: State, spec: ProblemSpec, potentials: tuple[Field, Field] | None = None
 ) -> EnergyReport:
     """Itemized energy of a state under a problem specification.
 
@@ -216,19 +222,11 @@ def energy(
     state's grid; otherwise they are sampled from ``spec``.  A non-finite
     value in the state, or a total that overflows, raises ValueError.
     """
-    kern, u = _one_state(state, spec, potentials)
-    kin = [kern.kinetic(np.fft.rfftn(x, s=kern.shape, axes=kern.axes)) for x in u]
-    parts = dict.fromkeys(EnergyReport.__dataclass_fields__, 0.0)
-    parts["total"] = kern.energies(u, [x**2 for x in u], kin, parts)[0] if u else 0.0
-    if not np.isfinite(parts["total"]):
-        raise ValueError(f"energy: the total {parts['total']} is not finite (the state overflows)")
-    return EnergyReport(**parts)
+    return _OneState(state, spec, potentials).report()
 
 
 def gradient(
-    state: State,
-    spec: ProblemSpec,
-    potentials: tuple[Field, Field] | None = None,
+    state: State, spec: ProblemSpec, potentials: tuple[Field, Field] | None = None
 ) -> State:
     """L2 gradient pair (G1, G2) of the energy at a state.
 
@@ -237,17 +235,12 @@ def gradient(
     (d/dt) E(u + t v) at t = 0 equals sum_i <G_i, v_i>.  A non-finite value
     raises ValueError.
     """
-    kern, u = _one_state(state, spec, potentials)
-    g = [np.zeros(kern.shape), np.zeros(kern.shape)]
-    for c, force in zip(kern.comps, kern.forces(u)):
-        g[c] = force[0] - laplacian((state.u1, state.u2)[c]).values
-    return State(Field(state.grid, g[0]), Field(state.grid, g[1]))
+    g1, g2 = _OneState(state, spec, potentials).gradient()
+    return State(Field(state.grid, g1), Field(state.grid, g2))
 
 
 def multipliers(
-    state: State,
-    spec: ProblemSpec,
-    potentials: tuple[Field, Field] | None = None,
+    state: State, spec: ProblemSpec, potentials: tuple[Field, Field] | None = None
 ) -> Multipliers:
     """Constraint multipliers lambda_i = -<G_i(u), u_i> / mass_i.
 
@@ -256,9 +249,4 @@ def multipliers(
     A component with zero mass has no multiplier: its entry is nan.  A
     non-finite value raises ValueError.
     """
-    grad = gradient(state, spec, potentials)
-    out = []
-    for gi, ui in ((grad.u1, state.u1), (grad.u2, state.u2)):
-        mass = norm_sq(ui)
-        out.append(-inner(gi, ui) / mass if mass > 0.0 else float("nan"))
-    return Multipliers(lambda1=out[0], lambda2=out[1])
+    return _OneState(state, spec, potentials).multipliers()

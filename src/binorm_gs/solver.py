@@ -11,11 +11,12 @@ preconditioned, projected gradient
 where G = -lap u + V u - f(u) is the L2 gradient of the energy,
 S = (1 + max(V, 0))^(-1/2) and the shift a is the larger of 1 and the
 current multiplier estimate.  E and V u - f(u) come from ``energy._Kernel``,
-the one kernel that ``energy()``, ``gradient()`` and ``multipliers()`` apply
-to a single state: a start's energy in the flow is the one ``energy()``
-gives for its fields.  d is orthogonal to u and vanishes exactly
-when G = -lambda u, so a converged state solves the Euler-Lagrange system
-itself, whatever the step size.
+and every transform, L2 product and kinetic term from the grid's
+half-spectrum layout (``grid._HalfSpectrum``); ``energy()``, ``gradient()``
+and ``multipliers()`` apply both to a single state, so a start's energy in
+the flow is the one ``energy()`` gives for its fields.  d is orthogonal to
+u and vanishes exactly when G = -lambda u, so a converged state solves the
+Euler-Lagrange system itself, whatever the step size.
 
 The search direction is s = d + beta s_prev, with s_prev projected onto
 the tangent space at the current u and one Polak-Ribiere+ coefficient
@@ -81,16 +82,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import (
-    EnergyReport,
-    Multipliers,
-    _Kernel,
-    _non_finite,
-    energy,
-    gradient,  # noqa: F401  unused here; bench/tracing.py wraps solver.gradient
-    multipliers,
-)
-from .grid import Field, Grid, State, _squared_distance, make_grid
+from .energy import EnergyReport, Multipliers, _Kernel, _non_finite, _OneState
+from .energy import energy, gradient, multipliers  # noqa: F401  bench/tracing.py wraps them
+from .grid import Field, Grid, State, _HalfSpectrum, _squared_distance, make_grid
 from .model import ProblemSpec, PotentialSpec, sample_potential, validate
 
 __all__ = [
@@ -314,60 +308,36 @@ def _decimate(rows: list[tuple[int, float, float]]) -> list[tuple[int, float, fl
     return out
 
 
-def _rowdot(a: np.ndarray, b: np.ndarray, scale: float = 1.0) -> list[float]:
-    """scale * Re np.vdot(a[j], b[j]) for every row j of two stacks; np.vecdot
-    makes the same BLAS call for each row as np.vdot."""
-    a, b = a.reshape(len(a), -1), b.reshape(len(b), -1)
-    return [scale * z.real for z in np.vecdot(a, b).tolist()]
-
-
 def _flow(
-    grid: Grid,
-    spec: ProblemSpec,
-    pots: tuple[np.ndarray, np.ndarray],
-    members: list[_Member],
+    grid: Grid, spec: ProblemSpec, pots: tuple[np.ndarray, np.ndarray], members: list[_Member],
     config: SolverConfig,
 ) -> list[_Run]:
     """Run the projected, preconditioned nonlinear CG descent on a batch of starts.
 
     Every member has its own masses and start and shares the exponents and
     couplings of spec and the sampled potentials pots.  Every member must
-    carry the components of the first, those with positive mass.  Energies
-    and forces come from energy._Kernel, and every per-component list holds
-    one stack per carried component, one row per member; the module
-    docstring says how each member still does the arithmetic of a batch of
-    one.  Their _Runs come back, in member order.
+    carry the components of the first, those with positive mass.  Every
+    per-component list holds one stack per carried component, one row per
+    member; the module docstring says how each member still does the
+    arithmetic of a batch of one.  Their _Runs come back, in member order.
     """
     comps = [c for c in (0, 1) if members[0].masses[c] > 0.0]
-    kern = _Kernel(grid, spec, pots, comps)
-    n_comps = len(comps)
-    carried = range(n_comps)
-    cell, shape, axes = kern.cell, kern.shape, kern.axes
+    half = _HalfSpectrum(grid)
+    kern = _Kernel(half, spec, pots, comps)
+    carried = range(len(comps))
+    cell = grid.cell_volume
     col = (slice(None),) + (None,) * grid.dim
-    k2, wgt, wgt_c, spectral_scale = kern.k2, kern.wgt, kern.wgt_c, kern.spectral_scale
     # S, or None where V <= 0, so that S == 1 and the whole step stays in the
     # half spectrum.
     sandwich = [
         np.sqrt(_PRECOND_SHIFT / (_PRECOND_SHIFT + np.maximum(v, 0.0)))
-        if float(np.max(v)) > 0.0
-        else None
-        for v in kern.v
+        if float(np.max(v)) > 0.0 else None for v in kern.v
     ]
 
     def column(values: list[float]) -> np.ndarray | float:
         """Per-member factors shaped to scale stacked rows; one member's is a
         float, which saves 3.3% of an n = 4096 soliton solve's CPU time."""
         return values[0] if len(values) == 1 else np.array(values)[col]
-
-    def member_dots(a_hat: list, wb_hat: list) -> list:
-        """Per member, the sum over its components of the L2 products <a, b>
-        of real fields given by their half spectra, wb_hat carrying the
-        half-spectrum weights."""
-        out = [0] * len(runs)
-        for a, wb in zip(a_hat, wb_hat):
-            for m, x in enumerate(_rowdot(a, wb, spectral_scale)):
-                out[m] += x
-        return out
 
     def direction(i: int, force: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Spectra of G, of the residual G + lambda u and of the direction d.
@@ -379,40 +349,26 @@ def _flow(
         of P times the Hessian at most 1 for components with lambda > 1.
         """
         u_hat = spectra[i]
-        g_hat = kern.gradient_spectra(u_hat, force)
-        g_dot_u = _rowdot(u_hat, wgt_c * g_hat, spectral_scale)
-        lam = [-x / run.masses[i] for run, x in zip(runs, g_dot_u)]
-        resolvent = 1.0 / (column([max(_PRECOND_SHIFT, x) for x in lam]) + k2)
-        # complex once here, rather than cast in each product below
-        w_resolvent = (wgt * resolvent).astype(complex)
-        resolvent = resolvent.astype(complex)
-        sg_hat = g_hat
-        su_hat = u_hat
-        s_i = sandwich[i]
+        g_hat = half.gradient(u_hat, force)
+        lam = [-x / run.masses[i] for run, x in zip(runs, half.dot(u_hat, g_hat))]
+        resolvent = 1.0 / (column([max(_PRECOND_SHIFT, x) for x in lam]) + half.k2)
+        sg_hat, su_hat, s_i = g_hat, u_hat, sandwich[i]
         if s_i is not None:
-            sg_hat = np.fft.rfftn(
-                s_i * np.fft.irfftn(g_hat, s=shape, axes=axes), s=shape, axes=axes
-            )
-            su_hat = np.fft.rfftn(s_i * fields[i], s=shape, axes=axes)
-        coef = [
-            x / y
-            for x, y in zip(
-                _rowdot(su_hat, w_resolvent * sg_hat), _rowdot(su_hat, w_resolvent * su_hat)
-            )
-        ]
-        d_hat = resolvent * (sg_hat - column(coef) * su_hat)
+            sg_hat = half.forward(s_i * half.inverse(g_hat))
+            su_hat = half.forward(s_i * fields[i])
+        coef = half.ratio(resolvent, su_hat, sg_hat, su_hat)
+        # complex once here, rather than cast in the product
+        d_hat = resolvent.astype(complex) * (sg_hat - column(coef) * su_hat)
         if s_i is not None:
-            d_hat = np.fft.rfftn(
-                s_i * np.fft.irfftn(d_hat, s=shape, axes=axes), s=shape, axes=axes
-            )
+            d_hat = half.forward(s_i * half.inverse(d_hat))
         return g_hat, g_hat + column(lam) * u_hat, d_hat
 
     def candidates(steps: list[float], s_hat: list) -> _Step:
         """Energies and fields of N[u - step s], rescaled to the masses, one step per member."""
         steps_c = column(steps)
         cand_hat = [u_hat - steps_c * x for u_hat, x in zip(spectra, s_hat)]
-        cand = [np.fft.irfftn(x, s=shape, axes=axes) for x in cand_hat]
-        m_star = [[cell * s for s in kern.total(x**2)] for x in cand]
+        cand = [half.inverse(x) for x in cand_hat]
+        m_star = [[cell * s for s in half.total(x**2)] for x in cand]
         if not all(all(map(math.isfinite, m)) for m in m_star):
             j, i, m = min(
                 (runs[m].member, i, m)
@@ -421,8 +377,7 @@ def _flow(
             raise ValueError(
                 f"solver: {members[j].name}: {_non_finite(cand[i][m], comps[i])}, iteration {it}"
             )
-        new, new_hat = [None] * n_comps, [None] * n_comps
-        sq, kin = [None] * n_comps, [None] * n_comps
+        new, new_hat, sq, kin = ([None] * len(comps) for _ in range(4))
         mass_err = [0.0] * len(runs)
         for i in carried:
             alphas = [run.masses[i] for run in runs]
@@ -431,8 +386,8 @@ def _flow(
             new[i] = cand[i] * scale_c
             new_hat[i] = cand_hat[i] * scale_c
             sq[i] = new[i] ** 2
-            kin[i] = kern.kinetic(cand_hat[i])
-            for m, (a, sc, ms) in enumerate(zip(alphas, scale, kern.total(sq[i]))):
+            kin[i] = half.kinetic(cand_hat[i])
+            for m, (a, sc, ms) in enumerate(zip(alphas, scale, half.total(sq[i]))):
                 kin[i][m] *= sc**2
                 mass_err[m] = max(mass_err[m], abs(cell * ms - a) / a)
         return _Step(kern.energies(new, sq, kin), new, new_hat, kin, mass_err)
@@ -452,8 +407,8 @@ def _flow(
                 )
             rows[i].append(values * math.sqrt(mass / start_mass))
     fields = [np.array(x) for x in rows]
-    spectra = [np.fft.rfftn(x, s=shape, axes=axes) for x in fields]
-    kin0 = [kern.kinetic(x) for x in spectra]
+    spectra = [half.forward(x) for x in fields]
+    kin0 = [half.kinetic(x) for x in spectra]
     energy0 = kern.energies(fields, [x**2 for x in fields], kin0)
     runs = [
         _Run(j, [member.masses[c] for c in comps], e, [k[j] for k in kin0], config.dt)
@@ -470,11 +425,10 @@ def _flow(
         # Polak-Ribiere+ with one beta for both components; the previous
         # search direction is projected onto the tangent space at u.
         # Since <u, d> = 0, <G, d> = <r, d>: the slope along d.
-        wd_hat = [wgt_c * d for d in d_hat]
-        rd = member_dots(r_hat, wd_hat)
+        rd = half.dots(r_hat, d_hat)
         s_hat, slope = d_hat, rd
         if any(run.rd_prev is not None for run in runs):
-            rd_mixed = member_dots(r_prev, wd_hat)
+            rd_mixed = half.dots(r_prev, d_hat)
             beta = [
                 0.0 if run.rd_prev is None else (x - y) / run.rd_prev
                 for run, x, y in zip(runs, rd, rd_mixed)
@@ -483,13 +437,10 @@ def _flow(
                 cg_hat = list(d_hat)
                 for i in carried:
                     along = [
-                        x / run.masses[i]
-                        for run, x in zip(
-                            runs, _rowdot(spectra[i], wgt_c * s_prev[i], spectral_scale)
-                        )
+                        x / run.masses[i] for run, x in zip(runs, half.dot(spectra[i], s_prev[i]))
                     ]
                     cg_hat[i] = d_hat[i] + column(beta) * (s_prev[i] - column(along) * spectra[i])
-                cg_slope = member_dots(g_hat, [wgt_c * x for x in cg_hat])
+                cg_slope = half.dots(g_hat, cg_hat)
                 on_cg = [b > 0.0 and x > 0.0 for b, x in zip(beta, cg_slope)]
                 if all(on_cg):  # no np.where copy: 3.6% of a soliton solve's CPU time
                     s_hat, slope = cg_hat, cg_slope
@@ -546,7 +497,7 @@ def _flow(
 
         residual = [0.0] * len(runs)
         for new, old in zip(step.fields, fields):
-            moved = np.maximum.reduce(np.abs(new - old), axis=axes).tolist()
+            moved = np.maximum.reduce(np.abs(new - old), axis=half.axes).tolist()
             for m, (run, x) in enumerate(zip(runs, moved)):
                 residual[m] = max(residual[m], x / run.tau)
         done = []
@@ -569,7 +520,7 @@ def _flow(
         leaving = range(len(runs)) if it == config.max_iters else done
         for m in leaving:
             run = runs[m]
-            run.pair = [np.zeros(shape), np.zeros(shape)]
+            run.pair = [np.zeros(grid.shape), np.zeros(grid.shape)]
             for c, x in zip(comps, fields):
                 run.pair[c] = x[m].copy()
             run.iterations, run.residual, run.converged = it, residual[m], m in done
@@ -806,64 +757,50 @@ def _run_shares(items: list[Callable[[], object]], what: str, alone: bool = Fals
 
 
 def _result(
-    grid: Grid,
-    spec: ProblemSpec,
-    pot_fields: tuple[Field, Field],
-    config: SolverConfig,
+    grid: Grid, spec: ProblemSpec, pot_fields: tuple[Field, Field], config: SolverConfig,
     runs: list[_Run],
 ) -> SolveResult:
-    """The solve record of a spec from its starts' runs, in start order."""
+    """The solve record of a spec from its starts' runs, in start order; with
+    no runs (both masses zero), the zero state's.  The final state is
+    evaluated once for its report and multipliers."""
     if not runs:
         zero = Field(grid, np.zeros(grid.shape))
         state = State(zero, zero)
-        return SolveResult(
-            state=state,
-            report=energy(state, spec, pot_fields),
-            multipliers=Multipliers(float("nan"), float("nan")),
-            iterations=0,
-            final_residual=0.0,
-            converged=True,
-            trajectory_energies=[(0, 0.0, 0.0)],
+        record = dict(
+            iterations=0, final_residual=0.0, converged=True, trajectory_energies=[(0, 0.0, 0.0)],
+            diagnostics={"starts": 0, "best_start": 0, "final_dt": None, "step_cuts": 0,
+                         "per_start": []},
+        )
+    else:
+        best_idx = 0
+        for idx, run in enumerate(runs):
+            if run.energy < runs[best_idx].energy - 1e-12:
+                best_idx = idx
+        best = runs[best_idx]
+        state = State(Field(grid, best.pair[0]), Field(grid, best.pair[1]))
+        record = dict(
+            iterations=best.iterations,
+            final_residual=best.residual,
+            converged=best.converged,
+            trajectory_energies=best.trajectory,
             diagnostics={
-                "starts": 0,
-                "best_start": 0,
-                "final_dt": None,
-                "step_cuts": 0,
-                "per_start": [],
+                "starts": config.multi_start,
+                "best_start": best_idx,
+                "max_energy_increase": best.max_inc,
+                "max_mass_error": best.max_mass_err,
+                "max_grad_ratio": best.max_grad_ratio,
+                "final_dt": float(best.tau),
+                "step_cuts": best.cuts,
+                "per_start": [
+                    {"iterations": run.iterations, "energy": run.energy,
+                     "converged": run.converged, "step_cuts": run.cuts}
+                    for run in runs
+                ],
             },
         )
-    best_idx = 0
-    for idx, run in enumerate(runs):
-        if run.energy < runs[best_idx].energy - 1e-12:
-            best_idx = idx
-    best = runs[best_idx]
-    state = State(Field(grid, best.pair[0]), Field(grid, best.pair[1]))
+    final = _OneState(state, spec, pot_fields)
     return SolveResult(
-        state=state,
-        report=energy(state, spec, pot_fields),
-        multipliers=multipliers(state, spec, pot_fields),
-        iterations=best.iterations,
-        final_residual=best.residual,
-        converged=best.converged,
-        trajectory_energies=best.trajectory,
-        diagnostics={
-            "starts": config.multi_start,
-            "best_start": best_idx,
-            "max_energy_increase": best.max_inc,
-            "max_mass_error": best.max_mass_err,
-            "max_grad_ratio": best.max_grad_ratio,
-            "final_dt": float(best.tau),
-            "step_cuts": best.cuts,
-            "per_start": [
-                {
-                    "iterations": run.iterations,
-                    "energy": run.energy,
-                    "converged": run.converged,
-                    "step_cuts": run.cuts,
-                }
-                for run in runs
-            ],
-        },
+        state=state, report=final.report(), multipliers=final.multipliers(), **record
     )
 
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from binorm_gs.analysis import (
     classify_decay_regime,
     convolution_limit_check,
     decay_fit,
+    glue_energy_gap,
     glue_states,
     overlap_series,
     pohozaev_check,
@@ -23,7 +26,14 @@ from binorm_gs.analysis import (
 )
 from binorm_gs.energy import energy
 from binorm_gs.grid import Field, State, laplacian, make_grid, norm_sq
-from binorm_gs.model import ProblemSpec
+from binorm_gs.model import ProblemSpec, sample_potential
+
+from _cases import wells_spec
+
+# Modules come from importlib because the package rebinds the name `energy`
+# to the function of that name.
+analysis_module = importlib.import_module("binorm_gs.analysis")
+energy_module = importlib.import_module("binorm_gs.energy")
 
 
 # ---------------------------------------------------------------------------
@@ -347,3 +357,34 @@ def test_glue_states_zero_component_passthrough(grid_1d):
     m1, m2 = glued.masses()
     assert m1 == pytest.approx(alpha[0], rel=1e-12)
     assert m2 == pytest.approx(alpha[1], rel=1e-12)
+
+
+def test_glue_energy_gap_samples_the_potentials_once(grid_1d, monkeypatch):
+    # one sampling of V1 and V2 serves every shift, and each gap is the one
+    # energy() gives when it samples the potentials itself
+    spec = wells_spec()
+    x = grid_1d.axes[0]
+    u0 = State(Field(grid_1d, 0.6 * np.exp(-0.5 * np.abs(x))),
+               Field(grid_1d, 0.5 * np.exp(-0.6 * np.abs(x))))
+    w0 = State(Field(grid_1d, 0.4 * np.exp(-1.0 * np.abs(x))),
+               Field(grid_1d, 0.3 * np.exp(-0.9 * np.abs(x))))
+    spec = spec.with_masses(*(a + b for a, b in zip(u0.masses(), w0.masses())))
+    free = spec.without_potentials()
+    u0_res = SimpleNamespace(state=u0, report=energy(u0, spec))
+    w0_res = SimpleNamespace(state=w0, report=energy(w0, free))
+    calls = []
+
+    def counted(pot, grid):
+        calls.append(pot)
+        return sample_potential(pot, grid)
+
+    for module in (analysis_module, energy_module):
+        monkeypatch.setattr(module, "sample_potential", counted, raising=False)
+    shifts = [512, 640, 768]
+    ledgers = glue_energy_gap(spec, u0_res, w0_res, shifts)
+    assert calls == [spec.v1, spec.v2]
+    monkeypatch.undo()
+    reference = u0_res.report.total + w0_res.report.total
+    for n, ledger in zip(shifts, ledgers):
+        glued, _ = glue_states(u0, w0, n, spec.masses)
+        assert ledger.gap == energy(glued, spec).total - reference

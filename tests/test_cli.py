@@ -723,3 +723,23 @@ def test_experiment_config_is_plain_data():
     cfg = ExperimentConfig(problem=config_from_dict({}).problem)
     assert cfg.tasks == ["solve"]
     assert cfg.output_dir == "out"
+
+
+@pytest.mark.parametrize("command", ["run", "decay-fit"])
+def test_decay_fit_refused_in_the_trapping_regime(tmp_path, capsys, command):
+    # a trapped tail is Gaussian and lambda2 may be negative: decay_fit is
+    # refused before any directory is made, from run.tasks and the subcommand
+    extra = (
+        "problem.regime = trapping\nproblem.alpha2 = 0.01\npotential2.kind = harmonic_trap\n"
+        "potential2.offset = 1.0\npotential2.stiffness = 1.0\n"
+    )
+    cfg_path = write_config(tmp_path, "solve, decay_fit", extra=extra)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+    errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.strip()]
+    assert errors == [
+        "error: decay_fit is not available in the trapping regime (problem.regime = trapping): "
+        "the trapped u2 has a Gaussian tail, not exp(-sqrt(lambda2) r), "
+        "and lambda2 may be negative"
+    ]
+    assert not out.exists()

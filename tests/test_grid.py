@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +13,7 @@ from hypothesis import strategies as st
 
 from binorm_gs.grid import (
     Field,
-    _rfft_k2,
-    _rfft_weights,
+    _HalfSpectrum,
     grad_norm_sq,
     inner,
     integrate,
@@ -132,20 +132,42 @@ def test_inner_is_symmetric(grid_small, rng):
 @pytest.mark.parametrize("dim, n", [(1, 64), (2, 16)])
 def test_half_spectrum_layout_matches_the_full_spectrum(dim, n):
     g = make_grid(dim, n, 8.0)
+    layout = _HalfSpectrum(g)
     half = n // 2 + 1
-    assert np.array_equal(_rfft_k2(g), g.k2[..., :half])
+    assert np.array_equal(layout.k2[0], g.k2[..., :half])
     f = Field(g, np.random.default_rng(dim).standard_normal(g.shape))
     full, part = np.fft.fftn(f.values), np.fft.rfftn(f.values)
-    w = _rfft_weights(g)
-    assert w.shape == part.shape
+    stack = layout.forward(f.values[None])
+    # a stack of one row transforms as the field itself, to the bit
+    assert stack.tobytes() == part.tobytes()
+    assert layout.inverse(stack)[0] == pytest.approx(f.values, abs=1e-13)
+    assert layout._weights[0].shape == part.shape
     # the weighted half sums of |u^|^2 and k^2 |u^|^2 are the full sums
-    for full_mult, half_mult in ((1.0, 1.0), (g.k2, _rfft_k2(g))):
-        want = float(np.sum(full_mult * np.abs(full) ** 2))
-        got = float(np.sum(w * half_mult * np.abs(part) ** 2))
+    scale = g.cell_volume / n**dim
+    for full_mult, got in ((1.0, layout.dot(stack, stack)[0]),
+                           (g.k2, 2.0 * layout.kinetic(stack)[0])):
+        want = scale * float(np.sum(full_mult * np.abs(full) ** 2))
         assert got == pytest.approx(want, rel=1e-13)
+    # the Laplacian is -k^2 on the half spectrum as on the full one
+    lap_full = np.real(np.fft.ifftn(-g.k2 * full))
+    assert layout.laplacian(stack)[0] == pytest.approx(lap_full, abs=1e-10)
+    # with M = 1, ratio(M, a, b, a) is <a, b> / <a, a>
+    other = layout.forward(np.cos(f.values)[None])
+    want = layout.dot(stack, other)[0] / layout.dot(stack, stack)[0]
+    assert layout.ratio(np.ones(layout.k2.shape), stack, other, stack)[0] == pytest.approx(
+        want, rel=1e-13
+    )
     # an integer shift moves along the first axis only
     moved = translate(f, 3)
     assert np.array_equal(moved.values, translate(f, (3,) + (0,) * (dim - 1)).values)
+
+
+def test_the_package_transforms_only_in_grid():
+    # the half-spectrum layout lives in one module: no other one uses np.fft
+    src = Path(__file__).resolve().parents[1] / "src" / "binorm_gs"
+    fft = re.compile(r"\b(?:np|numpy)\.fft\b|\bfrom numpy import\b.*\bfft\b")
+    users = sorted(p.name for p in src.glob("*.py") if fft.search(p.read_text()))
+    assert users == ["grid.py"]
 
 
 def test_translate_identity_and_inverse(grid_small, rng):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from binorm_gs import solver
 from binorm_gs.analysis import soliton_energy_p1
-from binorm_gs.energy import energy
+from binorm_gs.energy import energy, multipliers
 from binorm_gs.grid import Field, State, make_grid, norm_sq
 from binorm_gs.model import PotentialSpec, ProblemSpec, sample_potential
 from binorm_gs.solver import (
@@ -174,6 +174,11 @@ def test_flow_and_energy_share_one_kernel(spec, grid):
         for u, mass in zip(solver._initializations(grid, config, None)[0], spec.masses)
     ]
     assert res.trajectory_energies[0][1] == energy(State(*start), spec).total
+    # the record's report and multipliers, evaluated once, are energy() and
+    # multipliers() of its state, bit for bit (nan for a missing component)
+    assert res.report == energy(res.state, spec)
+    lam = np.array(res.multipliers.as_tuple())
+    assert lam.tobytes() == np.array(multipliers(res.state, spec).as_tuple()).tobytes()
 
 
 def test_a_later_start_can_win():
