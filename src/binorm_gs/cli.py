@@ -116,8 +116,6 @@ _TASK_PARAMS: dict[str, dict[str, tuple]] = {
     "check_inequalities": {
         "p": (lambda s: float(s.p1), *_SUBCRITICAL),
         "eta": (lambda s: 0.5 * s.p, lambda s: 0.0 < s.eta < s.p, "must lie in (0, p = {s.p})"),
-        "resolution": (lambda s: 1e-3, lambda s: 0.0 < s.resolution < math.inf,
-                       "must lie in (0, inf)"),
     },
     "conv_limit": {
         "f_rate": (lambda s: 2.0, lambda s: s.g_rate < s.f_rate < math.inf,
@@ -134,6 +132,18 @@ _TASK_PARAMS: dict[str, dict[str, tuple]] = {
 TASK_KEYS = {task: tuple(params) for task, params in _TASK_PARAMS.items()}
 TASK_NAMES = tuple(TASK_KEYS)
 SOLVER_TASKS = ("solve", "scan_subadd", "decay_fit", "glue_test", "pohozaev")
+# Each task a problem spec s leaves without meaning, with (test, reason): a
+# run refuses the task, naming reason (formatted with s), before any write.
+_REFUSALS: dict[str, tuple] = {
+    "decay_fit": (
+        (lambda s: s.regime == "trapping",
+         "in the trapping regime (problem.regime = trapping): the trapped u2 has a Gaussian "
+         "tail, not exp(-sqrt(lambda2) r), and lambda2 may be negative"),
+        (lambda s: 0.0 in s.masses,
+         "with a zero mass (problem.alpha1 = {s.alpha1}, problem.alpha2 = {s.alpha2}): a "
+         "vanishing component has no tail to fit, and its multiplier is undefined"),
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -776,13 +786,10 @@ class _Runner:
         """The two scans of Lemma 3.4, with their notes."""
         p = self.params["check_inequalities"]
         p_exp, eta = p["p"], p["eta"]
-        c_min = min_constant_34i(p_exp, resolution=p["resolution"])
+        c_min = min_constant_34i(p_exp)
         rep_i = replace(check_lemma34i(p_exp, c_min), min_constant_estimate=c_min)
-        c_suf = sufficient_constant_34ii(p_exp, eta)
-        c_min_ii = min_constant_34ii(p_exp, eta)
-        rep_ii = replace(
-            check_lemma34ii(p_exp, eta, c_suf), min_constant_estimate=c_min_ii
-        )
+        c_suf, c_min_ii = sufficient_constant_34ii(p_exp, eta), min_constant_34ii(p_exp, eta)
+        rep_ii = replace(check_lemma34ii(p_exp, eta, c_suf), min_constant_estimate=c_min_ii)
         return [("min constant", rep_i), ("sufficient constant", rep_ii)]
 
     def task_check_inequalities(self) -> None:
@@ -895,7 +902,8 @@ def run(
 
     tasks, out_dir and seed override the config when given.  A potential
     that cannot be sampled on the run grid (a missing or mismatched table, or
-    one with a nonzero last column), or decay_fit in the trapping regime,
+    one with a nonzero last column), or a task its problem refuses
+    (_REFUSALS: decay_fit in the trapping regime or with a zero mass),
     raises before any file is written.  If a task raises, summary.txt and
     manifest.json are still written and the error propagates.
     """
@@ -908,10 +916,10 @@ def run(
             print(f"hypothesis violation: {v}", file=sys.stderr)
         return 1
     tasks = tasks if tasks is not None else cfg.tasks
-    if "decay_fit" in tasks and cfg.problem.regime == "trapping":
-        raise ValueError("decay_fit is not available in the trapping regime (problem.regime = "
-                         "trapping): the trapped u2 has a Gaussian tail, not exp(-sqrt(lambda2) "
-                         "r), and lambda2 may be negative")
+    for task in tasks:
+        for test, reason in _REFUSALS.get(task, ()):
+            if test(cfg.problem):
+                raise ValueError(f"{task} is not available {reason.format(s=cfg.problem)}")
     grid = cfg.grid()
     for pot in (cfg.problem.v1, cfg.problem.v2):
         sample_potential(pot, grid)

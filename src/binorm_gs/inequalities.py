@@ -23,6 +23,13 @@ raises ValueError naming p outside it.  Far outside it the powers overflow
 and an overflowed point certifies nothing: at p = 45 the four-variable scan
 at its sufficient constant would report 36 violations of a bound that holds.
 
+Both interaction defects are affine in their correction constant C,
+base + C weight with weight >= 0, so the smallest C under which a scan
+holds is exact, from one pass over it: the largest (-s SLACK norm - base)
+/ weight over the points with weight > 0, with s just below 1 so that the
+scan at that C holds despite rounding.  A point with weight = 0 holds for
+every C.
+
 The four-variable scan never forms the full 2D grid: on its slice the
 defect is evaluated from broadcast x-row and y-column views, a block of
 rows at a time, and gives exactly the results of a whole-grid scan.
@@ -49,6 +56,10 @@ __all__ = [
 ]
 
 SLACK = 1e-12
+# s: the share of SLACK a minimal constant uses at its binding point.  The
+# rest absorbs the rounding of base + C weight; at s = 1 the L34i scan at
+# its minimal constant fails by rounding at p = 0.9 and 0.95.
+_THRESHOLD_SLACK = 1.0 - 1e-3
 MAX_RECORDED = 50
 # 32 rows of a 1001-point axis make 256 KB float64 temporaries, which
 # stay in cache across the dozen passes the defect makes over a block.
@@ -63,8 +74,8 @@ class InequalityReport:
     the defect value; it is empty exactly when the inequality held with
     constant_tested at every scanned point.  worst_defect is the most
     negative normalized defect seen (nonnegative scans report their
-    smallest margin).  min_constant_estimate is nan unless a threshold
-    search filled it in.
+    smallest margin).  min_constant_estimate is nan unless the caller
+    filled in a minimal constant from min_constant_34i or min_constant_34ii.
     """
 
     which: str
@@ -80,9 +91,11 @@ class InequalityReport:
         return not self.violations
 
 
-def _check_p(p: float) -> None:
+def _check_p(p: float, eta: float | None = None) -> None:
     if not 0.0 < p < 2.0:
         raise ValueError(f"p must lie in (0, 2), the subcritical window for N = 1; got {p}")
+    if eta is not None and not 0.0 < eta < p:
+        raise ValueError(f"need 0 < eta < p, got eta={eta}, p={p}")
 
 
 def _axis(max_value: float, samples: int) -> np.ndarray:
@@ -112,18 +125,46 @@ def _report(which, params, constant, points, blocks) -> InequalityReport:
     return InequalityReport(which, params, constant, int(points), float(worst), tuple(viol))
 
 
+def _at(constant, blocks):
+    """A scan's blocks of (base, weight, normalizer, coords) as _report's
+    blocks of (defect, normalizer, coords) at the given constant."""
+    return ((base + constant * weight, norm, coords) for base, weight, norm, coords in blocks)
+
+
+def _min_constant(blocks, floor: float) -> float:
+    """Smallest constant C >= floor with base + C weight >= -s SLACK norm
+    wherever weight > 0, over a scan's blocks (see the module docstring);
+    nan when a point is not finite, as no constant makes it hold."""
+    least = floor
+    for base, weight, norm, _ in blocks:
+        on = weight > 0.0
+        bound = (-_THRESHOLD_SLACK * SLACK * norm[on] - base[on]) / weight[on]
+        least = np.maximum(least, np.max(bound, initial=floor))
+    return float(least) + 0.0  # +0.0, never -0.0
+
+
+def _terms_34i(p, a, b):
+    """(base, weight) of the degree-(2p+2) expansion defect base + C weight."""
+    q = 2.0 * p + 2.0
+    base = (a + b) ** q - a**q - b**q - q * (a ** (q - 1.0) * b + a * b ** (q - 1.0))
+    return base, (a * b) ** (p + 1.0)
+
+
 def defect_34i(
     p: float, constant: float, a: np.ndarray | float, b: np.ndarray | float
 ) -> np.ndarray | float:
     """Defect of the degree-(2p+2) expansion bound; nonnegative iff it holds."""
-    q = 2.0 * p + 2.0
-    return (
-        (a + b) ** q
-        - a**q
-        - b**q
-        - q * (a ** (q - 1.0) * b + a * b ** (q - 1.0))
-        + constant * (a * b) ** (p + 1.0)
-    )
+    base, weight = _terms_34i(p, a, b)
+    return base + constant * weight
+
+
+def _scan_34i(p, a_max, samples):
+    """The slice b = 1 (exhaustive by homogeneity and symmetry of the
+    defect) as one block: its point count and blocks."""
+    _check_p(p)
+    a = _axis(a_max, samples)
+    norm = np.maximum(1.0, (a + 1.0) ** (2.0 * p + 2.0))
+    return a.size, [(*_terms_34i(p, a, 1.0), norm, (a, 1.0))]
 
 
 def check_lemma34i(
@@ -132,69 +173,29 @@ def check_lemma34i(
     a_max: float = 1e2,
     samples: int = 4000,
 ) -> InequalityReport:
-    """Scan the expansion bound on the slice b = 1 (exhaustive by
-    homogeneity and symmetry of the defect)."""
-    _check_p(p)
-    a = _axis(a_max, samples)
-    d, norm = defect_34i(p, constant, a, 1.0), np.maximum(1.0, (a + 1.0) ** (2.0 * p + 2.0))
-    return _report("L34i", {"p": p, "a_max": a_max}, constant, a.size, [(d, norm, (a, 1.0))])
+    """Scan the expansion bound on the slice b = 1."""
+    points, blocks = _scan_34i(p, a_max, samples)
+    return _report("L34i", {"p": p, "a_max": a_max}, constant, points, _at(constant, blocks))
 
 
-def _bisect_constant(holds, resolution: float, floor: float | None = None) -> float:
-    """Smallest holding constant to resolution; holds must be monotone.
-
-    With a floor, the search is restricted to constants >= floor and
-    returns the floor itself when it already holds.  Without one, the
-    lower bracket is pushed negative until the bound fails.  A resolution
-    that is not finite and positive, or a bracket not found in 80
-    doublings, raises ValueError.
-    """
-    if not 0.0 < resolution < math.inf:
-        raise ValueError(f"resolution must be finite and > 0, got {resolution}")
-    hi = 1.0
-    for _ in range(80):
-        if holds(hi):
-            break
-        hi *= 2.0
-    else:
-        raise ValueError(f"no holding constant found up to {hi:.3g}")
-    if floor is not None:
-        if holds(floor):
-            return floor
-        lo = floor
-    else:
-        lo = min(hi - 1.0, -1.0)
-        for _ in range(80):
-            if not holds(lo):
-                break
-            hi = lo
-            lo *= 2.0
-        else:
-            raise ValueError("no failing constant found; bound may hold vacuously")
-    while hi - lo > resolution:
-        mid = 0.5 * (hi + lo)
-        if holds(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+def min_constant_34i(p: float, a_max: float = 1e2, samples: int = 4000) -> float:
+    """Smallest correction constant making the bound hold on check_lemma34i's
+    scan, from one pass over it; at a = 0 the defect is 0 for every one."""
+    return _min_constant(_scan_34i(p, a_max, samples)[1], -math.inf)
 
 
-def min_constant_34i(
-    p: float,
-    resolution: float = 1e-3,
-    a_max: float = 1e2,
-    samples: int = 4000,
-) -> float:
-    """Smallest correction constant (to resolution) making the bound hold.
-
-    The defect is increasing in the constant, so plain bisection applies
-    once a failing and a holding constant bracket the threshold.
-    """
-    return _bisect_constant(
-        lambda c: check_lemma34i(p, c, a_max=a_max, samples=samples).holds,
-        resolution,
+def _terms_34ii(p, eta, a1, a2, b1, b2):
+    """(base, weight) of the corrected product expansion defect base + C weight."""
+    q = p + 1.0
+    base = (
+        (a1 + b1) ** q * (a2 + b2) ** q
+        - a1**q * a2**q
+        - b1**q * b2**q
+        - q * (a1**p * a2**q * b1 + a1**q * a2**p * b2 + a2 * b1**q * b2**p)
     )
+    weight = (a1 ** (p - eta) * a2**q * b1 ** (1.0 + eta)
+              + a1 ** (1.0 + eta) * b2**q * b1 ** (p - eta))
+    return base, weight
 
 
 def defect_34ii(
@@ -211,15 +212,28 @@ def defect_34ii(
     Bihomogeneous: degree p+1 in (a1, b1) and in (a2, b2), so scans may
     fix b1 = b2 = 1 (the default) without loss.
     """
-    q = p + 1.0
-    return (
-        (a1 + b1) ** q * (a2 + b2) ** q
-        - a1**q * a2**q
-        - b1**q * b2**q
-        - q * (a1**p * a2**q * b1 + a1**q * a2**p * b2 + a2 * b1**q * b2**p)
-        + constant
-        * (a1 ** (p - eta) * a2**q * b1 ** (1.0 + eta)
-           + a1 ** (1.0 + eta) * b2**q * b1 ** (p - eta))
+    base, weight = _terms_34ii(p, eta, a1, a2, b1, b2)
+    return base + constant * weight
+
+
+def _scan_34ii(p, eta, x_max, samples):
+    """The 2D log grid plus axes over the slice b1 = b2 = 1 (exhaustive by
+    bihomogeneity): its point count and blocks of _ROW_BLOCK rows.
+
+    On that slice every term of the defect and of its normalizer is a
+    product of a function of x and one of y, so the grid is evaluated from
+    broadcast row and column views.  Each point goes through the same
+    operations as on the full grid, so a scan equals a whole-grid scan's
+    exactly.
+    """
+    _check_p(p, eta)
+    ax = _axis(x_max, samples)
+    y_lead = (ax + 1.0) ** (p + 1.0)
+    rows = (ax[start:start + _ROW_BLOCK, None] for start in range(0, ax.size, _ROW_BLOCK))
+    return ax.size**2, (
+        (*_terms_34ii(p, eta, x, ax, 1.0, 1.0),
+         np.maximum(1.0, (x + 1.0) ** (p + 1.0) * y_lead), (x[:, 0], ax))
+        for x in rows
     )
 
 
@@ -230,52 +244,29 @@ def check_lemma34ii(
     x_max: float = 1e2,
     samples: int = 1000,
 ) -> InequalityReport:
-    """Scan the corrected product expansion on a 2D log grid plus axes,
-    over the slice b1 = b2 = 1 (exhaustive by bihomogeneity).
-
-    On that slice every term of the defect and of its normalizer is a
-    product of a function of x and one of y, so the grid is evaluated
-    from broadcast row and column views, _ROW_BLOCK rows at a time.
-    Each point goes through the same operations as on the full grid, so
-    the report equals a whole-grid scan's exactly.
-    """
-    _check_p(p)
-    if not (0.0 < eta < p):
-        raise ValueError(f"need 0 < eta < p, got eta={eta}, p={p}")
-    ax = _axis(x_max, samples)
-    y_lead = (ax + 1.0) ** (p + 1.0)
-    rows = (ax[start:start + _ROW_BLOCK, None] for start in range(0, ax.size, _ROW_BLOCK))
-    blocks = (
-        (defect_34ii(p, eta, constant, x, ax),
-         np.maximum(1.0, (x + 1.0) ** (p + 1.0) * y_lead), (x[:, 0], ax))
-        for x in rows
-    )
-    return _report(
-        "L34ii", {"p": p, "eta": eta, "x_max": x_max}, constant, ax.size**2, blocks
-    )
+    """Scan the corrected product expansion on the slice b1 = b2 = 1."""
+    points, blocks = _scan_34ii(p, eta, x_max, samples)
+    params = {"p": p, "eta": eta, "x_max": x_max}
+    return _report("L34ii", params, constant, points, _at(constant, blocks))
 
 
 def min_constant_34ii(
     p: float,
     eta: float,
-    resolution: float = 1e-2,
     x_max: float = 1e2,
     samples: int = 400,
 ) -> float:
-    """Smallest nonnegative correction constant (to resolution) making the
-    product expansion hold on the scan; always at most
-    sufficient_constant_34ii.
+    """Smallest nonnegative correction constant making the product expansion
+    hold on check_lemma34ii's scan, from one pass over its row blocks;
+    always at most sufficient_constant_34ii.  At x = 0 the defect is
+    (1+y)^q - 1 - qy >= 0 for every constant.
 
-    The search stops at zero: below it the finite-domain threshold is set
-    by the scan cap alone (the defect-to-correction ratio tends to zero
+    The constant is floored at zero: below it the finite-domain threshold is
+    set by the scan cap alone (the defect-to-correction ratio tends to zero
     from above along the domain boundary), so unclamped estimates drift
     with x_max instead of converging.
     """
-    return _bisect_constant(
-        lambda c: check_lemma34ii(p, eta, c, x_max=x_max, samples=samples).holds,
-        resolution,
-        floor=0.0,
-    )
+    return _min_constant(_scan_34ii(p, eta, x_max, samples)[1], 0.0)
 
 
 def sufficient_constant_34ii(p: float, eta: float) -> float:
@@ -286,9 +277,7 @@ def sufficient_constant_34ii(p: float, eta: float) -> float:
     matching y threshold; the constant then covers the three compact
     corner regions left over.
     """
-    _check_p(p)
-    if not (0.0 < eta < p):
-        raise ValueError(f"need 0 < eta < p, got eta={eta}, p={p}")
+    _check_p(p, eta)
     q = p + 1.0
     x1 = min(
         (1.0 / (2.0 * q)) ** (1.0 / p),

@@ -278,8 +278,8 @@ def test_criterion_09_virial_identity(crit1, grid_1d, report):
 
 def test_criterion_10_interaction_inequalities(report):
     c_min = min_constant_34i(1.0)
-    ok = abs(c_min + 6.0) <= 1e-3
-    details = [f"cubic min constant {c_min:.5f} (-6 +/- 1e-3)"]
+    ok = abs(c_min + 6.0) <= 1e-9
+    details = [f"cubic min constant {c_min:.12f} (-6 +/- 1e-9)"]
     for p, eta in ((0.8, 0.4), (0.5, 0.25), (1.5, 0.75)):
         c = sufficient_constant_34ii(p, eta)
         rep = check_lemma34ii(p, eta, c, samples=1000)

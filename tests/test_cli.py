@@ -11,7 +11,9 @@ import hashlib
 import json
 import math
 import platform
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,10 +154,8 @@ GRIDLESS_LINES = "".join(
         ("task.scan_subadd.steps = 2.5\n", "task.scan_subadd.steps = 2.5"),
         ("task.scan_subadd.steps = 0\n", "task.scan_subadd.steps = 0"),
         ("task.scan_subadd.steps = -1\n", "task.scan_subadd.steps = -1"),
-        ("task.check_inequalities.resolution = 0.0\n",
-         "task.check_inequalities.resolution = 0.0"),
-        ("task.check_inequalities.resolution = inf\n",
-         "task.check_inequalities.resolution = inf"),
+        # the minimal constants are exact on their scan: no resolution to set
+        ("task.check_inequalities.resolution = 0.001\n", "task.check_inequalities.resolution"),
         ("task.check_inequalities.p = -1\n", "task.check_inequalities.p = -1"),
         ("task.check_inequalities.p = nan\n", "task.check_inequalities.p = nan"),
         ("task.check_inequalities.p = one\n", "task.check_inequalities.p = one"),
@@ -193,8 +193,8 @@ GRIDLESS_LINES = "".join(
     ids=["grid-key", "run-key", "section", "task-name", "length-only", "n-only",
          "bad-length", "bad-n", "task-key", "task-without-keys", "task-scalar",
          "problem-key", "problem-v1", "problem-v1-kind", "required-name",
-         "steps-fraction", "steps-zero", "steps-negative", "resolution-zero",
-         "resolution-inf", "p-negative", "p-nan", "p-text", "eta-above-p", "eta-zero",
+         "steps-fraction", "steps-zero", "steps-negative", "resolution-unknown",
+         "p-negative", "p-nan", "p-text", "eta-above-p", "eta-zero",
          "mu-zero", "mu-nan", "mu-bool", "pohozaev-p-above", "pohozaev-p-zero",
          "gamma-negative", "gamma-inf", "r1-text", "r2-inf", "r2-bool", "r1-above-r2-default",
          "r1-not-below-r2", "r2-past-window", "g-rate-above-f", "f-rate-at-g",
@@ -237,7 +237,7 @@ def test_task_values_default_from_the_problem_and_grid_and_keep_their_kinds():
     assert type(values["pohozaev"]["mu"]) is float and type(values["pohozaev"]["gamma"]) is float
     assert values["glue_test"] == {"gamma1": 1.0, "gamma2": 1.0, "n_cells": [5]}
     assert values["decay_fit"] == {"r1": 0.15 * 32.0, "r2": 0.35 * 32.0}
-    assert values["check_inequalities"] == {"p": 0.5, "eta": 0.25, "resolution": 1e-3}
+    assert values["check_inequalities"] == {"p": 0.5, "eta": 0.25}
     # an empty list counts as not given, as the flat format cannot hold it
     assert values["conv_limit"] == {
         "f_rate": 2.0, "g_rate": 1.0, "poly_power": 0.0, "r_values": [4.0, 8.5]
@@ -552,7 +552,7 @@ def test_check_inequalities_artifacts(tmp_path):
     for rep in reports:
         assert rep["holds"] is True
         assert rep["violations"] == 0
-    assert reports[0]["min_constant_estimate"] == pytest.approx(-6.0, abs=1e-3)
+    assert reports[0]["min_constant_estimate"] == pytest.approx(-6.0, abs=1e-9)
     assert reports[1]["min_constant_estimate"] == 0.0
     assert not (out / "violations.csv").exists()
 
@@ -743,3 +743,35 @@ def test_decay_fit_refused_in_the_trapping_regime(tmp_path, capsys, command):
         "and lambda2 may be negative"
     ]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("component", [1, 2])
+@pytest.mark.parametrize("command", ["run", "decay-fit"])
+def test_decay_fit_refused_with_a_zero_mass(tmp_path, capsys, command, component):
+    # a vanishing component has no tail and a nan multiplier, which decay_fit
+    # used to report, after the solve's files, as swapped multipliers
+    masses = {1: "1.0", 2: "1.0", component: "0.0"}
+    extra = f"problem.alpha1 = {masses[1]}\nproblem.alpha2 = {masses[2]}\n"
+    cfg_path = write_config(tmp_path, "solve, decay_fit", extra=extra)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+    errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.strip()]
+    assert errors == [
+        f"error: decay_fit is not available with a zero mass (problem.alpha1 = {masses[1]}, "
+        f"problem.alpha2 = {masses[2]}): a vanishing component has no tail to fit, "
+        "and its multiplier is undefined"
+    ]
+    assert not out.exists()
+
+
+def test_readme_task_key_table_lists_every_task_key():
+    # rows read `task.key`, `key2`, ...: the later keys belong to the first's task
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| key | default | rule |\n| --- | --- | --- |\n", 1)[1]
+    listed = []
+    for row in table.split("\n\n", 1)[0].splitlines():
+        first, *rest = re.findall(r"`([^`]+)`", row.split("|")[1])
+        task, key = first.split(".")
+        listed += [(task, key), *((task, k) for k in rest)]
+    known = [(task, key) for task, keys in cli.TASK_KEYS.items() for key in keys]
+    assert sorted(listed) == sorted(known)

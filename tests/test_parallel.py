@@ -282,7 +282,7 @@ def test_cli_run_on_two_cores_writes_the_serial_files(monkeypatch, tmp_path):
 
     monkeypatch.setattr(cli, "_run_shares", spy)
     tasks = ", ".join(cli.TASK_NAMES)
-    extra = "task.scan_subadd.steps = 2\ntask.check_inequalities.resolution = 0.01\n"
+    extra = "task.scan_subadd.steps = 2\n"
     parallel = _cli_run(monkeypatch, tmp_path, 2, tasks, extra)
     assert len(forks) == 3  # the task computations' worker, the u2 write's and the scan's
     # the main solve has this process to itself
