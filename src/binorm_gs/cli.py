@@ -37,8 +37,8 @@ import math
 import os
 import platform
 import sys
-from collections.abc import Callable
-from dataclasses import asdict, dataclass, field as dc_field, fields, replace
+from collections.abc import Callable, Collection
+from dataclasses import asdict, dataclass, field as dc_field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from types import SimpleNamespace
@@ -238,14 +238,6 @@ def format_flat(nested: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _as_list(value: Any) -> list:
-    if value is None:
-        return []
-    if isinstance(value, (list, tuple)):
-        return list(value)
-    return [value]
-
-
 @dataclass
 class ExperimentConfig:
     """One experiment: a problem, solver knobs, grid, and a task list."""
@@ -294,15 +286,18 @@ class ExperimentConfig:
         return values
 
 
+_KINDS = {float: ((int, float), "a number"), int: (int, "an integer"), str: (str, "a string")}
+
+
 def _as_kind(value: Any, like: Any, name: str) -> Any:
-    """value as a value of like's kind: a float takes any number and an int an
-    integer, a bool neither; a list takes one or more values of its first
+    """value as a value of like's kind: a float takes any number, an int an
+    integer and a str a string; a list takes one or more values of its first
     entry's kind.  Otherwise ValueError names name and value."""
     many = isinstance(like, list)
     kind = type(like[0] if many else like)
-    items = _as_list(value) if many else [value]
-    if any(isinstance(v, bool) or not isinstance(v, (int, kind)) for v in items):
-        noun = "a number" if kind is float else "an integer"
+    items = list(value) if many and isinstance(value, (list, tuple)) else [value]
+    takes, noun = _KINDS[kind]
+    if any(isinstance(v, bool) or not isinstance(v, takes) for v in items):
         raise ValueError(f"{name} = {value} must be {noun}" + " or a list of them" * many)
     return [kind(v) for v in items] if many else kind(value)
 
@@ -322,42 +317,49 @@ _DEFAULT_PROBLEM = ProblemSpec(
 )
 
 
-# Config sections, and the keys of those read here; potential and solver keys
-# are checked by the records they build.  The potentials are sections of their
-# own, so problem.v1 and problem.v2 are not keys.
-_SECTIONS = ("problem", "potential1", "potential2", "solver", "grid", "run", "task")
-_SECTION_KEYS = {
-    "problem": tuple(f.name for f in fields(ProblemSpec) if f.name not in ("v1", "v2")),
-    "grid": ("n", "length"), "run": ("tasks", "output_dir", "required"), "task": TASK_KEYS
+# Every key of the config sections but task, each with a value of its kind
+# (_as_kind) from the records' own defaults.  The potentials are sections of
+# their own, so problem.v1 and problem.v2 are not keys.
+_KEYS: dict[str, dict[str, Any]] = {
+    "problem": {k: v for k, v in _DEFAULT_PROBLEM.to_dict().items() if k not in ("v1", "v2")},
+    **{f"potential{i}": {**PotentialSpec.zero().to_dict(), "center": [0.0]} for i in (1, 2)},
+    "solver": asdict(SolverConfig()),
+    "grid": {"n": 0, "length": 0.0},
+    "run": {"tasks": ["solve"], "required": ["solve"], "output_dir": "out"},
 }
+_SECTIONS = (*_KEYS, "task")
 
 
-def _check_keys(prefix: str, node: Any, known: tuple | dict | None) -> None:
-    """Raise ValueError unless node is a dict of known keys (any, for None);
-    a dict of known keys also checks each key's node against its entry."""
+def _check_keys(prefix: str, node: Any, known: Collection[str]) -> None:
+    """Raise ValueError unless node is a dict of keys in known."""
     if not isinstance(node, dict):
         raise ValueError(f"config section {prefix!r} must hold '{prefix}.key = value' keys")
-    for key in node if known is not None else ():
+    for key in node:
         if key not in known:
             raise ValueError(
                 f"unknown config key {prefix}.{key}; known: "
                 + (", ".join(f"{prefix}.{k}" for k in known) or "none")
             )
-        if isinstance(known, dict):
-            _check_keys(f"{prefix}.{key}", node[key], known[key])
+
+
+def _check_tasks(tasks: list[str], required: list[str] | None = None) -> None:
+    """Raise ValueError if tasks is empty or tasks or required holds an unknown task name."""
+    if not tasks:
+        raise ValueError("config must list at least one task")
+    for t in [*tasks, *(required or [])]:
+        if t not in TASK_NAMES:
+            raise ValueError(f"unknown task {t!r}; known: {', '.join(TASK_NAMES)}")
 
 
 def config_from_dict(nested: dict) -> ExperimentConfig:
     """Build a validated config from a nested dict, applying defaults.
 
-    An unknown section, problem, grid, run or task key, or task name in
-    run.tasks or run.required, raises ValueError naming it, and so does a
-    problem.* or potential*.* number not of its kind in the default problem
-    or potential (an integer dim, any other number a float, a center a list
-    of them; a bool is none of these), and so do grid.n
-    and grid.length unless set together and valid for the problem's
-    dimension, and every task.<name>.<key> that ExperimentConfig.task_values
-    rejects (the rules are in _TASK_PARAMS; a bool is not a number there).
+    An unknown section, key, or task name in run.tasks or run.required
+    raises ValueError naming it.  So does every other value that _as_kind
+    refuses as not of the kind of its key's entry in _KEYS, and the records
+    are built from the values it returns.  So do grid.n and grid.length
+    unless set together and valid for the problem's dimension, and every
+    task.<name>.<key> that ExperimentConfig.task_values rejects.
     The task keys are checked only for a dimension in grid.DIMS, so that
     validate names any other.
     """
@@ -366,54 +368,43 @@ def config_from_dict(nested: dict) -> ExperimentConfig:
             raise ValueError(
                 f"unknown config section {section!r}; known: {', '.join(_SECTIONS)}"
             )
-        _check_keys(section, node, _SECTION_KEYS.get(section))
-    for section, default in (("problem", _DEFAULT_PROBLEM), ("potential1", PotentialSpec.zero()),
-                             ("potential2", PotentialSpec.zero())):
-        for key, value in nested.get(section, {}).items():
-            like = [0.0] if key == "center" else getattr(default, key, None)
-            if isinstance(like, (int, float, list)):  # a number, or a list of them
-                _as_kind(value, like, f"{section}.{key}")
+        _check_keys(section, node, _KEYS.get(section, TASK_KEYS))
+    for task, node in nested.get("task", {}).items():
+        _check_keys(f"task.{task}", node, TASK_KEYS[task])
+    given = {
+        section: {key: _as_kind(value, keys[key], f"{section}.{key}")
+                  for key, value in nested.get(section, {}).items()}
+        for section, keys in _KEYS.items()
+    }
     problem = ProblemSpec.from_dict({
         **_DEFAULT_PROBLEM.to_dict(),
-        **nested.get("problem", {}),
-        **{f"v{i}": nested[f"potential{i}"] for i in (1, 2) if f"potential{i}" in nested},
+        **given["problem"],
+        **{f"v{i}": given[f"potential{i}"] for i in (1, 2) if f"potential{i}" in nested},
     })
-    solver = SolverConfig(**nested.get("solver", {}))
-    grid_node = nested.get("grid", {})
+    grid_node, run_node = given["grid"], given["run"]
     if grid_node:
-        for key in _SECTION_KEYS["grid"]:
+        for key in _KEYS["grid"]:
             if key not in grid_node:
                 raise ValueError(
                     f"grid.n and grid.length must be set together; grid.{key} is missing"
                 )
         try:
-            make_grid(problem.dim, int(grid_node["n"]), float(grid_node["length"]))
+            make_grid(problem.dim, grid_node["n"], grid_node["length"])
         except ValueError as exc:
             raise ValueError(
                 f"grid.n = {grid_node['n']}, grid.length = {grid_node['length']}: {exc}"
             ) from None
-    run_node = nested.get("run", {})
-    tasks = [str(t) for t in _as_list(run_node.get("tasks", ["solve"]))]
-    if not tasks:
-        raise ValueError("config must list at least one task")
-    required = run_node.get("required")
-    if required is not None:
-        required = [str(t) for t in _as_list(required)]
-    for t in tasks + (required or []):
-        if t not in TASK_NAMES:
-            raise ValueError(f"unknown task {t!r}; known: {', '.join(TASK_NAMES)}")
-    task_params = {
-        name: dict(params) for name, params in nested.get("task", {}).items()
-    }
+    tasks, required = run_node.get("tasks", ["solve"]), run_node.get("required")
+    _check_tasks(tasks, required)
     cfg = ExperimentConfig(
         problem=problem,
-        solver=solver,
-        grid_n=int(grid_node.get("n", 0)),
-        grid_length=float(grid_node.get("length", 0.0)),
+        solver=SolverConfig(**given["solver"]),
+        grid_n=grid_node.get("n", 0),
+        grid_length=grid_node.get("length", 0.0),
         tasks=tasks,
-        output_dir=str(run_node.get("output_dir", "out")),
+        output_dir=run_node.get("output_dir", "out"),
         required=required,
-        task_params=task_params,
+        task_params={name: dict(params) for name, params in nested.get("task", {}).items()},
     )
     if problem.dim in DIMS:  # else validate names the dimension
         cfg.task_values()
@@ -900,12 +891,12 @@ def run(
 ) -> int:
     """Execute a config's tasks; returns the process exit code.
 
-    tasks, out_dir and seed override the config when given.  A potential
-    that cannot be sampled on the run grid (a missing or mismatched table, or
-    one with a nonzero last column), or a task its problem refuses
-    (_REFUSALS: decay_fit in the trapping regime or with a zero mass),
-    raises before any file is written.  If a task raises, summary.txt and
-    manifest.json are still written and the error propagates.
+    tasks, out_dir and seed override the config when given.  An empty or
+    unknown task list, a potential that cannot be sampled on the run grid
+    (a missing or mismatched table, or one with a nonzero last column), or a
+    task its problem refuses (_REFUSALS: decay_fit in the trapping regime or
+    with a zero mass), raises before any file is written.  If a task raises,
+    summary.txt and manifest.json are still written and the error propagates.
     """
     cfg = load_config(config_path)
     if seed is not None:
@@ -916,6 +907,7 @@ def run(
             print(f"hypothesis violation: {v}", file=sys.stderr)
         return 1
     tasks = tasks if tasks is not None else cfg.tasks
+    _check_tasks(tasks)
     for task in tasks:
         for test, reason in _REFUSALS.get(task, ()):
             if test(cfg.problem):

@@ -40,6 +40,14 @@ __all__ = [
 DIMS = (1, 2)  # the spatial dimensions a grid, and so a problem, may have
 
 
+def _k2(grid: Grid, last_freq=np.fft.fftfreq) -> np.ndarray:
+    """|k|^2 with the wavenumbers of fftfreq on the leading axes and of
+    last_freq (fftfreq, or rfftfreq for the half spectrum) on the last."""
+    k = [2.0 * np.pi * freq(grid.n, d=grid.h)
+         for freq in [np.fft.fftfreq] * (grid.dim - 1) + [last_freq]]
+    return sum(x * x for x in np.meshgrid(*k, indexing="ij"))
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform periodic grid on [-L/2, L/2)^dim.
@@ -60,8 +68,9 @@ class Grid:
     axes : tuple of ndarray
         Node coordinates per axis, x_i = -L/2 + i h (origin on node n/2).
     k2 : ndarray
-        |k|^2 on the full grid, FFT layout; the package reads its half
-        (_HalfSpectrum), and the full array is for bench/make_references.py.
+        |k|^2 on the full grid, FFT layout, built when first read; the
+        package builds only its half (_HalfSpectrum), and the full array is
+        for bench/make_references.py.
     shape : tuple of int
         Array shape of a field on this grid.
     """
@@ -79,11 +88,10 @@ class Grid:
             raise ValueError(f"box length must be positive and finite, got {self.length}")
         h = self.length / self.n
         axes = (-0.5 * self.length + h * np.arange(self.n),) * self.dim
-        k1 = 2.0 * np.pi * np.fft.fftfreq(self.n, d=h)
-        k2 = sum(k * k for k in np.meshgrid(*[k1] * self.dim, indexing="ij"))
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "axes", axes)
-        object.__setattr__(self, "k2", k2)
+
+    k2 = functools.cached_property(_k2)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -219,7 +227,7 @@ class _HalfSpectrum:
         self.shape, self.axes = grid.shape, tuple(range(1, grid.dim + 1))
         self.cell = grid.cell_volume
         self._scale = self.cell / grid.n**grid.dim
-        self.k2 = grid.k2[None, ..., : grid.n // 2 + 1].copy()  # |k|^2
+        self.k2 = _k2(grid, np.fft.rfftfreq)[None]  # |k|^2
         self._weights = np.full(self.k2.shape, 2.0)
         self._weights[..., [0, -1]] = 1.0
         self._weighted_k2 = self._weights * self.k2

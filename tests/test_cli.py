@@ -189,6 +189,17 @@ GRIDLESS_LINES = "".join(
         ("problem.alpha1 = true\n", "problem.alpha1 = True must be a number"),
         ("potential1.center = 0.0, abc\n",
          "potential1.center = [0.0, 'abc'] must be a number or a list of them"),
+        # a number is not a path: 0 would open stdin; ./2024 names a file 2024
+        ("potential1.kind = tabulated\npotential1.samples_path = 0\n",
+         "potential1.samples_path = 0 must be a string"),
+        ("grid.n = 128.7\ngrid.length = 32.0\n", "grid.n = 128.7 must be an integer"),
+        ("grid.n = 64.0\ngrid.length = 32.0\n", "grid.n = 64.0 must be an integer"),
+        ("grid.n = 64\ngrid.length = true\n", "grid.length = True must be a number"),
+        ("grid.n = 64, 128\ngrid.length = 32.0\n", "grid.n = [64, 128] must be an integer"),
+        ("run.output_dir = 1, 2\n", "run.output_dir = [1, 2] must be a string"),
+        ("potential1.kind = 7\n", "potential1.kind = 7 must be a string"),
+        ("solver.foo = 1\n", "unknown config key solver.foo; known: solver.dt, "),
+        ("potential1.foo = 1\n", "unknown config key potential1.foo; known: potential1.kind, "),
     ],
     ids=["grid-key", "run-key", "section", "task-name", "length-only", "n-only",
          "bad-length", "bad-n", "task-key", "task-without-keys", "task-scalar",
@@ -200,7 +211,9 @@ GRIDLESS_LINES = "".join(
          "r1-not-below-r2", "r2-past-window", "g-rate-above-f", "f-rate-at-g",
          "poly-power-nan", "r-values-past-window", "n-cells-text", "gamma1-bool",
          "p-above-window", "problem-p1-text", "problem-mu1-text", "potential-depth-text",
-         "problem-alpha1-bool", "potential-center-text"],
+         "problem-alpha1-bool", "potential-center-text", "samples-path-number",
+         "grid-n-fraction", "grid-n-float", "grid-length-bool", "grid-n-list",
+         "output-dir-list", "potential-kind-number", "solver-key", "potential-key"],
 )
 def test_config_rejects_ignored_or_incomplete_keys(tmp_path, capsys, extra, named):
     text = GRIDLESS_LINES + "run.tasks = solve\n" + extra
@@ -214,6 +227,21 @@ def test_config_rejects_ignored_or_incomplete_keys(tmp_path, capsys, extra, name
     errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
     assert len(errors) == 1 and named in errors[0]
     assert not out.exists()
+
+
+def test_config_values_reach_the_records_as_their_kind(tmp_path):
+    # an integer given for a float key is stored, and so recorded, as a float
+    nested = {"problem": {"mu1": 3}, "solver": {"dt": 1}, "grid": {"n": 256, "length": 32}}
+    cfg = config_from_dict(nested)
+    assert (cfg.problem.mu1, cfg.solver.dt, cfg.grid_n, cfg.grid_length) == (3.0, 1.0, 256, 32.0)
+    assert [type(v) for v in (cfg.problem.mu1, cfg.solver.dt, cfg.grid_length)] == [float] * 3
+    cfg_path = tmp_path / "cfg.json"
+    nested["solver"].update(tol_residual=1e-6, multi_start=1)
+    cfg_path.write_text(json.dumps(nested))
+    assert run(cfg_path, out_dir=tmp_path / "out") == 0
+    config = json.loads((tmp_path / "out" / "manifest.json").read_text())["config"]
+    assert "problem.mu1 = 3.0\n" in config and "solver.dt = 1.0\n" in config
+    assert "grid.length = 32.0\n" in config
 
 
 def test_config_rejects_glue_masses_outside_split():
@@ -402,6 +430,23 @@ def test_run_refuses_unsampleable_potential(tmp_path, capsys, monkeypatch, extra
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
     assert capsys.readouterr().err.splitlines() == [message]
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "tasks, message",
+    [(["solv"], "unknown task 'solv'; known: solve, scan_subadd, "),
+     ([], "config must list at least one task")],
+    ids=["unknown", "empty"],
+)
+def test_run_checks_its_task_override_before_touching_the_output(tmp_path, tasks, message):
+    cfg_path = write_config(tmp_path, "solve")
+    out = tmp_path / "out"
+    assert run(cfg_path, out_dir=out, seed=3) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run(cfg_path, tasks=tasks, out_dir=out)
+    # the earlier run's files are all still there, unchanged
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 def test_failed_required_task_sets_exit_code(tmp_path):
