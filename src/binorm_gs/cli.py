@@ -9,9 +9,9 @@ between the two.
 
 Before any file is written, a run's independent task computations (the
 main solve, the Pohozaev and gluing solves, the inequality scans and the
-convolution rows) run on separate cores where there are several; then each
-task writes its files in order, the same bytes as a serial run.  The solve's
-two field CSVs are formatted on two cores too.
+convolution rows) run on separate cores where there are several; then the
+calling process writes each task's files in order, the same bytes as a
+serial run.
 
 Each task writes one JSON result file into the output directory.  Every
 run also writes a trajectory CSV for solver tasks, a human-readable
@@ -36,6 +36,7 @@ import json
 import math
 import os
 import platform
+import re
 import sys
 from collections.abc import Callable, Collection
 from dataclasses import asdict, dataclass, field as dc_field, replace
@@ -64,7 +65,7 @@ from .inequalities import (
     min_constant_34ii,
     sufficient_constant_34ii,
 )
-from .model import PotentialSpec, ProblemSpec, sample_potential, validate
+from .model import POTENTIAL_KINDS, PotentialSpec, ProblemSpec, sample_potential, validate
 from .solver import (
     SolverConfig,
     _run_shares,
@@ -132,16 +133,22 @@ _TASK_PARAMS: dict[str, dict[str, tuple]] = {
 TASK_KEYS = {task: tuple(params) for task, params in _TASK_PARAMS.items()}
 TASK_NAMES = tuple(TASK_KEYS)
 SOLVER_TASKS = ("solve", "scan_subadd", "decay_fit", "glue_test", "pohozaev")
-# Each task a problem spec s leaves without meaning, with (test, reason): a
-# run refuses the task, naming reason (formatted with s), before any write.
+# Each task that a problem leaves without meaning, with (test, reason): a run
+# refuses the task, naming reason, before any write.  test and reason.format
+# take a namespace s of the problem's fields and the task's values.
 _REFUSALS: dict[str, tuple] = {
     "decay_fit": (
         (lambda s: s.regime == "trapping",
          "in the trapping regime (problem.regime = trapping): the trapped u2 has a Gaussian "
          "tail, not exp(-sqrt(lambda2) r), and lambda2 may be negative"),
-        (lambda s: 0.0 in s.masses,
+        (lambda s: 0.0 in (s.alpha1, s.alpha2),
          "with a zero mass (problem.alpha1 = {s.alpha1}, problem.alpha2 = {s.alpha2}): a "
          "vanishing component has no tail to fit, and its multiplier is undefined"),
+    ),
+    "pohozaev": (
+        (lambda s: s.gamma == 0.0,
+         "with a zero mass (task.pohozaev.gamma = {s.gamma}, which defaults to problem.alpha1): "
+         "the zero state satisfies the Pohozaev identity trivially, so its residual tests nothing"),
     ),
 }
 
@@ -351,14 +358,24 @@ def _check_tasks(tasks: list[str], required: list[str] | None = None) -> None:
             raise ValueError(f"unknown task {t!r}; known: {', '.join(TASK_NAMES)}")
 
 
+def _record(section: str, make: Callable[..., Any], values: dict[str, Any]) -> Any:
+    """make(**values); a ValueError of the record, which names its field as
+    Record.key, is raised again naming the config key section.key."""
+    try:
+        return make(**values)
+    except ValueError as exc:
+        raise ValueError(re.sub(r"^\w+\.", f"{section}.", str(exc))) from None
+
+
 def config_from_dict(nested: dict) -> ExperimentConfig:
     """Build a validated config from a nested dict, applying defaults.
 
     An unknown section, key, or task name in run.tasks or run.required
     raises ValueError naming it.  So does every other value that _as_kind
-    refuses as not of the kind of its key's entry in _KEYS, and the records
-    are built from the values it returns.  So do grid.n and grid.length
-    unless set together and valid for the problem's dimension, and every
+    refuses as not of the kind of its key's entry in _KEYS, every value that
+    a record built from the values it returns refuses (_record), and a
+    potential section without a kind.  So do grid.n and grid.length unless
+    set together and valid for the problem's dimension, and every
     task.<name>.<key> that ExperimentConfig.task_values rejects.
     The task keys are checked only for a dimension in grid.DIMS, so that
     validate names any other.
@@ -376,11 +393,16 @@ def config_from_dict(nested: dict) -> ExperimentConfig:
                   for key, value in nested.get(section, {}).items()}
         for section, keys in _KEYS.items()
     }
-    problem = ProblemSpec.from_dict({
-        **_DEFAULT_PROBLEM.to_dict(),
-        **given["problem"],
-        **{f"v{i}": given[f"potential{i}"] for i in (1, 2) if f"potential{i}" in nested},
-    })
+    potentials = {}
+    for i in (1, 2):
+        section = f"potential{i}"
+        if section in nested:
+            if "kind" not in given[section]:
+                raise ValueError(f"{section}.kind is missing; a {section} section must set "
+                                 f"one of {', '.join(POTENTIAL_KINDS)}")
+            potentials[f"v{i}"] = _record(section, PotentialSpec, given[section])
+    problem = _record("problem", functools.partial(replace, _DEFAULT_PROBLEM),
+                      {**given["problem"], **potentials})
     grid_node, run_node = given["grid"], given["run"]
     if grid_node:
         for key in _KEYS["grid"]:
@@ -398,7 +420,7 @@ def config_from_dict(nested: dict) -> ExperimentConfig:
     _check_tasks(tasks, required)
     cfg = ExperimentConfig(
         problem=problem,
-        solver=SolverConfig(**given["solver"]),
+        solver=_record("solver", SolverConfig, given["solver"]),
         grid_n=grid_node.get("n", 0),
         grid_length=grid_node.get("length", 0.0),
         tasks=tasks,
@@ -589,8 +611,8 @@ class _Runner:
         computations are dealt among forked workers (solver._run_shares).
         Each keeps its own error, which value() raises when its task's turn
         comes, so the files, notes and errors are those of a serial run.
-        The workers have exited when this returns; task_solve forks again
-        for its second field file.
+        The workers have exited when this returns, and every file of the run
+        is written by this process.
         """
         names = sorted(
             dict.fromkeys(c for t in tasks for c in _TASK_CALCS.get(t, ())),
@@ -617,14 +639,8 @@ class _Runner:
     # -- tasks --------------------------------------------------------------
 
     def task_solve(self) -> None:
-        """solve.json, trajectory.csv and the two field CSVs.
-
-        The fields are formatted at once through solver._run_shares, u1 in
-        this process and u2 in a forked worker where two cores are usable,
-        each through this module's write_field_csv.  A write that raises
-        is re-raised once the field files after it are removed, so the
-        directory is what a serial run leaves.
-        """
+        """solve.json, trajectory.csv and the two field CSVs, u1 then u2,
+        each through this module's write_field_csv."""
         res = self.value("solve")
         lam = res.multipliers
         payload = {
@@ -643,18 +659,9 @@ class _Runner:
             r_text = repr(r) if math.isfinite(r) else "inf"
             rows.append(f"{it},{e!r},{r_text}")
         self.tray.write_text("trajectory.csv", "\n".join(rows) + "\n")
-        names = ("solve_u1.csv", "solve_u2.csv")
-        paths = [self.tray.out_dir / name for name in names]
-        writes = [
-            functools.partial(_caught, functools.partial(write_field_csv, comp, str(path)))
-            for comp, path in zip((res.state.u1, res.state.u2), paths)
-        ]
-        for k, written in enumerate(_run_shares(writes, "field CSV")):
-            if isinstance(written, Exception):
-                for later in paths[k + 1 :]:
-                    later.unlink(missing_ok=True)  # a serial run never writes it
-                raise written
-            self.tray.add_existing(names[k])
+        for comp, name in ((res.state.u1, "solve_u1.csv"), (res.state.u2, "solve_u2.csv")):
+            write_field_csv(comp, str(self.tray.out_dir / name))
+            self.tray.add_existing(name)
         self.mark("solve", res.converged)
         self.note(
             f"solve: energy {res.report.total:.9g}, multipliers "
@@ -895,7 +902,8 @@ def run(
     unknown task list, a potential that cannot be sampled on the run grid
     (a missing or mismatched table, or one with a nonzero last column), or a
     task its problem refuses (_REFUSALS: decay_fit in the trapping regime or
-    with a zero mass), raises before any file is written.  If a task raises,
+    with a zero mass, pohozaev with a zero mass), raises before any file is
+    written.  If a task raises,
     summary.txt and manifest.json are still written and the error propagates.
     """
     cfg = load_config(config_path)
@@ -908,10 +916,12 @@ def run(
         return 1
     tasks = tasks if tasks is not None else cfg.tasks
     _check_tasks(tasks)
+    values = cfg.task_values()
     for task in tasks:
+        s = SimpleNamespace(**vars(cfg.problem), **values[task])
         for test, reason in _REFUSALS.get(task, ()):
-            if test(cfg.problem):
-                raise ValueError(f"{task} is not available {reason.format(s=cfg.problem)}")
+            if test(s):
+                raise ValueError(f"{task} is not available {reason.format(s=s)}")
     grid = cfg.grid()
     for pot in (cfg.problem.v1, cfg.problem.v2):
         sample_potential(pot, grid)

@@ -58,7 +58,8 @@ class PotentialSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in POTENTIAL_KINDS:
-            raise ValueError(f"unknown potential kind {self.kind!r}")
+            raise ValueError(f"PotentialSpec.kind must be one of {', '.join(POTENTIAL_KINDS)}; "
+                             f"got {self.kind!r}")
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
 
     @classmethod
@@ -88,16 +89,6 @@ class PotentialSpec:
         d["center"] = list(self.center)
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "PotentialSpec":
-        """Inverse of to_dict; center may also be missing, None or one number."""
-        d = dict(d)
-        center = d.get("center", ())
-        if not isinstance(center, (list, tuple)):
-            center = () if center is None else (center,)
-        d["center"] = tuple(center)
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class ProblemSpec:
@@ -118,7 +109,8 @@ class ProblemSpec:
 
     def __post_init__(self) -> None:
         if self.regime not in REGIMES:
-            raise ValueError(f"unknown regime {self.regime!r}")
+            raise ValueError(f"ProblemSpec.regime must be one of {', '.join(REGIMES)}; "
+                             f"got {self.regime!r}")
 
     @property
     def masses(self) -> tuple[float, float]:
@@ -141,13 +133,6 @@ class ProblemSpec:
         d["v1"] = self.v1.to_dict()
         d["v2"] = self.v2.to_dict()
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "ProblemSpec":
-        d = dict(d)
-        d["v1"] = PotentialSpec.from_dict(d["v1"])
-        d["v2"] = PotentialSpec.from_dict(d["v2"])
-        return cls(**d)
 
 
 def _check_bounded(tag: str, name: str, pot: PotentialSpec) -> list[str]:

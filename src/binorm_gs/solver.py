@@ -60,8 +60,7 @@ only), so each component's stack has one row per member;
 
 Since a member's results do not depend on its batch, independent batches
 run at the same time, on up to one process per usable core (``_run_shares``,
-which also runs the independent task computations of ``binorm-gs run`` and
-then the writes of its two field files):
+which also runs the independent task computations of ``binorm-gs run``):
 the calling process steps one share of them and forked workers step the
 others and send their results back through pipes.  On a single core, with
 other Python threads alive, or inside another such run, the batches run
@@ -671,8 +670,8 @@ def _work_and_exit(
 def _run_shares(items: list[Callable[[], object]], what: str, alone: bool = False) -> list:
     """Results of the zero-argument callables items, in order.
 
-    The items are flow batches, the task computations of a binorm-gs run,
-    or its two field CSV writes; `what` names one in error messages.  With
+    The items are flow batches or the task computations of a binorm-gs
+    run; `what` names one in error messages.  With
     at least two items and two usable cores, os.fork available, no
     other Python thread alive (forking a process with threads can deadlock
     the child) and no other call's workers running, here or as this

@@ -69,8 +69,8 @@ def test_pipeline_config_is_canonical():
 
 def test_cli_run_writes_each_field_through_the_traced_name(monkeypatch, tmp_path):
     # bench/tracing.py's grid.io span wraps cli.write_field_csv and reads the
-    # path from args[1]; on one core both field files go through it here
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    # path from args[1]; on two cores too, both field files go through it here
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     written = []
     write = cli.write_field_csv
 

@@ -200,6 +200,11 @@ GRIDLESS_LINES = "".join(
         ("potential1.kind = 7\n", "potential1.kind = 7 must be a string"),
         ("solver.foo = 1\n", "unknown config key solver.foo; known: solver.dt, "),
         ("potential1.foo = 1\n", "unknown config key potential1.foo; known: potential1.kind, "),
+        # a value of the right kind that its record refuses is named by its key
+        ("solver.dt = 0\n", "solver.dt must be finite and > 0, got 0"),
+        ("potential1.kind = well\n", "potential1.kind must be one of zero, gaussian_well, "),
+        ("problem.regime = trap\n", "problem.regime must be one of both_bounded, trapping; "),
+        ("potential2.depth = 0.5\n", "potential2.kind is missing"),
     ],
     ids=["grid-key", "run-key", "section", "task-name", "length-only", "n-only",
          "bad-length", "bad-n", "task-key", "task-without-keys", "task-scalar",
@@ -213,7 +218,8 @@ GRIDLESS_LINES = "".join(
          "p-above-window", "problem-p1-text", "problem-mu1-text", "potential-depth-text",
          "problem-alpha1-bool", "potential-center-text", "samples-path-number",
          "grid-n-fraction", "grid-n-float", "grid-length-bool", "grid-n-list",
-         "output-dir-list", "potential-kind-number", "solver-key", "potential-key"],
+         "output-dir-list", "potential-kind-number", "solver-key", "potential-key",
+         "solver-dt-zero", "potential-kind-unknown", "regime-unknown", "potential-kind-missing"],
 )
 def test_config_rejects_ignored_or_incomplete_keys(tmp_path, capsys, extra, named):
     text = GRIDLESS_LINES + "run.tasks = solve\n" + extra
@@ -805,6 +811,24 @@ def test_decay_fit_refused_with_a_zero_mass(tmp_path, capsys, command, component
         f"error: decay_fit is not available with a zero mass (problem.alpha1 = {masses[1]}, "
         f"problem.alpha2 = {masses[2]}): a vanishing component has no tail to fit, "
         "and its multiplier is undefined"
+    ]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "extra", ["problem.alpha1 = 0.0\n", "task.pohozaev.gamma = 0\n"], ids=["default", "given"]
+)
+@pytest.mark.parametrize("command", ["run", "pohozaev"])
+def test_pohozaev_refused_with_a_zero_mass(tmp_path, capsys, command, extra):
+    # the zero state has residual 0 and read as a converged, passing check
+    cfg_path = write_config(tmp_path, "pohozaev", extra=extra)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+    errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.strip()]
+    assert errors == [
+        "error: pohozaev is not available with a zero mass (task.pohozaev.gamma = 0.0, which "
+        "defaults to problem.alpha1): the zero state satisfies the Pohozaev identity trivially, "
+        "so its residual tests nothing"
     ]
     assert not out.exists()
 

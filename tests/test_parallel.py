@@ -7,6 +7,7 @@ with threads fails them too.
 
 from __future__ import annotations
 
+import ast
 import functools
 import json
 import os
@@ -14,6 +15,7 @@ import shutil
 import threading
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -264,36 +266,28 @@ def _cli_run(monkeypatch, tmp_path, cores: int, tasks: str, extra: str = "", out
     }
 
 
-def _item_name(item) -> str:
-    """A cli._run_shares item's name: calc_<name> for a task computation, the
-    file name for a field CSV write."""
-    call = item.args[0]
-    return call.__name__ if hasattr(call, "__name__") else os.path.basename(call.args[1])
-
-
 def test_cli_run_on_two_cores_writes_the_serial_files(monkeypatch, tmp_path):
     forks = _count_forks(monkeypatch)
     calls = []
     run_shares = solver._run_shares
 
     def spy(items, what, alone=False):
-        calls.append((what, [_item_name(item) for item in items], alone))
+        calls.append((what, [item.args[0].__name__ for item in items], alone))
         return run_shares(items, what, alone)
 
     monkeypatch.setattr(cli, "_run_shares", spy)
     tasks = ", ".join(cli.TASK_NAMES)
     extra = "task.scan_subadd.steps = 2\n"
     parallel = _cli_run(monkeypatch, tmp_path, 2, tasks, extra)
-    assert len(forks) == 3  # the task computations' worker, the u2 write's and the scan's
+    assert len(forks) == 2  # the task computations' worker and the scan's
     # the main solve has this process to itself
     assert calls == [
         ("task computation", [f"calc_{name}" for name in (
             "solve", "glue_inner", "glue_outer", "pohozaev", "check_inequalities", "conv_limit"
         )], True),
-        ("field CSV", ["solve_u1.csv", "solve_u2.csv"], False),
     ]
     serial = _cli_run(monkeypatch, tmp_path, 1, tasks, extra)
-    assert len(forks) == 3
+    assert len(forks) == 2
     assert parallel == serial
     assert serial["error"] is None and len(serial["files"]) == 16
 
@@ -307,7 +301,7 @@ def test_cli_side_error_matches_serial(monkeypatch, tmp_path):
                         lambda *args, **kwargs: check(*args, **{**kwargs, "f_rate": 1.0}))
     tasks = "solve, pohozaev, conv_limit, check_inequalities"
     parallel = _cli_run(monkeypatch, tmp_path, 2, tasks)
-    assert len(forks) == 2  # the task computations' worker and the u2 write's
+    assert len(forks) == 1  # the task computations' worker
     serial = _cli_run(monkeypatch, tmp_path, 1, tasks)
     assert parallel == serial
     assert serial["error"].startswith("ValueError: f decays at rate 1.0")
@@ -319,9 +313,20 @@ def test_cli_side_error_matches_serial(monkeypatch, tmp_path):
     assert [line.split(":")[0] for line in serial["summary"]] == ["solve", "pohozaev", "conv_limit"]
 
 
+def test_cli_solve_run_on_two_cores_forks_nothing(monkeypatch, tmp_path):
+    # one computation and both field files: all in this process
+    forks = _count_forks(monkeypatch)
+    parallel = _cli_run(monkeypatch, tmp_path, 2, "solve")
+    assert forks == []
+    assert parallel == _cli_run(monkeypatch, tmp_path, 1, "solve")
+    assert parallel["error"] is None
+    assert set(parallel["files"]) == {
+        "solve.json", "trajectory.csv", "solve_u1.csv", "solve_u2.csv", "summary.txt"
+    }
+
+
 def test_cli_field_write_error_matches_serial(monkeypatch, tmp_path):
-    """A u1 write that raises leaves the serial run's directory: the worker's
-    solve_u2.csv is removed, as a serial run never writes it."""
+    """A u1 write that raises leaves the serial run's directory: no solve_u2.csv."""
     forks = _count_forks(monkeypatch)
     out = tmp_path / "out"  # both runs, as the error message names the path
     runs = {}
@@ -329,7 +334,7 @@ def test_cli_field_write_error_matches_serial(monkeypatch, tmp_path):
         shutil.rmtree(out, ignore_errors=True)
         (out / "solve_u1.csv").mkdir(parents=True)
         runs[cores] = _cli_run(monkeypatch, tmp_path, cores, "solve, pohozaev", out=out)
-    assert len(forks) == 2  # the task computations' worker and the u2 write's
+    assert len(forks) == 1  # the task computations' worker
     assert runs[2] == runs[1]
     message = f"[Errno 21] Is a directory: '{out / 'solve_u1.csv'}'"
     assert runs[1]["error"] == f"IsADirectoryError: {message}"
@@ -383,3 +388,28 @@ def test_alone_gives_item_0_a_share_of_its_own(monkeypatch):
     here, a, b, c = solver._run_shares(pids, "item", alone=True)
     assert here == os.getpid() and a == c and len({here, a, b}) == 3
     _assert_no_children()
+
+
+def _calls(node: ast.AST, scope: str):
+    """(qualified scope, called name) of every call under node, the name
+    being a called attribute's or a called plain name's."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}"
+        if isinstance(child, ast.Call):
+            func = child.func
+            yield inner, getattr(func, "attr", getattr(func, "id", None))
+        yield from _calls(child, inner)
+
+
+def test_only_the_solver_forks_for_two_callers():
+    # every forked process comes from solver._run_shares, and only the flow
+    # batches and a run's task computations go through it
+    src = Path(__file__).resolve().parents[1] / "src" / "binorm_gs"
+    calls = [call for path in sorted(src.glob("*.py"))
+             for call in _calls(ast.parse(path.read_text()), path.stem)]
+    assert sorted({scope.split(".")[0] for scope, name in calls if name == "fork"}) == ["solver"]
+    assert sorted(scope for scope, name in calls if name == "_run_shares") == [
+        "cli._Runner.compute", "solver._solve_all"
+    ]
