@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -248,47 +248,43 @@ class ConvLimitRow:
 
 
 def convolution_limit_check(
-    f: Callable[..., np.ndarray],
-    g: Callable[..., np.ndarray],
+    f_rate: float,
+    g_rate: float,
     poly_power: float,
-    rate: float,
-    gamma: float,
     grid: Grid,
     r_values: Sequence[float],
-    f_rate: float,
 ) -> list[ConvLimitRow]:
-    """Tabulate (1+r)^a e^(r b) int g(r w - y) f(y) dy against its limit.
+    """Tabulate (1+r)^a e^(r b) int g(r w - y) f(y) dy against its limit, for
+    f(y) = e^(-f_rate |y|) and g(x) = (1+|x|)^(-a) e^(-b |x|), with
+    a = poly_power and b = g_rate.
 
-    f and g are callables of the coordinate arrays (one per axis).  When
-    (1+|x|)^a e^(b|x|) g(x) -> gamma and f decays strictly faster than
-    e^(-b|y|), the scaled convolution tends to
-    gamma * int f(y) e^(b w.y) dy, uniformly in the direction w.  Rows
-    cover every r in r_values along each direction w = +-e_i of the grid
-    axes.  The integrals are plain node sums over the box, so r must stay
-    within 0.4 L to keep truncation negligible.  f_rate is the known decay
-    rate of f; the divergent case f_rate <= rate is rejected.
+    (1+|x|)^a e^(b|x|) g(x) is 1, and f decays strictly faster than
+    e^(-b|y|), so the scaled convolution tends to int f(y) e^(b w.y) dy,
+    uniformly in the direction w.  Rows cover every r in r_values along each
+    direction w = +-e_i of the grid axes.  The integrals are plain node sums
+    over the box, so r must stay within 0.4 L to keep truncation negligible.
+    The divergent case f_rate <= g_rate is rejected.
     """
-    if f_rate <= rate:
+    if f_rate <= g_rate:
         raise ValueError(
-            f"f decays at rate {f_rate} <= {rate}; the limit integral diverges"
+            f"f decays at rate {f_rate} <= {g_rate}; the limit integral diverges"
         )
     # + 0.0 turns the -0.0 entries of -e_i into 0.0
     omegas = [sign * e + 0.0 for e in np.eye(grid.dim) for sign in (1.0, -1.0)]
     mesh = grid.meshes()
-    fy = f(*mesh)
-    cell = grid.cell_volume
+    fy = np.exp(-f_rate * np.sqrt(sum(c**2 for c in mesh)))
     rows = []
     for w in omegas:
         dot = sum(wi * yi for wi, yi in zip(w, mesh))
-        limit = gamma * cell * float(np.sum(fy * np.exp(rate * dot)))
+        limit = integrate(fy * np.exp(g_rate * dot), grid)
         for r in r_values:
             if r > WINDOW_FRACTION * grid.length:
                 raise ValueError(
                     f"radius {r} exceeds {WINDOW_FRACTION} L; truncation would bias"
                 )
-            shifted = tuple(r * wi - yi for wi, yi in zip(w, mesh))
-            conv = cell * float(np.sum(g(*shifted) * fy))
-            scaled = (1.0 + r) ** poly_power * math.exp(rate * r) * conv
+            dist = np.sqrt(sum((r * wi - yi) ** 2 for wi, yi in zip(w, mesh)))
+            gx = (1.0 + dist) ** (-poly_power) * np.exp(-g_rate * dist)
+            scaled = (1.0 + r) ** poly_power * math.exp(g_rate * r) * integrate(gx * fy, grid)
             rows.append(
                 ConvLimitRow(
                     r=float(r),

@@ -654,11 +654,8 @@ class _Runner:
             "starts": res.diagnostics["per_start"],
         }
         self.tray.write_json("solve.json", payload)
-        rows = ["iter,energy,residual"]
-        for it, e, r in res.trajectory_energies:
-            r_text = repr(r) if math.isfinite(r) else "inf"
-            rows.append(f"{it},{e!r},{r_text}")
-        self.tray.write_text("trajectory.csv", "\n".join(rows) + "\n")
+        rows = [",".join(map(repr, row)) for row in res.trajectory_energies]
+        self.tray.write_text("trajectory.csv", "\n".join(["iter,energy,residual", *rows]) + "\n")
         for comp, name in ((res.state.u1, "solve_u1.csv"), (res.state.u2, "solve_u2.csv")):
             write_field_csv(comp, str(self.tray.out_dir / name))
             self.tray.add_existing(name)
@@ -781,26 +778,26 @@ class _Runner:
         self.note(f"pohozaev: residual {check.residual:.3g} at p={p['p']}, mu={p['mu']}")
 
     def calc_check_inequalities(self):
-        """The two scans of Lemma 3.4, with their notes."""
+        """The two scans of Lemma 3.4, each with its note and its minimal constant."""
         p = self.params["check_inequalities"]
         p_exp, eta = p["p"], p["eta"]
         c_min = min_constant_34i(p_exp)
-        rep_i = replace(check_lemma34i(p_exp, c_min), min_constant_estimate=c_min)
-        c_suf, c_min_ii = sufficient_constant_34ii(p_exp, eta), min_constant_34ii(p_exp, eta)
-        rep_ii = replace(check_lemma34ii(p_exp, eta, c_suf), min_constant_estimate=c_min_ii)
-        return [("min constant", rep_i), ("sufficient constant", rep_ii)]
+        c_suf = sufficient_constant_34ii(p_exp, eta)
+        return [("min constant", check_lemma34i(p_exp, c_min), c_min),
+                ("sufficient constant", check_lemma34ii(p_exp, eta, c_suf),
+                 min_constant_34ii(p_exp, eta))]
 
     def task_check_inequalities(self) -> None:
         p_exp = self.params["check_inequalities"]["p"]
-        reports = [*self.value("check_inequalities"), ("", check_elementary_p3(p_exp))]
+        reports = [*self.value("check_inequalities"), ("", check_elementary_p3(p_exp), None)]
         payload = [
             {**asdict(rep), "note": note, "violations": len(rep.violations),
-             "holds": rep.holds}
-            for note, rep in reports
+             "holds": rep.holds, "min_constant_estimate": estimate}
+            for note, rep, estimate in reports
         ]
         self.tray.write_json("check_inequalities.json", {"reports": payload})
         viol_rows = ["which,x,y,defect"]
-        for _, rep in reports:
+        for _, rep, _ in reports:
             for tup in rep.violations:
                 if len(tup) == 3 and isinstance(tup[0], str):
                     tag, a, d = tup
@@ -810,7 +807,7 @@ class _Runner:
                     viol_rows.append(f"{rep.which},{x!r},{y!r},{d!r}")
         if len(viol_rows) > 1:
             self.tray.write_text("violations.csv", "\n".join(viol_rows) + "\n")
-        for note, rep in reports:
+        for note, rep, _ in reports:
             self.note(
                 f"check_inequalities: {rep.which} ({note or 'scan'}) "
                 f"constant {rep.constant_tested:.6g}: "
@@ -818,20 +815,7 @@ class _Runner:
             )
 
     def calc_conv_limit(self):
-        p = self.params["conv_limit"]
-        f_rate, g_rate, poly_power = p["f_rate"], p["g_rate"], p["poly_power"]
-
-        def f(*coords):
-            r = np.sqrt(sum(c**2 for c in coords))
-            return np.exp(-f_rate * r)
-
-        def g(*coords):
-            r = np.sqrt(sum(c**2 for c in coords))
-            return (1.0 + r) ** (-poly_power) * np.exp(-g_rate * r)
-
-        return convolution_limit_check(
-            f, g, poly_power, g_rate, 1.0, self.grid, p["r_values"], f_rate=f_rate
-        )
+        return convolution_limit_check(**self.params["conv_limit"], grid=self.grid)
 
     def task_conv_limit(self) -> None:
         rows = self.value("conv_limit")
@@ -898,8 +882,9 @@ def run(
 ) -> int:
     """Execute a config's tasks; returns the process exit code.
 
-    tasks, out_dir and seed override the config when given.  An empty or
-    unknown task list, a potential that cannot be sampled on the run grid
+    tasks, out_dir and seed override the config when given.  A seed that is
+    not an integer >= 0 (named as the --seed option), an empty or unknown
+    task list, a potential that cannot be sampled on the run grid
     (a missing or mismatched table, or one with a nonzero last column), or a
     task its problem refuses (_REFUSALS: decay_fit in the trapping regime or
     with a zero mass, pohozaev with a zero mass), raises before any file is
@@ -908,7 +893,10 @@ def run(
     """
     cfg = load_config(config_path)
     if seed is not None:
-        cfg = replace(cfg, solver=replace(cfg.solver, rng_seed=seed))
+        try:
+            cfg = replace(cfg, solver=replace(cfg.solver, rng_seed=seed))
+        except ValueError as exc:
+            raise ValueError(re.sub(r"^SolverConfig\.rng_seed", "--seed", str(exc))) from None
     violations = validate(cfg.problem)
     if violations:
         for v in violations:

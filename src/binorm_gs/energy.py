@@ -19,7 +19,8 @@ from the trap, so it is negative unless the interactions outweigh the trap
 E and the force V u - f(u) of G = -lap u + V u - f(u) are written once, in
 _Kernel, for stacks of states: the solver's flow steps its batches with it,
 and energy(), gradient() and multipliers() apply it to one state.  The
-kinetic term, -lap u and every transform come from grid._HalfSpectrum.
+kinetic term, -lap u, every transform and every integral come from
+grid._HalfSpectrum.
 """
 
 from __future__ import annotations
@@ -98,17 +99,18 @@ def _non_finite(values: np.ndarray, component: int) -> str:
 
 class _Kernel:
     """E's local terms and the force V u - f(u) of stacked states, built from
-    a grid's half-spectrum layout (which gives the kinetic terms and the row
-    sums), a problem, its two sampled potentials as arrays and comps, the
-    components the states carry.  Every per-component list holds one stack
-    per carried component, one row per state.
+    a grid's half-spectrum layout (which gives the kinetic terms and every
+    integral), a problem, its two sampled potentials as arrays and comps, the
+    components the states carry.  The kernel holds only E's coefficients of
+    its integrals, never the cell volume.  Every per-component list holds one
+    stack per carried component, one row per state.
     """
 
     def __init__(
         self, half: _HalfSpectrum, spec: ProblemSpec, pots: tuple[np.ndarray, np.ndarray],
         comps: list[int],
     ) -> None:
-        self.comps, self.pair, self.total = comps, len(comps) == 2, half.total
+        self.comps, self.pair, self.integral = comps, len(comps) == 2, half.integral
         self.v = [pots[c][None] for c in comps]
         # Where a potential is 0 everywhere its energy term is an exact +0.0,
         # and adding it would change no sum but -0.0, so it is skipped: that
@@ -117,10 +119,9 @@ class _Kernel:
         self.mu = [(spec.mu1, spec.mu2)[c] for c in comps]
         self.pw = [(2.0 * spec.p1, 2.0 * spec.p2)[c] for c in comps]
         self.beta, self.q3, self.s3 = spec.beta, spec.p3 + 1.0, spec.p3 - 1.0
-        # E's factors of the row sums of V u^2, |u|^(2 p + 2) and |u1 u2|^(p3+1)
-        self.pot_coef = 0.5 * half.cell
-        self.self_coef = [m / (p + 2.0) * half.cell for m, p in zip(self.mu, self.pw)]
-        self.cross_coef = spec.beta / self.q3 * half.cell
+        # E's coefficients of the integrals of V u^2 (1/2), |u|^(2 p + 2) and |u1 u2|^(p3+1)
+        self.self_coef = [m / (p + 2.0) for m, p in zip(self.mu, self.pw)]
+        self.cross_coef = spec.beta / self.q3
 
     def energies(
         self, u: list, sq: list, kin: list[list[float]], parts: dict | None = None
@@ -129,28 +130,24 @@ class _Kernel:
         per-row kinetic energies kin: each row sums its kinetic energies, each
         component's potential and self terms, then the cross term.  parts, if
         given, receives row 0's terms under EnergyReport's field names."""
-        total = self.total
+        integral = self.integral
         e = [a + b for a, b in zip(*kin)] if self.pair else list(kin[0])
         mag = list(map(np.abs, u))
         for i, c in enumerate(self.comps):
             if self.has_potential[i]:
-                pot = total(self.v[i] * sq[i])
-                for m, s in enumerate(pot):
-                    e[m] += self.pot_coef * s
+                pot = integral(self.v[i] * sq[i], 0.5)
+                e = [x + y for x, y in zip(e, pot)]
                 if parts is not None:
-                    parts[f"potential{c + 1}"] = self.pot_coef * pot[0]
-            coef = self.self_coef[i]
-            own = total(mag[i] ** (self.pw[i] + 2.0))
-            for m, s in enumerate(own):
-                e[m] -= coef * s
+                    parts[f"potential{c + 1}"] = pot[0]
+            own = integral(mag[i] ** (self.pw[i] + 2.0), self.self_coef[i])
+            e = [x - y for x, y in zip(e, own)]
             if parts is not None:
-                parts[f"kinetic{c + 1}"], parts[f"self{c + 1}"] = kin[i][0], coef * own[0]
+                parts[f"kinetic{c + 1}"], parts[f"self{c + 1}"] = kin[i][0], own[0]
         if self.pair:
-            cross = total(mag[0] ** self.q3 * mag[1] ** self.q3)
-            for m, s in enumerate(cross):
-                e[m] -= self.cross_coef * s
+            cross = integral(mag[0] ** self.q3 * mag[1] ** self.q3, self.cross_coef)
+            e = [x - y for x, y in zip(e, cross)]
             if parts is not None:
-                parts["cross"] = self.cross_coef * cross[0]
+                parts["cross"] = cross[0]
         return e
 
     def forces(self, u: list) -> list:

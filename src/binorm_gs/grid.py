@@ -7,9 +7,11 @@ the Laplacian is diagonal in the discrete Fourier basis with symbol
 Integrals are plain node sums scaled by the cell volume h^dim, which is
 spectrally accurate for smooth periodic integrands.
 
-Every Fourier transform of the package is taken here, by _HalfSpectrum: the
-real-FFT half-spectrum layout with its bin weights, Parseval's scale and
-|k|^2, for a stack of fields (one for laplacian and grad_norm_sq).
+Every Fourier transform and every integral of the package is taken here:
+integrate for one array, and _HalfSpectrum for a stack of fields (one for
+laplacian and grad_norm_sq), the real-FFT half-spectrum layout with its bin
+weights, Parseval's scale, |k|^2 and the per-row integral.  No other module
+holds the cell volume.
 """
 
 from __future__ import annotations
@@ -164,9 +166,9 @@ def make_grid(dim: int, n: int, length: float) -> Grid:
     return Grid(dim=dim, n=n, length=length)
 
 
-def integrate(field: Field | np.ndarray, grid: Grid | None = None) -> float:
-    """Integral of a real field or array over the box: cell volume times the
-    node sum.
+def integrate(values: np.ndarray, grid: Grid) -> float:
+    """Integral over the box of an array sampled on grid: cell volume times
+    the node sum.
 
     Raises
     ------
@@ -174,13 +176,6 @@ def integrate(field: Field | np.ndarray, grid: Grid | None = None) -> float:
         If any sample is non-finite (the sum would silently poison
         every downstream energy).
     """
-    if isinstance(field, Field):
-        grid = field.grid
-        values = field.values
-    else:
-        if grid is None:
-            raise ValueError("grid required when integrating a bare array")
-        values = field
     total = float(values.sum())
     if not np.isfinite(total):
         raise ValueError("integrate: non-finite samples")
@@ -218,15 +213,17 @@ class _HalfSpectrum:
     Spectra keep the first n // 2 + 1 bins of the last axis.  Each bin but
     its first and last also stands for its mirror image, so full-spectrum
     sums weigh it twice, and Parseval's scale h^dim / n^dim makes such a sum
-    an integral.  Reductions are taken row by row into Python floats, so
-    each row gets the arithmetic of a stack of one.  Per-grid arrays have a
-    leading axis of length 1, so that one row meets arrays of its own shape.
+    an integral.  integral is the package's one quadrature of stacked
+    fields, and the cell volume stays inside the layout.  Reductions are
+    taken row by row into Python floats, so each row gets the arithmetic of
+    a stack of one.  Per-grid arrays have a leading axis of length 1, so
+    that one row meets arrays of its own shape.
     """
 
     def __init__(self, grid: Grid) -> None:
         self.shape, self.axes = grid.shape, tuple(range(1, grid.dim + 1))
-        self.cell = grid.cell_volume
-        self._scale = self.cell / grid.n**grid.dim
+        self._cell, self._nodes = grid.cell_volume, grid.n**grid.dim
+        self._scale = self._cell / self._nodes
         self.k2 = _k2(grid, np.fft.rfftfreq)[None]  # |k|^2
         self._weights = np.full(self.k2.shape, 2.0)
         self._weights[..., [0, -1]] = 1.0
@@ -244,9 +241,11 @@ class _HalfSpectrum:
     def inverse(self, x_hat: np.ndarray) -> np.ndarray:
         return np.fft.irfftn(x_hat, s=self.shape, axes=self.axes)
 
-    def total(self, x: np.ndarray) -> list[float]:
-        """Row sums of a stack of fields."""
-        return np.add.reduce(x, axis=self.axes).tolist()
+    def integral(self, x: np.ndarray, coef: float = 1.0) -> list[float]:
+        """Per row coef times the integral of a stack of fields, taken as
+        (coef h^dim) times the node sum, in that order."""
+        scale = coef * self._cell
+        return [scale * s for s in np.add.reduce(x, axis=self.axes).tolist()]
 
     def laplacian(self, x_hat: np.ndarray) -> np.ndarray:
         """Laplacians of the fields with half spectra x_hat."""
@@ -257,9 +256,10 @@ class _HalfSpectrum:
         return self._complex[0] * x_hat + self.forward(force)
 
     def kinetic(self, x_hat: np.ndarray) -> list[float]:
-        """Per row 1/2 int |grad x|^2 of the fields with half spectra x_hat."""
-        scale = 0.5 * self._scale
-        return [scale * s for s in self.total(self._weighted_k2 * np.abs(x_hat) ** 2)]
+        """Per row 1/2 int |grad x|^2 of the fields with half spectra x_hat:
+        by Parseval, 1 / (2 n^dim) times the integral of the weighted
+        k^2 |x_hat|^2 (the factor is a power of two, so the scale is exact)."""
+        return self.integral(self._weighted_k2 * np.abs(x_hat) ** 2, 0.5 / self._nodes)
 
     def dot(self, a_hat: np.ndarray, b_hat: np.ndarray) -> list[float]:
         """Per row the L2 product <a, b> of the fields with half spectra a_hat, b_hat."""

@@ -74,8 +74,7 @@ class InequalityReport:
     the defect value; it is empty exactly when the inequality held with
     constant_tested at every scanned point.  worst_defect is the most
     negative normalized defect seen (nonnegative scans report their
-    smallest margin).  min_constant_estimate is nan unless the caller
-    filled in a minimal constant from min_constant_34i or min_constant_34ii.
+    smallest margin).
     """
 
     which: str
@@ -84,7 +83,6 @@ class InequalityReport:
     points: int
     worst_defect: float
     violations: tuple
-    min_constant_estimate: float = math.nan
 
     @property
     def holds(self) -> bool:

@@ -11,7 +11,7 @@ preconditioned, projected gradient
 where G = -lap u + V u - f(u) is the L2 gradient of the energy,
 S = (1 + max(V, 0))^(-1/2) and the shift a is the larger of 1 and the
 current multiplier estimate.  E and V u - f(u) come from ``energy._Kernel``,
-and every transform, L2 product and kinetic term from the grid's
+and every transform, L2 product, kinetic term and mass from the grid's
 half-spectrum layout (``grid._HalfSpectrum``); ``energy()``, ``gradient()``
 and ``multipliers()`` apply both to a single state, so a start's energy in
 the flow is the one ``energy()`` gives for its fields.  d is orthogonal to
@@ -319,13 +319,14 @@ def _flow(
     per-component list holds one stack per carried component, one row per
     member; the module docstring says how each member still does the
     arithmetic of a batch of one.  Their _Runs come back, in member order.
+    grid is read only to build its half-spectrum layout: every mass, the
+    column shape and the shape of the final pairs come from the layout.
     """
     comps = [c for c in (0, 1) if members[0].masses[c] > 0.0]
     half = _HalfSpectrum(grid)
     kern = _Kernel(half, spec, pots, comps)
     carried = range(len(comps))
-    cell = grid.cell_volume
-    col = (slice(None),) + (None,) * grid.dim
+    col = (slice(None),) + (None,) * len(half.axes)
     # S, or None where V <= 0, so that S == 1 and the whole step stays in the
     # half spectrum.
     sandwich = [
@@ -367,7 +368,7 @@ def _flow(
         steps_c = column(steps)
         cand_hat = [u_hat - steps_c * x for u_hat, x in zip(spectra, s_hat)]
         cand = [half.inverse(x) for x in cand_hat]
-        m_star = [[cell * s for s in half.total(x**2)] for x in cand]
+        m_star = [half.integral(x**2) for x in cand]
         if not all(all(map(math.isfinite, m)) for m in m_star):
             j, i, m = min(
                 (runs[m].member, i, m)
@@ -386,9 +387,9 @@ def _flow(
             new_hat[i] = cand_hat[i] * scale_c
             sq[i] = new[i] ** 2
             kin[i] = half.kinetic(cand_hat[i])
-            for m, (a, sc, ms) in enumerate(zip(alphas, scale, half.total(sq[i]))):
+            for m, (a, sc, ms) in enumerate(zip(alphas, scale, half.integral(sq[i]))):
                 kin[i][m] *= sc**2
-                mass_err[m] = max(mass_err[m], abs(cell * ms - a) / a)
+                mass_err[m] = max(mass_err[m], abs(ms - a) / a)
         return _Step(kern.energies(new, sq, kin), new, new_hat, kin, mass_err)
 
     rows: list[list[np.ndarray]] = [[] for _ in comps]
@@ -398,7 +399,7 @@ def _flow(
             values = member.init[c]
             if not np.all(np.isfinite(values)):
                 raise ValueError(f"solver: {member.name}: {_non_finite(values, c)}, iteration 0")
-            start_mass = cell * float(np.sum(values**2))
+            start_mass = half.integral(values[None] ** 2)[0]
             if start_mass == 0.0:
                 raise ValueError(
                     f"solver: {member.name}: u{c + 1} has zero mass and cannot be "
@@ -519,7 +520,7 @@ def _flow(
         leaving = range(len(runs)) if it == config.max_iters else done
         for m in leaving:
             run = runs[m]
-            run.pair = [np.zeros(grid.shape), np.zeros(grid.shape)]
+            run.pair = [np.zeros(half.shape), np.zeros(half.shape)]
             for c, x in zip(comps, fields):
                 run.pair[c] = x[m].copy()
             run.iterations, run.residual, run.converged = it, residual[m], m in done

@@ -292,14 +292,7 @@ def test_criterion_10_interaction_inequalities(report):
 
 def test_criterion_11_translated_convolution_limit(grid_1d, report):
     rows = convolution_limit_check(
-        lambda x: np.exp(-2.0 * np.abs(x)),
-        lambda x: np.exp(-np.abs(x)),
-        0.0,
-        1.0,
-        1.0,
-        grid_1d,
-        [20.0],
-        f_rate=2.0,
+        f_rate=2.0, g_rate=1.0, poly_power=0.0, grid=grid_1d, r_values=[20.0]
     )
     limit = 4.0 / 3.0
     rels = {

@@ -212,14 +212,7 @@ def test_virial_degenerate_on_zero_field(grid_1d):
 
 def test_convolution_limit_reproduces_two_sided_exponential(grid_1d):
     rows = convolution_limit_check(
-        f=lambda x: np.exp(-2.0 * np.abs(x)),
-        g=lambda x: np.exp(-np.abs(x)),
-        poly_power=0.0,
-        rate=1.0,
-        gamma=1.0,
-        grid=grid_1d,
-        r_values=[10.0, 20.0],
-        f_rate=2.0,
+        f_rate=2.0, g_rate=1.0, poly_power=0.0, grid=grid_1d, r_values=[10.0, 20.0]
     )
     assert len(rows) == 4  # two radii, two directions
     for row in rows:
@@ -235,14 +228,7 @@ def test_convolution_limit_reproduces_two_sided_exponential(grid_1d):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_convolution_limit_directions_are_the_signed_axes(dim):
     rows = convolution_limit_check(
-        f=lambda *y: np.exp(-2.0 * np.sqrt(sum(c * c for c in y))),
-        g=lambda *y: np.exp(-np.sqrt(sum(c * c for c in y))),
-        poly_power=0.0,
-        rate=1.0,
-        gamma=1.0,
-        grid=make_grid(dim, 32, 16.0),
-        r_values=[4.0],
-        f_rate=2.0,
+        f_rate=2.0, g_rate=1.0, poly_power=0.0, grid=make_grid(dim, 32, 16.0), r_values=[4.0]
     )
     axes = [tuple(s * e) for e in np.eye(dim) for s in (1.0, -1.0)]
     assert [row.omega for row in rows] == axes
@@ -253,28 +239,14 @@ def test_convolution_limit_directions_are_the_signed_axes(dim):
 def test_convolution_limit_rejects_divergent_pairs(grid_1d):
     with pytest.raises(ValueError, match="diverges"):
         convolution_limit_check(
-            f=lambda x: np.exp(-np.abs(x)),
-            g=lambda x: np.exp(-np.abs(x)),
-            poly_power=0.0,
-            rate=1.0,
-            gamma=1.0,
-            grid=grid_1d,
-            r_values=[5.0],
-            f_rate=1.0,
+            f_rate=1.0, g_rate=1.0, poly_power=0.0, grid=grid_1d, r_values=[5.0]
         )
 
 
 def test_convolution_limit_rejects_far_radii(grid_1d):
     with pytest.raises(ValueError, match="truncation"):
         convolution_limit_check(
-            f=lambda x: np.exp(-2.0 * np.abs(x)),
-            g=lambda x: np.exp(-np.abs(x)),
-            poly_power=0.0,
-            rate=1.0,
-            gamma=1.0,
-            grid=grid_1d,
-            r_values=[30.0],
-            f_rate=2.0,
+            f_rate=2.0, g_rate=1.0, poly_power=0.0, grid=grid_1d, r_values=[30.0]
         )
 
 
@@ -357,6 +329,20 @@ def test_glue_states_zero_component_passthrough(grid_1d):
     m1, m2 = glued.masses()
     assert m1 == pytest.approx(alpha[0], rel=1e-12)
     assert m2 == pytest.approx(alpha[1], rel=1e-12)
+
+
+def test_glue_states_zero_mass_component_stays_zero(grid_1d):
+    # a component whose target mass is 0 is glued to the zero field, with no
+    # overlap and no rescaling
+    x = grid_1d.axes[0]
+    z = Field(grid_1d, np.zeros(grid_1d.shape))
+    u0 = State(Field(grid_1d, np.exp(-np.abs(x))), z)
+    w0 = State(Field(grid_1d, 0.5 * np.exp(-np.abs(x))), z)
+    alpha = (norm_sq(u0.u1) + norm_sq(w0.u1), 0.0)
+    glued, ledger = glue_states(u0, w0, 512, alpha)
+    assert not glued.u2.values.any()
+    assert ledger.kappa2 == 0.0 and ledger.tau2 == 1.0
+    assert glued.masses()[0] == pytest.approx(alpha[0], rel=1e-12)
 
 
 def test_glue_energy_gap_samples_the_potentials_once(grid_1d, monkeypatch):

@@ -51,9 +51,10 @@ def test_workload_lookups_resolve():
     for name in ("grid_n", "solver", "problem"):
         assert name in cli.ExperimentConfig.__dataclass_fields__
     assert callable(cli.ExperimentConfig.grid)
-    # bench/make_references.py reads the full-spectrum Grid.k2
+    # bench/make_references.py reads the full-spectrum Grid.k2 and Grid.cell_volume
     grid = make_grid(2, 8, 4.0)
     assert grid.k2.shape == grid.shape
+    assert grid.cell_volume == 0.25
     # bench/tracing.py reads diagnostics["starts"]
     for name in ("state", "report", "multipliers", "iterations", "converged",
                  "trajectory_energies", "diagnostics"):

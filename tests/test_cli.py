@@ -561,6 +561,18 @@ def test_decay_fit_artifacts(tmp_path):
         assert fit["n_shells"] >= 8
 
 
+def test_glue_test_with_a_zero_second_mass(tmp_path):
+    # the zero-mass branch of glue_states: u2 is glued to 0 with kappa2 = 0, tau2 = 1
+    extra = "problem.alpha2 = 0.0\ntask.glue_test.n_cells = 48, 64\n"
+    cfg_path = write_config(tmp_path, "glue_test", extra=extra)
+    out = tmp_path / "out"
+    assert run(cfg_path, out_dir=out) == 0
+    rows = json.loads((out / "glue_test.json").read_text())
+    assert [(row["n"], row["kappa2"], row["tau2"]) for row in rows] == [
+        (48, 0.0, 1.0), (64, 0.0, 1.0)
+    ]
+
+
 def test_glue_test_artifacts(tmp_path):
     extra = (
         "task.glue_test.gamma1 = 0.3\n"
@@ -830,6 +842,18 @@ def test_pohozaev_refused_with_a_zero_mass(tmp_path, capsys, command, extra):
         "defaults to problem.alpha1): the zero state satisfies the Pohozaev identity trivially, "
         "so its residual tests nothing"
     ]
+    assert not out.exists()
+
+
+def test_seed_refused_by_its_option(tmp_path, capsys):
+    # the override is named as the --seed option, not as the record field it fills
+    cfg_path = write_config(tmp_path, "solve")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out), "--seed", "-1"]) == 1
+    errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.strip()]
+    assert errors == ["error: --seed must be an integer >= 0, got -1"]
+    with pytest.raises(ValueError, match=r"^--seed must be an integer >= 0, got True$"):
+        run(cfg_path, out_dir=out, seed=True)
     assert not out.exists()
 
 

@@ -165,11 +165,15 @@ def test_half_spectrum_layout_matches_the_full_spectrum(dim, n):
 
 
 def test_the_package_transforms_only_in_grid():
-    # the half-spectrum layout lives in one module: no other one uses np.fft
+    # the half-spectrum layout and the quadrature live in one module: no other
+    # one uses np.fft or reads the cell volume, as Grid.cell_volume or as the
+    # layout's cell
     src = Path(__file__).resolve().parents[1] / "src" / "binorm_gs"
     fft = re.compile(r"\b(?:np|numpy)\.fft\b|\bfrom numpy import\b.*\bfft\b")
-    users = sorted(p.name for p in src.glob("*.py") if fft.search(p.read_text()))
-    assert users == ["grid.py"]
+    cell = re.compile(r"\bcell_volume\b|\._?cell\b")
+    for pattern in (fft, cell):
+        users = sorted(p.name for p in src.glob("*.py") if pattern.search(p.read_text()))
+        assert users == ["grid.py"], pattern.pattern
 
 
 def test_translate_identity_and_inverse(grid_small, rng):

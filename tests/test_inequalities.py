@@ -53,7 +53,6 @@ def test_expansion_report_bookkeeping():
     assert report.which == "L34i"
     assert report.points == 501  # zero plus the log sweep
     assert report.params["p"] == 0.7
-    assert math.isnan(report.min_constant_estimate)
 
 
 def test_expansion_threshold_cubic():
