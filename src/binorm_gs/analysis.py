@@ -3,7 +3,7 @@
 This module checks the qualitative predictions that accompany the
 minimization problem: exponential decay rates of the two components
 (including the anomalous slow regime forced through the interaction
-term), the virial identity satisfied by scalar minimizers, the scaled
+term), the virial identity of every constrained critical point, the scaled
 convolution limits that drive overlap asymptotics, and the gluing
 construction that bounds the energy of a combined state strictly below
 the sum of its separated pieces.
@@ -21,9 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .energy import energy
-from .grid import Field, Grid, State, inner, integrate, norm_sq, radial_profile, translate
-from .grid import grad_norm_sq
+from .energy import _OneState, energy
+from .grid import Field, Grid, State, inner, integrate, radial_profile, translate
 from .model import ProblemSpec, sample_potential
 from .solver import SolveResult
 
@@ -136,10 +135,18 @@ def classify_decay_regime(
 # radial decay fitting
 
 
+def _fit_decay(r: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares coefficients (const, rate, poly) of
+    y ~ const - rate r + poly log(1 + r), and the fitted y."""
+    design = np.column_stack([np.ones_like(r), -r, np.log1p(r)])
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    return coef, design @ coef
+
+
 @dataclass(frozen=True)
 class DecayFit:
     """Fit of log(shell max) = const - rate * r + poly_exponent * log(1 + r)
-    over the shells at radii, whose log maxima are log_values."""
+    over the shells at radii, with log maxima log_values and model fit_values."""
 
     window: tuple[float, float]
     rate: float
@@ -149,6 +156,7 @@ class DecayFit:
     n_shells: int
     radii: tuple[float, ...]
     log_values: tuple[float, ...]
+    fit_values: tuple[float, ...]
 
 
 def decay_fit(field: Field, window: tuple[float, float]) -> DecayFit:
@@ -172,21 +180,21 @@ def decay_fit(field: Field, window: tuple[float, float]) -> DecayFit:
     y = np.log(maxima[keep])
     if r.size < 8:
         raise ValueError(f"only {r.size} usable shells in window {window}")
-    design = np.column_stack([np.ones_like(r), -r, np.log1p(r)])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    fitted = design @ coef
+    coef, fitted = _fit_decay(r, y)
+    const, rate, poly = (float(c) for c in coef)
     ss_res = float(np.sum((y - fitted) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r_sq = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return DecayFit(
         window=(r1, r2),
-        rate=float(coef[1]),
-        poly_exponent=float(coef[2]),
-        const=float(coef[0]),
+        rate=rate,
+        poly_exponent=poly,
+        const=const,
         r_squared=r_sq,
         n_shells=int(r.size),
         radii=tuple(r.tolist()),
         log_values=tuple(y.tolist()),
+        fit_values=tuple((const - rate * r + poly * np.log1p(r)).tolist()),
     )
 
 
@@ -196,40 +204,34 @@ def decay_fit(field: Field, window: tuple[float, float]) -> DecayFit:
 
 @dataclass(frozen=True)
 class PohozaevCheck:
-    """Normalized virial defect of a scalar ground-state candidate.
-
-    residual = |t_kin + t_mass - t_focus| / max(|t_kin|, |t_mass|, |t_focus|)
-    with t_kin = (N-2)/(2N) |grad w|^2, t_mass = (lam/2) |w|^2 and
-    t_focus = mu/(2p+2) |w|_(2p+2)^(2p+2).  A zero field is degenerate
-    and reports residual 0.
-    """
+    """Virial defect of a two-component state.  The dilation u -> t^(N/2) u(t x)
+    keeps both masses, so at a constrained critical point of E, dE/dt = 0 at
+    t = 1: kinetic_term + potential_term = focusing_term, with kinetic_term =
+    int |grad u|^2, potential_term = -1/2 sum_i int (x . grad V_i) u_i^2 and,
+    in EnergyReport's terms, focusing_term = N (p1 self1 + p2 self2 + p3 cross).
+    residual is the defect over the largest of the three magnitudes, 0 for a
+    zero state, which is degenerate."""
 
     residual: float
     kinetic_term: float
-    mass_term: float
+    potential_term: float
     focusing_term: float
     degenerate: bool
 
 
-def pohozaev_check(field: Field, lam: float, mu: float, p: float) -> PohozaevCheck:
-    """Check the virial identity satisfied by decaying scalar solutions of
-    -lap w + lam w = mu |w|^(2p) w on R^N."""
-    n = field.grid.dim
-    t_kin = (n - 2.0) / (2.0 * n) * grad_norm_sq(field)
-    t_mass = 0.5 * lam * norm_sq(field)
-    t_focus = mu / (2.0 * p + 2.0) * float(
-        integrate(np.abs(field.values) ** (2.0 * p + 2.0), field.grid)
-    )
-    scale = max(abs(t_kin), abs(t_mass), abs(t_focus))
-    if scale == 0.0:
-        return PohozaevCheck(0.0, 0.0, 0.0, 0.0, degenerate=True)
-    return PohozaevCheck(
-        residual=abs(t_kin + t_mass - t_focus) / scale,
-        kinetic_term=t_kin,
-        mass_term=t_mass,
-        focusing_term=t_focus,
-        degenerate=False,
-    )
+def pohozaev_check(state: State, spec: ProblemSpec) -> PohozaevCheck:
+    """The virial defect of a state under spec.  Every term comes from the
+    energy's own evaluation (energy._OneState), the potential term as
+    N (potential1 + potential2) + sum_i int V_i u_i (x . grad u_i), which
+    reads only the potentials as sampled on the state's grid."""
+    one = _OneState(state, spec, None)
+    rep, n = one.report(), state.grid.dim
+    t_kin = 2.0 * (rep.kinetic1 + rep.kinetic2)
+    t_pot = n * (rep.potential1 + rep.potential2) + one.potential_dilation()
+    t_focus = n * (spec.p1 * rep.self1 + spec.p2 * rep.self2 + spec.p3 * rep.cross)
+    scale = max(abs(t_kin), abs(t_pot), abs(t_focus))
+    residual = abs(t_kin + t_pot - t_focus) / scale if scale else 0.0
+    return PohozaevCheck(residual, t_kin, t_pot, t_focus, degenerate=scale == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -263,28 +265,30 @@ def convolution_limit_check(
     uniformly in the direction w.  Rows cover every r in r_values along each
     direction w = +-e_i of the grid axes.  The integrals are plain node sums
     over the box, so r must stay within 0.4 L to keep truncation negligible.
-    The divergent case f_rate <= g_rate is rejected.
+    The divergent case f_rate <= |g_rate| is rejected.  Each integrand has one
+    exponent, g_rate w.y - f_rate |y| for the limit and g_rate (r - |r w - y|)
+    - f_rate |y| for the scaled value, <= 0 as |r - |r w - y|| <= |y|.
     """
-    if f_rate <= g_rate:
+    if f_rate <= abs(g_rate):
         raise ValueError(
-            f"f decays at rate {f_rate} <= {g_rate}; the limit integral diverges"
+            f"f decays at rate {f_rate} <= |g_rate| = {abs(g_rate)}; the limit integral diverges"
         )
     # + 0.0 turns the -0.0 entries of -e_i into 0.0
     omegas = [sign * e + 0.0 for e in np.eye(grid.dim) for sign in (1.0, -1.0)]
     mesh = grid.meshes()
-    fy = np.exp(-f_rate * np.sqrt(sum(c**2 for c in mesh)))
+    f_exponent = -f_rate * np.sqrt(sum(c**2 for c in mesh))
     rows = []
     for w in omegas:
         dot = sum(wi * yi for wi, yi in zip(w, mesh))
-        limit = integrate(fy * np.exp(g_rate * dot), grid)
+        limit = integrate(np.exp(g_rate * dot + f_exponent), grid)
         for r in r_values:
             if r > WINDOW_FRACTION * grid.length:
                 raise ValueError(
                     f"radius {r} exceeds {WINDOW_FRACTION} L; truncation would bias"
                 )
             dist = np.sqrt(sum((r * wi - yi) ** 2 for wi, yi in zip(w, mesh)))
-            gx = (1.0 + dist) ** (-poly_power) * np.exp(-g_rate * dist)
-            scaled = (1.0 + r) ** poly_power * math.exp(g_rate * r) * integrate(gx * fy, grid)
+            exponent = g_rate * (r - dist) + f_exponent
+            scaled = integrate(((1.0 + r) / (1.0 + dist)) ** poly_power * np.exp(exponent), grid)
             rows.append(
                 ConvLimitRow(
                     r=float(r),
@@ -335,8 +339,7 @@ def overlap_series(
         raise ValueError("need at least three overlaps above 1e-14 to fit a rate")
     du, ku = d[usable], k[usable]
     y = np.log(ku) + 0.5 * (g.dim - 1.0) * np.log1p(du)
-    design = np.column_stack([np.ones_like(du), -du, np.log1p(du)])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    coef, _ = _fit_decay(du, y)
     return OverlapSeries(
         n_cells=tuple(int(n) for n in n_cells),
         distances=tuple(float(x) for x in d),

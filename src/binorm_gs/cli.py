@@ -8,8 +8,8 @@ writing it back is a fixed point, so configs can be round-tripped
 between the two.
 
 Before any file is written, a run's independent task computations (the
-main solve, the Pohozaev and gluing solves, the inequality scans and the
-convolution rows) run on separate cores where there are several; then the
+main solve, the gluing solves, the inequality scans and the convolution
+rows) run on separate cores where there are several; then the
 calling process writes each task's files in order, the same bytes as a
 serial run.
 
@@ -66,14 +66,8 @@ from .inequalities import (
     sufficient_constant_34ii,
 )
 from .model import POTENTIAL_KINDS, PotentialSpec, ProblemSpec, sample_potential, validate
-from .solver import (
-    SolverConfig,
-    _run_shares,
-    default_grid,
-    minimize,
-    minimize_scalar,
-    scan_subadditivity,
-)
+from .solver import SolverConfig, _run_shares, default_grid, minimize, scan_subadditivity
+from .solver import minimize_scalar  # noqa: F401  bench/tracing.py wraps cli.minimize_scalar
 
 __all__ = [
     "ExperimentConfig",
@@ -85,8 +79,6 @@ __all__ = [
     "main",
 ]
 
-# The test and rule of a task's own exponent p: validate's subcritical window.
-_SUBCRITICAL = (lambda s: 0.0 < s.p < 2.0 / s.dim, "must lie in (0, 2/N) with N = {s.dim}")
 # Every task, with each task.<name>.<key> it reads as (default, test, rule).
 # default and test take a namespace s of the problem's fields, the run grid's
 # s.n and s.L, s.edge = WINDOW_FRACTION * L and the task's values (a default
@@ -108,21 +100,18 @@ _TASK_PARAMS: dict[str, dict[str, tuple]] = {
         # any whole numbers of cells: the shifts are periodic
         "n_cells": (lambda s: [round(f * s.n) for f in (0.125, 0.1875, 0.25)], lambda s: True, ""),
     },
-    "pohozaev": {
-        "mu": (lambda s: float(s.mu1), lambda s: 0.0 < s.mu < math.inf, "must be finite and > 0"),
-        "p": (lambda s: float(s.p1), *_SUBCRITICAL),
-        "gamma": (lambda s: float(s.alpha1), lambda s: 0.0 <= s.gamma < math.inf,
-                  "must be finite and >= 0"),
-    },
+    "pohozaev": {},
     "check_inequalities": {
-        "p": (lambda s: float(s.p1), *_SUBCRITICAL),
+        # validate's subcritical window
+        "p": (lambda s: float(s.p1), lambda s: 0.0 < s.p < 2.0 / s.dim,
+              "must lie in (0, 2/N) with N = {s.dim}"),
         "eta": (lambda s: 0.5 * s.p, lambda s: 0.0 < s.eta < s.p, "must lie in (0, p = {s.p})"),
     },
     "conv_limit": {
-        "f_rate": (lambda s: 2.0, lambda s: s.g_rate < s.f_rate < math.inf,
-                   "must be finite and > g_rate = {s.g_rate}"),
-        "g_rate": (lambda s: 1.0, lambda s: -math.inf < s.g_rate < s.f_rate,
-                   "must be finite and < f_rate = {s.f_rate}"),
+        "f_rate": (lambda s: 2.0, lambda s: abs(s.g_rate) < s.f_rate < math.inf,
+                   "must be finite and > |g_rate| (g_rate = {s.g_rate})"),
+        "g_rate": (lambda s: 1.0, lambda s: abs(s.g_rate) < s.f_rate,
+                   "must be finite with |g_rate| < f_rate = {s.f_rate}"),
         "poly_power": (lambda s: 0.0, lambda s: math.isfinite(s.poly_power), "must be finite"),
         "r_values": (lambda s: [0.125 * s.L, 0.25 * s.L],
                      lambda s: all(0.0 <= r <= s.edge for r in s.r_values),
@@ -135,7 +124,7 @@ TASK_NAMES = tuple(TASK_KEYS)
 SOLVER_TASKS = ("solve", "scan_subadd", "decay_fit", "glue_test", "pohozaev")
 # Each task that a problem leaves without meaning, with (test, reason): a run
 # refuses the task, naming reason, before any write.  test and reason.format
-# take a namespace s of the problem's fields and the task's values.
+# take the problem s.
 _REFUSALS: dict[str, tuple] = {
     "decay_fit": (
         (lambda s: s.regime == "trapping",
@@ -146,9 +135,9 @@ _REFUSALS: dict[str, tuple] = {
          "vanishing component has no tail to fit, and its multiplier is undefined"),
     ),
     "pohozaev": (
-        (lambda s: s.gamma == 0.0,
-         "with a zero mass (task.pohozaev.gamma = {s.gamma}, which defaults to problem.alpha1): "
-         "the zero state satisfies the Pohozaev identity trivially, so its residual tests nothing"),
+        (lambda s: s.alpha1 == s.alpha2 == 0.0,
+         "with both masses zero (problem.alpha1 = {s.alpha1}, problem.alpha2 = {s.alpha2}): "
+         "the zero state satisfies the virial identity trivially, so its residual tests nothing"),
     ),
 }
 
@@ -576,7 +565,7 @@ _TASK_CALCS = {
     "solve": ("solve",),
     "decay_fit": ("solve",),
     "glue_test": ("glue_inner", "glue_outer"),
-    "pohozaev": ("pohozaev",),
+    "pohozaev": ("solve",),
     "check_inequalities": ("check_inequalities",),
     "conv_limit": ("conv_limit",),
 }
@@ -701,8 +690,6 @@ class _Runner:
             fit = decay_fit(comp, window)
             role = 1 if comp_index == order[0] else 2
             regime = classify_decay_regime(self.cfg.problem.p3, lo, hi, role)
-            radii = np.array(fit.radii)
-            fit_vals = fit.const - fit.rate * radii + fit.poly_exponent * np.log1p(radii)
             fits.append(
                 {
                     "component": comp_index + 1,
@@ -716,7 +703,7 @@ class _Runner:
                     "profile": {
                         "r": list(fit.radii),
                         "log_value": list(fit.log_values),
-                        "fit_value": fit_vals.tolist(),
+                        "fit_value": list(fit.fit_values),
                     },
                 }
             )
@@ -764,18 +751,13 @@ class _Runner:
             f"(negative favours gluing)"
         )
 
-    def calc_pohozaev(self):
-        return minimize_scalar(**self.params["pohozaev"], dim=self.cfg.problem.dim,
-                               config=self.cfg.solver, grid=self.grid)
-
     def task_pohozaev(self) -> None:
-        p, res = self.params["pohozaev"], self.value("pohozaev")
-        lam1 = res.multipliers.lambda1
-        check = pohozaev_check(res.state.u1, lam1, p["mu"], p["p"])
-        payload = {**p, "lambda": lam1, **asdict(check), "converged": res.converged}
-        self.tray.write_json("pohozaev.json", payload)
+        """pohozaev.json: the virial identity checked on the main solve's state."""
+        res = self.value("solve")
+        check = pohozaev_check(res.state, self.cfg.problem)
+        self.tray.write_json("pohozaev.json", {**asdict(check), "converged": res.converged})
         self.mark("pohozaev", res.converged)
-        self.note(f"pohozaev: residual {check.residual:.3g} at p={p['p']}, mu={p['mu']}")
+        self.note(f"pohozaev: residual {check.residual:.3g} of the solve's virial identity")
 
     def calc_check_inequalities(self):
         """The two scans of Lemma 3.4, each with its note and its minimal constant."""
@@ -887,7 +869,7 @@ def run(
     task list, a potential that cannot be sampled on the run grid
     (a missing or mismatched table, or one with a nonzero last column), or a
     task its problem refuses (_REFUSALS: decay_fit in the trapping regime or
-    with a zero mass, pohozaev with a zero mass), raises before any file is
+    with a zero mass, pohozaev with both masses zero), raises before any file is
     written.  If a task raises,
     summary.txt and manifest.json are still written and the error propagates.
     """
@@ -904,12 +886,10 @@ def run(
         return 1
     tasks = tasks if tasks is not None else cfg.tasks
     _check_tasks(tasks)
-    values = cfg.task_values()
     for task in tasks:
-        s = SimpleNamespace(**vars(cfg.problem), **values[task])
         for test, reason in _REFUSALS.get(task, ()):
-            if test(s):
-                raise ValueError(f"{task} is not available {reason.format(s=s)}")
+            if test(cfg.problem):
+                raise ValueError(f"{task} is not available {reason.format(s=cfg.problem)}")
     grid = cfg.grid()
     for pot in (cfg.problem.v1, cfg.problem.v2):
         sample_potential(pot, grid)

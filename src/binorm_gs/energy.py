@@ -201,6 +201,14 @@ class _OneState:
             g[c] = force[0] - self.half.laplacian(x_hat)[0]
         return g
 
+    def potential_dilation(self) -> float:
+        """sum_i int V_i u_i (x . grad u_i): with N (potential1 + potential2) it is
+        -1/2 sum_i int (x . grad V_i) u_i^2, integrated by parts so that only the
+        sampled V_i is read (analysis.pohozaev_check)."""
+        k = self.kern
+        return sum(k.integral(k.v[i] * x * self.half.x_grad(x_hat))[0]
+                   for i, (x, x_hat) in enumerate(zip(self.u, self.u_hat)) if k.has_potential[i])
+
     def multipliers(self) -> Multipliers:
         """multipliers()'s pair; nan for a component without mass."""
         out = []

@@ -10,8 +10,8 @@ spectrally accurate for smooth periodic integrands.
 Every Fourier transform and every integral of the package is taken here:
 integrate for one array, and _HalfSpectrum for a stack of fields (one for
 laplacian and grad_norm_sq), the real-FFT half-spectrum layout with its bin
-weights, Parseval's scale, |k|^2 and the per-row integral.  No other module
-holds the cell volume.
+weights, Parseval's scale, |k|^2, the dilation derivative x . grad and the
+per-row integral.  No other module holds the cell volume.
 """
 
 from __future__ import annotations
@@ -42,12 +42,16 @@ __all__ = [
 DIMS = (1, 2)  # the spatial dimensions a grid, and so a problem, may have
 
 
-def _k2(grid: Grid, last_freq=np.fft.fftfreq) -> np.ndarray:
-    """|k|^2 with the wavenumbers of fftfreq on the leading axes and of
+def _wavenumbers(grid: Grid, last_freq=np.fft.fftfreq) -> list[np.ndarray]:
+    """Per axis the wavenumbers of fftfreq on the leading axes and of
     last_freq (fftfreq, or rfftfreq for the half spectrum) on the last."""
-    k = [2.0 * np.pi * freq(grid.n, d=grid.h)
-         for freq in [np.fft.fftfreq] * (grid.dim - 1) + [last_freq]]
-    return sum(x * x for x in np.meshgrid(*k, indexing="ij"))
+    return [2.0 * np.pi * freq(grid.n, d=grid.h)
+            for freq in [np.fft.fftfreq] * (grid.dim - 1) + [last_freq]]
+
+
+def _k2(grid: Grid, last_freq=np.fft.fftfreq) -> np.ndarray:
+    """|k|^2 over _wavenumbers(grid, last_freq)."""
+    return sum(x * x for x in np.meshgrid(*_wavenumbers(grid, last_freq), indexing="ij"))
 
 
 @dataclass(frozen=True)
@@ -221,7 +225,7 @@ class _HalfSpectrum:
     """
 
     def __init__(self, grid: Grid) -> None:
-        self.shape, self.axes = grid.shape, tuple(range(1, grid.dim + 1))
+        self.grid, self.shape, self.axes = grid, grid.shape, tuple(range(1, grid.dim + 1))
         self._cell, self._nodes = grid.cell_volume, grid.n**grid.dim
         self._scale = self._cell / self._nodes
         self.k2 = _k2(grid, np.fft.rfftfreq)[None]  # |k|^2
@@ -250,6 +254,18 @@ class _HalfSpectrum:
     def laplacian(self, x_hat: np.ndarray) -> np.ndarray:
         """Laplacians of the fields with half spectra x_hat."""
         return self.inverse(-self.k2 * x_hat)
+
+    def x_grad(self, u_hat: np.ndarray) -> np.ndarray:
+        """x . grad u of the fields u with half spectra u_hat, x the node
+        coordinate: per axis j, x_j times the inverse transform of i k_j u_hat,
+        with k_j = 0 on the Nyquist bin n / 2, which a real field's derivative lacks."""
+        g, out = self.grid, 0.0
+        for j, k in enumerate(_wavenumbers(g, np.fft.rfftfreq)):
+            k[g.n // 2] = 0.0
+            shape = [1] * (g.dim + 1)
+            shape[j + 1] = -1
+            out = out + g.axes[j].reshape(shape) * self.inverse(1j * k.reshape(shape) * u_hat)
+        return out
 
     def gradient(self, x_hat: np.ndarray, force: np.ndarray) -> np.ndarray:
         """Half spectra of -lap x + force, for x's half spectra and a real force."""

@@ -178,8 +178,15 @@ def check_lemma34i(
 
 def min_constant_34i(p: float, a_max: float = 1e2, samples: int = 4000) -> float:
     """Smallest correction constant making the bound hold on check_lemma34i's
-    scan, from one pass over it; at a = 0 the defect is 0 for every one."""
-    return _min_constant(_scan_34i(p, a_max, samples)[1], -math.inf)
+    scan, from one pass over it; at a = 0 the defect is 0 for every one.
+
+    It is floored at the limit of -base/weight as a -> 0, below which no
+    constant holds near a = 0: with q = 2p + 2, base = q (q-1)/2 a^2 -
+    q a^(q-1) + o(a^2), so the limit is 0 for p < 1, -6 at p = 1 and -inf for
+    p > 1.  For 1/2 <= p <= 1 the scan, whose slack binds at its smallest
+    a = 1e-6, reads below it (-1.499 at p = 0.9)."""
+    floor = 0.0 if p < 1.0 else -6.0 if p == 1.0 else -math.inf
+    return _min_constant(_scan_34i(p, a_max, samples)[1], floor)
 
 
 def _terms_34ii(p, eta, a1, a2, b1, b2):

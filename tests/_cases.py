@@ -39,6 +39,12 @@ def wells_spec() -> ProblemSpec:
     )
 
 
+def scalar_spec(mu: float, p: float, dim: int = 1) -> ProblemSpec:
+    """The problem minimize_scalar(mu, p, 1.0, dim=dim) solves: u2 carries no mass."""
+    return ProblemSpec(dim=dim, p1=p, p2=p, p3=p, mu1=mu, mu2=mu, beta=1.0,
+                       alpha1=1.0, alpha2=0.0)
+
+
 def symmetric_cubic(beta: float = 0.5) -> ProblemSpec:
     """Potential-free cubic system, identical components."""
     return ProblemSpec(

@@ -24,11 +24,14 @@ from binorm_gs.analysis import (
 from binorm_gs.energy import energy, gradient
 from binorm_gs.grid import Field, State, inner, make_grid
 from binorm_gs.inequalities import (
+    _min_constant,
+    _scan_34i,
+    check_lemma34i,
     check_lemma34ii,
     min_constant_34i,
     sufficient_constant_34ii,
 )
-from binorm_gs.model import ProblemSpec
+from binorm_gs.model import PotentialSpec, ProblemSpec
 from binorm_gs.solver import minimize, minimize_scalar, scan_subadditivity
 
 from _cases import (
@@ -38,6 +41,7 @@ from _cases import (
     bounded_matrix,
     gluing_spec,
     random_state,
+    scalar_spec,
     standard_decay_spec,
     symmetric_cubic,
     trapping_matrix,
@@ -250,25 +254,31 @@ def test_criterion_08_glued_states_beat_split_energy(glue_pack, report):
 
 
 def test_criterion_09_virial_identity(crit1, grid_1d, report):
+    # the dilation u -> t^(N/2) u(t x) keeps both masses, so every constrained
+    # critical point satisfies its virial identity, potentials and coupling included
+    pair_grid, pair_config = make_grid(1, 1024, 64.0), replace(REFERENCE, tol_residual=1e-10)
+    trapped = replace(wells_spec(), v2=PotentialSpec.harmonic_trap(stiffness=1.0),
+                      regime="trapping")  # V2 = 1 + |x|^2
     cases = {
-        "1d cubic": (crit1, 1.0, 1.0),
+        "1d cubic": (crit1, scalar_spec(1.0, 1.0)),
         "1d p=0.6": (
             minimize_scalar(1.0, 0.6, 1.0, config=REFERENCE, grid=grid_1d),
-            1.0,
-            0.6,
+            scalar_spec(1.0, 0.6),
         ),
         "2d p=0.6": (
             minimize_scalar(
                 4.0, 0.6, 1.0, dim=2, config=REFERENCE, grid=make_grid(2, 128, 32.0)
             ),
-            4.0,
-            0.6,
+            scalar_spec(4.0, 0.6, dim=2),
         ),
+        "1d wells pair": (minimize(wells_spec(), config=pair_config, grid=pair_grid),
+                          wells_spec()),
+        "1d trapped pair": (minimize(trapped, config=pair_config, grid=pair_grid), trapped),
     }
     residuals = {}
-    for label, (res, mu, p) in cases.items():
-        check = pohozaev_check(res.state.u1, res.multipliers.lambda1, mu, p)
-        residuals[label] = abs(check.residual)
+    for label, (res, spec) in cases.items():
+        assert res.converged, label
+        residuals[label] = pohozaev_check(res.state, spec).residual
     report(
         9,
         max(residuals.values()) < 1e-3,
@@ -277,9 +287,13 @@ def test_criterion_09_virial_identity(crit1, grid_1d, report):
 
 
 def test_criterion_10_interaction_inequalities(report):
+    # min_constant_34i(1.0) is floored at -6, the scan's a -> 0 limit, so the
+    # scan itself is checked: unfloored it reads -6, and -6 - 1e-6 fails on it
     c_min = min_constant_34i(1.0)
-    ok = abs(c_min + 6.0) <= 1e-9
-    details = [f"cubic min constant {c_min:.12f} (-6 +/- 1e-9)"]
+    c_scan = _min_constant(_scan_34i(1.0, 1e2, 4000)[1], -math.inf)
+    ok = c_min == -6.0 and abs(c_scan + 6.0) <= 1e-9
+    ok = ok and check_lemma34i(1.0, c_min).holds and not check_lemma34i(1.0, -6.0 - 1e-6).holds
+    details = [f"cubic min constant {c_min:.12f}, scan {c_scan:.12f} (-6 +/- 1e-9)"]
     for p, eta in ((0.8, 0.4), (0.5, 0.25), (1.5, 0.75)):
         c = sufficient_constant_34ii(p, eta)
         rep = check_lemma34ii(p, eta, c, samples=1000)

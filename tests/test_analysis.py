@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,9 +27,9 @@ from binorm_gs.analysis import (
 )
 from binorm_gs.energy import energy
 from binorm_gs.grid import Field, State, laplacian, make_grid, norm_sq
-from binorm_gs.model import ProblemSpec, sample_potential
+from binorm_gs.model import PotentialSpec, ProblemSpec, sample_potential
 
-from _cases import wells_spec
+from _cases import scalar_spec, wells_spec
 
 # Modules come from importlib because the package rebinds the name `energy`
 # to the function of that name.
@@ -145,6 +146,15 @@ def test_decay_fit_recovers_pure_exponential(grid_1d):
     assert fit.n_shells >= 8
 
 
+def test_decay_fit_values_are_the_model_at_its_radii():
+    g = make_grid(2, 128, 32.0)
+    fit = decay_fit(Field(g, np.exp(-0.8 * g.radius())), (2.0, 10.0))
+    r = np.array(fit.radii)
+    model = fit.const - fit.rate * r + fit.poly_exponent * np.log1p(r)
+    assert fit.fit_values == tuple(model.tolist())
+    assert len(fit.fit_values) == fit.n_shells
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     rate=st.floats(min_value=0.2, max_value=1.5),
@@ -184,24 +194,64 @@ def test_decay_fit_needs_enough_live_shells(grid_1d):
 # virial identity
 
 
-def test_exact_soliton_satisfies_virial(grid_1d):
+def _scalar(w: Field) -> State:
+    return State(w, Field(w.grid, np.zeros(w.grid.shape)))
+
+
+SOLITON_GRID = make_grid(1, 4096, 128.0)  # the sech tail is below 1e-13 at the box edge
+
+
+def test_exact_soliton_satisfies_virial():
     for mu, p, lam in ((1.0, 1.0, 0.25), (2.0, 0.6, 0.5)):
-        w = soliton_1d(grid_1d, mu, p, lam)
-        check = pohozaev_check(w, lam, mu, p)
+        w = soliton_1d(SOLITON_GRID, mu, p, lam)
+        check = pohozaev_check(_scalar(w), scalar_spec(mu, p))
         assert not check.degenerate
-        assert check.residual < 1e-8
-        # terms have the stated signs in 1D: kinetic enters negatively
-        assert check.kinetic_term < 0.0 < check.focusing_term
+        assert check.residual < 1e-12
+        # without potentials the kinetic and focusing terms balance alone
+        assert check.potential_term == 0.0
+        assert 0.0 < check.kinetic_term and 0.0 < check.focusing_term
 
 
-def test_virial_flags_wrong_multiplier(grid_1d):
-    w = soliton_1d(grid_1d, 1.0, 1.0, 0.25)
-    assert pohozaev_check(w, 0.5, 1.0, 1.0).residual > 1e-2
+def test_virial_flags_wrong_multiplier():
+    # the p = 1 sech profile of multiplier 0.25 with the amplitude of multiplier
+    # 0.5 (sqrt 2 times its own) is no critical point: the kinetic term
+    # doubles and the focusing term quadruples, so the residual is 1/2
+    w = soliton_1d(SOLITON_GRID, 1.0, 1.0, 0.25)
+    check = pohozaev_check(_scalar(Field(SOLITON_GRID, math.sqrt(2.0) * w.values)),
+                           scalar_spec(1.0, 1.0))
+    assert check.residual == pytest.approx(0.5, rel=1e-9)
+
+
+@pytest.mark.parametrize("t, residual", [(1.1, 1.0 - 1.0 / 1.1), (0.9, 0.1)])
+def test_virial_of_a_dilated_soliton(t, residual):
+    # t^(1/2) w(t x) keeps the mass of the p = 1 soliton w; its kinetic term
+    # scales by t^2 and its focusing term by t.  w(t x) is the soliton of
+    # multiplier t^2 lam divided by t.
+    dilated = soliton_1d(SOLITON_GRID, 1.0, 1.0, 0.25 * t**2).values / math.sqrt(t)
+    check = pohozaev_check(_scalar(Field(SOLITON_GRID, dilated)), scalar_spec(1.0, 1.0))
+    assert check.residual == pytest.approx(residual, abs=1e-10)
+
+
+def test_virial_potential_term_is_the_potentials_dilation():
+    # -1/2 sum_i int (x . grad V_i) u_i^2 from the closed-form x . grad V of a
+    # well, V1 = -d e^(-x^2/w^2), and of a trap, V2 = 1 + k x^2
+    g = make_grid(1, 1024, 32.0)
+    x = g.axes[0]
+    spec = replace(wells_spec(), v2=PotentialSpec.harmonic_trap(stiffness=0.3),
+                   regime="trapping")
+    d, w, k = spec.v1.depth, spec.v1.width, spec.v2.stiffness
+    u1, u2 = np.exp(-(x**2)), 0.5 * np.exp(-0.5 * (x - 1.0) ** 2)
+    x_grad_v1 = 2.0 * d * x**2 / w**2 * np.exp(-(x**2) / w**2)
+    x_grad_v2 = 2.0 * k * x**2
+    want = -0.5 * g.h * float(np.sum(x_grad_v1 * u1**2 + x_grad_v2 * u2**2))
+    check = pohozaev_check(State(Field(g, u1), Field(g, u2)), spec)
+    assert want < 0.0  # the trap's term dominates the well's
+    assert check.potential_term == pytest.approx(want, rel=1e-12)
 
 
 def test_virial_degenerate_on_zero_field(grid_1d):
     z = Field(grid_1d, np.zeros(grid_1d.shape))
-    check = pohozaev_check(z, 0.3, 1.0, 1.0)
+    check = pohozaev_check(State(z, z), wells_spec())
     assert check.degenerate
     assert check.residual == 0.0
 
@@ -241,6 +291,26 @@ def test_convolution_limit_rejects_divergent_pairs(grid_1d):
         convolution_limit_check(
             f_rate=1.0, g_rate=1.0, poly_power=0.0, grid=grid_1d, r_values=[5.0]
         )
+    # a g growing as fast as f decays: int f(y) e^(g_rate w.y) dy diverges too
+    with pytest.raises(ValueError, match=r"<= \|g_rate\| = 2.0; the limit integral diverges"):
+        convolution_limit_check(
+            f_rate=2.0, g_rate=-2.0, poly_power=0.0, grid=grid_1d, r_values=[5.0]
+        )
+
+
+@pytest.mark.parametrize("n, length", [(1024, 32.0), (4096, 64.0)])
+def test_convolution_limit_does_not_overflow_at_steep_rates(n, length):
+    # e^(g_rate L/2) is past the float range: the check folds its exponentials
+    # into exponents <= 0, and every scaled value then equals its limit
+    grid = make_grid(1, n, length)
+    rows = convolution_limit_check(
+        f_rate=100.0, g_rate=90.0, poly_power=0.0, grid=grid,
+        r_values=[0.125 * length, 0.25 * length],
+    )
+    assert len(rows) == 4
+    for row in rows:
+        assert math.isfinite(row.limit) and row.limit > 0.0
+        assert row.ratio == pytest.approx(1.0, abs=1e-12)
 
 
 def test_convolution_limit_rejects_far_radii(grid_1d):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import platform
 import re
 from dataclasses import replace
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 import binorm_gs
-from binorm_gs import cli
+from binorm_gs import cli, solver
 from binorm_gs.cli import (
     ExperimentConfig,
     config_from_dict,
@@ -162,13 +163,14 @@ GRIDLESS_LINES = "".join(
         ("task.check_inequalities.p = 1\ntask.check_inequalities.eta = 5.0\n",
          "task.check_inequalities.eta = 5.0"),
         ("task.check_inequalities.eta = 0\n", "task.check_inequalities.eta = 0"),
-        ("task.pohozaev.mu = 0\n", "task.pohozaev.mu = 0"),
-        ("task.pohozaev.mu = nan\n", "task.pohozaev.mu = nan"),
-        ("task.pohozaev.mu = true\n", "task.pohozaev.mu = True"),
-        ("task.pohozaev.p = 3\n", "task.pohozaev.p = 3"),
-        ("task.pohozaev.p = 0.0\n", "task.pohozaev.p = 0.0"),
-        ("task.pohozaev.gamma = -1\n", "task.pohozaev.gamma = -1"),
-        ("task.pohozaev.gamma = inf\n", "task.pohozaev.gamma = inf"),
+        # the virial check reads the main solve: pohozaev has no keys
+        ("task.pohozaev.mu = 0\n", "unknown config key task.pohozaev.mu; known: none"),
+        ("task.pohozaev.mu = nan\n", "unknown config key task.pohozaev.mu; known: none"),
+        ("task.pohozaev.mu = true\n", "unknown config key task.pohozaev.mu; known: none"),
+        ("task.pohozaev.p = 3\n", "unknown config key task.pohozaev.p; known: none"),
+        ("task.pohozaev.p = 0.0\n", "unknown config key task.pohozaev.p; known: none"),
+        ("task.pohozaev.gamma = -1\n", "unknown config key task.pohozaev.gamma; known: none"),
+        ("task.pohozaev.gamma = inf\n", "unknown config key task.pohozaev.gamma; known: none"),
         ("task.decay_fit.r1 = abc\n", "task.decay_fit.r1 = abc"),
         ("task.decay_fit.r2 = -inf\n", "task.decay_fit.r2 = -inf"),
         ("task.decay_fit.r2 = false\n", "task.decay_fit.r2 = False"),
@@ -263,14 +265,14 @@ def test_task_values_default_from_the_problem_and_grid_and_keep_their_kinds():
     cfg = config_from_dict({
         "problem": {"mu1": 3, "p1": 0.5, "alpha1": 2},
         "grid": {"n": 256, "length": 32.0},
-        "task": {"pohozaev": {"mu": 2}, "glue_test": {"n_cells": 5, "gamma2": 1},
+        "task": {"decay_fit": {"r1": 2}, "glue_test": {"n_cells": 5, "gamma2": 1},
                  "conv_limit": {"r_values": [4, 8.5], "f_rate": []}},
     })
     values = cfg.task_values()
-    assert values["pohozaev"] == {"mu": 2.0, "p": 0.5, "gamma": 2.0}
-    assert type(values["pohozaev"]["mu"]) is float and type(values["pohozaev"]["gamma"]) is float
+    assert values["decay_fit"] == {"r1": 2.0, "r2": 0.35 * 32.0}
+    assert type(values["decay_fit"]["r1"]) is float and type(values["decay_fit"]["r2"]) is float
     assert values["glue_test"] == {"gamma1": 1.0, "gamma2": 1.0, "n_cells": [5]}
-    assert values["decay_fit"] == {"r1": 0.15 * 32.0, "r2": 0.35 * 32.0}
+    assert values["pohozaev"] == {}
     assert values["check_inequalities"] == {"p": 0.5, "eta": 0.25}
     # an empty list counts as not given, as the flat format cannot hold it
     assert values["conv_limit"] == {
@@ -591,18 +593,36 @@ def test_glue_test_artifacts(tmp_path):
 
 
 def test_pohozaev_artifacts(tmp_path):
-    extra = "task.pohozaev.mu = 1.0\ntask.pohozaev.p = 1.0\ntask.pohozaev.gamma = 1.0\n"
-    cfg_path = write_config(tmp_path, "pohozaev", extra=extra)
+    cfg_path = write_config(tmp_path, "pohozaev")
     out = tmp_path / "out"
     assert run(cfg_path, out_dir=out) == 0
     payload = json.loads((out / "pohozaev.json").read_text())
     assert set(payload) == {
-        "mu", "p", "gamma", "lambda", "residual", "kinetic_term",
-        "mass_term", "focusing_term", "degenerate", "converged",
+        "residual", "kinetic_term", "potential_term", "focusing_term", "degenerate", "converged",
     }
     assert payload["converged"] is True
-    assert payload["lambda"] > 0.0
     assert not payload["degenerate"]
+    # the well's term is negative: -1/2 int (x . V1') u1^2 with x . V1' >= 0
+    assert payload["potential_term"] < 0.0 < payload["kinetic_term"]
+    assert payload["residual"] < 1e-3  # the slow free u2 tail reaches the box edge
+    files = sorted(p.name for p in out.iterdir())
+    assert files == ["manifest.json", "pohozaev.json", "summary.txt"]
+
+
+def test_solve_and_pohozaev_make_one_solve(monkeypatch, tmp_path):
+    # pohozaev checks the main solve's state; it solves nothing of its own
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # every solve in this process
+    calls = []
+    solve_all = solver._solve_all
+
+    def spy(grid, groups, config, init=None):
+        calls.append([[spec.masses for spec in group] for group in groups])
+        return solve_all(grid, groups, config, init)
+
+    monkeypatch.setattr(solver, "_solve_all", spy)
+    cfg_path = write_config(tmp_path, "solve, pohozaev")
+    assert run(cfg_path, out_dir=tmp_path / "out") == 0
+    assert calls == [[[(1.0, 1.0)]]]
 
 
 def test_check_inequalities_artifacts(tmp_path):
@@ -827,22 +847,34 @@ def test_decay_fit_refused_with_a_zero_mass(tmp_path, capsys, command, component
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "extra", ["problem.alpha1 = 0.0\n", "task.pohozaev.gamma = 0\n"], ids=["default", "given"]
-)
 @pytest.mark.parametrize("command", ["run", "pohozaev"])
-def test_pohozaev_refused_with_a_zero_mass(tmp_path, capsys, command, extra):
-    # the zero state has residual 0 and read as a converged, passing check
-    cfg_path = write_config(tmp_path, "pohozaev", extra=extra)
+def test_pohozaev_refused_with_both_masses_zero(tmp_path, capsys, command):
+    # the zero state has residual 0 and would read as a converged, passing check
+    cfg_path = write_config(tmp_path, "pohozaev",
+                            extra="problem.alpha1 = 0.0\nproblem.alpha2 = 0.0\n")
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
     errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.strip()]
     assert errors == [
-        "error: pohozaev is not available with a zero mass (task.pohozaev.gamma = 0.0, which "
-        "defaults to problem.alpha1): the zero state satisfies the Pohozaev identity trivially, "
+        "error: pohozaev is not available with both masses zero (problem.alpha1 = 0.0, "
+        "problem.alpha2 = 0.0): the zero state satisfies the virial identity trivially, "
         "so its residual tests nothing"
     ]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("component", [1, 2])
+def test_pohozaev_checks_a_state_with_one_zero_mass(tmp_path, component):
+    # one vanishing component leaves the scalar identity of the other, whose
+    # mass 4 gives a tail decaying at a rate of about 1, far inside the box
+    masses = {1: "4.0", 2: "4.0", component: "0.0"}
+    extra = f"problem.alpha1 = {masses[1]}\nproblem.alpha2 = {masses[2]}\n"
+    cfg_path = write_config(tmp_path, "pohozaev", extra=extra)
+    out = tmp_path / "out"
+    assert run(cfg_path, out_dir=out) == 0
+    payload = json.loads((out / "pohozaev.json").read_text())
+    assert payload["converged"] is True and not payload["degenerate"]
+    assert payload["residual"] < 1e-6
 
 
 def test_seed_refused_by_its_option(tmp_path, capsys):

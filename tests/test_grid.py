@@ -164,6 +164,20 @@ def test_half_spectrum_layout_matches_the_full_spectrum(dim, n):
     assert np.array_equal(moved.values, translate(f, (3,) + (0,) * (dim - 1)).values)
 
 
+@pytest.mark.parametrize("dim, n, length", [(1, 256, 16.0), (2, 64, 16.0)])
+def test_layout_x_grad_of_a_gaussian(dim, n, length):
+    # x . grad e^(-|x|^2) = -2 |x|^2 e^(-|x|^2), at every node of a stack of two
+    g = make_grid(dim, n, length)
+    r2 = g.radius() ** 2
+    layout = _HalfSpectrum(g)
+    stack = np.stack([np.exp(-r2), 3.0 * np.exp(-r2)])
+    got = layout.x_grad(layout.forward(stack))
+    assert got.shape == (2, *g.shape)
+    want = -2.0 * r2 * np.exp(-r2)
+    assert np.max(np.abs(got[0] - want)) < 1e-12
+    assert np.max(np.abs(got[1] - 3.0 * want)) < 3e-12
+
+
 def test_the_package_transforms_only_in_grid():
     # the half-spectrum layout and the quadrature live in one module: no other
     # one uses np.fft or reads the cell volume, as Grid.cell_volume or as the

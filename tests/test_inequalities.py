@@ -17,6 +17,8 @@ from binorm_gs.inequalities import (
     check_lemma34ii,
     defect_34i,
     defect_34ii,
+    _min_constant,
+    _scan_34i,
     min_constant_34i,
     min_constant_34ii,
     sufficient_constant_34ii,
@@ -55,10 +57,16 @@ def test_expansion_report_bookkeeping():
     assert report.params["p"] == 0.7
 
 
+def _scan_threshold(p: float) -> float:
+    """min_constant_34i's scan without its small-a floor."""
+    return _min_constant(_scan_34i(p, 1e2, 4000)[1], -math.inf)
+
+
 def test_expansion_threshold_cubic():
-    # the defect is (6 + C) (a b)^2: the threshold is -6, less the scan's
-    # slack at its binding point
-    assert min_constant_34i(1.0) == pytest.approx(-6.0, abs=1e-9)
+    # the defect is (6 + C) (a b)^2: the threshold is -6, and the scan alone
+    # reads it less its slack at the binding point
+    assert min_constant_34i(1.0) == -6.0
+    assert _scan_threshold(1.0) == pytest.approx(-6.0, abs=1e-9)
 
 
 def test_expansion_threshold_at_three_halves():
@@ -68,19 +76,44 @@ def test_expansion_threshold_at_three_halves():
 
 def test_expansion_threshold_half():
     # p = 1/2 turns the expansion into the exact cube identity, so the
-    # correction threshold sits at zero, less what the scan's slack admits
-    # (about 8e-12 at its binding point)
+    # correction threshold sits at zero, the limit of -base/weight as a -> 0
     c = min_constant_34i(0.5)
     assert -1e-11 <= c <= 0.0
     again = min_constant_34i(0.5, a_max=2e3)
     assert abs(again - c) <= 1e-11
 
 
+@pytest.mark.parametrize("p, exact, scan, tol", [
+    (0.5, 0.0, -8.0e-12, 1e-13),
+    (0.6, 0.0, -0.0171, 1e-4),
+    (0.9, 0.0, -1.499, 1e-3),
+    (1.0, -6.0, -6.0, 1e-9),
+])
+def test_expansion_threshold_is_the_small_a_limit(p, exact, scan, tol):
+    # for 1/2 <= p <= 1 the ratio -base/weight climbs to its limit as a -> 0,
+    # which the scan's smallest a = 1e-6 does not reach: there the slack binds
+    # and the scan alone reads the smaller constant scan, minimal on its points
+    assert min_constant_34i(p) == exact
+    assert check_lemma34i(p, exact).holds
+    c = _scan_threshold(p)
+    assert c == pytest.approx(scan, abs=tol) and c < exact
+    assert check_lemma34i(p, c).holds
+    assert not check_lemma34i(p, c - 1e-3).holds
+
+
+def test_expansion_threshold_holds_across_the_window():
+    for p in np.linspace(0.05, 1.95, 44).tolist():
+        c = min_constant_34i(p)
+        assert check_lemma34i(p, c).holds, p
+    # below 1/2 the threshold is interior, above 1 it has no floor
+    assert min_constant_34i(0.3) == pytest.approx(1.1371, abs=1e-4)
+    assert min_constant_34i(1.5) == pytest.approx(-20.0000033, abs=1e-6)
+
+
 @pytest.mark.parametrize("p", [0.3, 0.5, 0.55, 0.7, 0.9, 0.95, 1.0, 1.5, 1.9])
 def test_expansion_threshold_brackets(p):
-    # on (1/2, 1) the binding point is the axis's smallest a, where the
-    # slack dominates; at 0.9 and 0.95 the rounding of the defect is what
-    # the threshold's margin below the full slack absorbs
+    # on [1/2, 1] the threshold is the small-a limit of -base/weight; at 0.9
+    # and 0.95 the rounding of the defect is what the slack absorbs
     for scan in ({}, {"a_max": 2e3, "samples": 1000}):
         c = min_constant_34i(p, **scan)
         assert math.isfinite(c)

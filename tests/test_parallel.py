@@ -283,7 +283,7 @@ def test_cli_run_on_two_cores_writes_the_serial_files(monkeypatch, tmp_path):
     # the main solve has this process to itself
     assert calls == [
         ("task computation", [f"calc_{name}" for name in (
-            "solve", "glue_inner", "glue_outer", "pohozaev", "check_inequalities", "conv_limit"
+            "solve", "glue_inner", "glue_outer", "check_inequalities", "conv_limit"
         )], True),
     ]
     serial = _cli_run(monkeypatch, tmp_path, 1, tasks, extra)
@@ -299,7 +299,8 @@ def test_cli_side_error_matches_serial(monkeypatch, tmp_path):
     check = cli.convolution_limit_check
     monkeypatch.setattr(cli, "convolution_limit_check",
                         lambda *args, **kwargs: check(*args, **{**kwargs, "f_rate": 1.0}))
-    tasks = "solve, pohozaev, conv_limit, check_inequalities"
+    # decay_fit, after the failing task, is neither written nor summarized
+    tasks = "solve, check_inequalities, conv_limit, decay_fit"
     parallel = _cli_run(monkeypatch, tmp_path, 2, tasks)
     assert len(forks) == 1  # the task computations' worker
     serial = _cli_run(monkeypatch, tmp_path, 1, tasks)
@@ -307,10 +308,12 @@ def test_cli_side_error_matches_serial(monkeypatch, tmp_path):
     assert serial["error"].startswith("ValueError: f decays at rate 1.0")
     assert serial["manifest"]["error"].startswith("conv_limit: f decays at rate 1.0")
     assert set(serial["files"]) == {
-        "solve.json", "trajectory.csv", "solve_u1.csv", "solve_u2.csv", "pohozaev.json",
-        "summary.txt",
+        "solve.json", "trajectory.csv", "solve_u1.csv", "solve_u2.csv",
+        "check_inequalities.json", "summary.txt",
     }
-    assert [line.split(":")[0] for line in serial["summary"]] == ["solve", "pohozaev", "conv_limit"]
+    assert [line.split(":")[0] for line in serial["summary"]] == [
+        "solve", *["check_inequalities"] * 3, "conv_limit"
+    ]
 
 
 def test_cli_solve_run_on_two_cores_forks_nothing(monkeypatch, tmp_path):
@@ -333,7 +336,7 @@ def test_cli_field_write_error_matches_serial(monkeypatch, tmp_path):
     for cores in (2, 1):
         shutil.rmtree(out, ignore_errors=True)
         (out / "solve_u1.csv").mkdir(parents=True)
-        runs[cores] = _cli_run(monkeypatch, tmp_path, cores, "solve, pohozaev", out=out)
+        runs[cores] = _cli_run(monkeypatch, tmp_path, cores, "solve, check_inequalities", out=out)
     assert len(forks) == 1  # the task computations' worker
     assert runs[2] == runs[1]
     message = f"[Errno 21] Is a directory: '{out / 'solve_u1.csv'}'"
@@ -349,8 +352,8 @@ def test_cli_dead_worker_leaves_summary_and_manifest(monkeypatch, tmp_path):
     def dies(*args, **kwargs):
         os._exit(7)
 
-    monkeypatch.setattr(cli, "minimize_scalar", dies)
-    result = _cli_run(monkeypatch, tmp_path, 2, "solve, pohozaev")
+    monkeypatch.setattr(cli, "min_constant_34i", dies)
+    result = _cli_run(monkeypatch, tmp_path, 2, "solve, check_inequalities")
     message = "the worker process running task computation 1 exited with status 7"
     assert result["error"] == f"RuntimeError: {message}"
     assert result["manifest"]["error"] == f"compute: {message}"
