@@ -121,7 +121,6 @@ _TASK_PARAMS: dict[str, dict[str, tuple]] = {
 }
 TASK_KEYS = {task: tuple(params) for task, params in _TASK_PARAMS.items()}
 TASK_NAMES = tuple(TASK_KEYS)
-SOLVER_TASKS = ("solve", "scan_subadd", "decay_fit", "glue_test", "pohozaev")
 # Each task that a problem leaves without meaning, with (test, reason): a run
 # refuses the task, naming reason, before any write.  test and reason.format
 # take the problem s.
@@ -251,11 +250,6 @@ class ExperimentConfig:
         if self.grid_n:
             return make_grid(self.problem.dim, self.grid_n, self.grid_length)
         return default_grid(self.problem.dim)
-
-    def required_tasks(self) -> set[str]:
-        if self.required is None:
-            return set(self.tasks) & set(SOLVER_TASKS)
-        return set(self.required)
 
     def task_values(self) -> dict[str, dict[str, Any]]:
         """Every task's parameters: task.<name>.<key> where given, else its default.
@@ -596,8 +590,8 @@ class _Runner:
     def compute(self, tasks: list[str]) -> None:
         """Run the tasks' solves and scans before any file is written.
 
-        The main solve has share 0, in this process, to itself; the other
-        computations are dealt among forked workers (solver._run_shares).
+        The computations are dealt round-robin to this process and forked
+        workers (solver._run_shares), the main solve first, in this process.
         Each keeps its own error, which value() raises when its task's turn
         comes, so the files, notes and errors are those of a serial run.
         The workers have exited when this returns, and every file of the run
@@ -608,8 +602,7 @@ class _Runner:
             key=lambda c: c != "solve",
         )
         calcs = [functools.partial(_caught, getattr(self, f"calc_{c}")) for c in names]
-        alone = names[:1] == ["solve"]
-        self._values = dict(zip(names, _run_shares(calcs, "task computation", alone)))
+        self._values = dict(zip(names, _run_shares(calcs, "task computation")))
 
     def value(self, name: str) -> Any:
         """calc_<name>'s value from compute(); the error it raised is raised here."""
@@ -622,7 +615,9 @@ class _Runner:
         return minimize(self.cfg.problem, config=self.cfg.solver, grid=self.grid)
 
     def mark(self, task: str, converged: bool) -> None:
-        if not converged and task in self.cfg.required_tasks():
+        """Count an unconverged solve of task, which solves, as a failure
+        unless run.required is given and leaves task out."""
+        if not converged and (self.cfg.required is None or task in self.cfg.required):
             self.failed_required.append(task)
 
     # -- tasks --------------------------------------------------------------

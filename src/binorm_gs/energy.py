@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, State, _HalfSpectrum, integrate, norm_sq
+from .grid import Field, State, _HalfSpectrum
 from .model import ProblemSpec, sample_potential
 
 __all__ = [
@@ -177,7 +177,7 @@ class _OneState:
         comps = [c for c in (0, 1) if fields[c].any()]
         if potentials is None:
             potentials = (sample_potential(spec.v1, g), sample_potential(spec.v2, g))
-        self.state, self.half = state, _HalfSpectrum(g)
+        self.half = _HalfSpectrum(g)
         self.kern = _Kernel(self.half, spec, (potentials[0].values, potentials[1].values), comps)
         self.u = [fields[c][None] for c in comps]
         self.u_hat = [self.half.forward(x) for x in self.u]
@@ -211,10 +211,13 @@ class _OneState:
 
     def multipliers(self) -> Multipliers:
         """multipliers()'s pair; nan for a component without mass."""
-        out = []
-        for gi, ui in zip(self.gradient(), (self.state.u1, self.state.u2)):
-            mass = norm_sq(ui)
-            out.append(-integrate(gi * ui.values, ui.grid) / mass if mass > 0.0 else float("nan"))
+        g, out = self.gradient(), [float("nan")] * 2
+        for c, x in zip(self.kern.comps, self.u):
+            (pair,), (mass,) = self.half.integral(g[c][None] * x), self.half.integral(x**2)
+            if not np.isfinite(pair):
+                raise ValueError(f"multipliers: <G{c + 1}, u{c + 1}> is not finite")
+            if mass > 0.0:
+                out[c] = -pair / mass
         return Multipliers(lambda1=out[0], lambda2=out[1])
 
 

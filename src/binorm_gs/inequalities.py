@@ -4,8 +4,9 @@ Three families are checked numerically on dense scans:
 
   * a two-variable expansion lower bound for (a+b)^(2p+2) with a
     correction constant C multiplying (ab)^(p+1); the defect is
-    homogeneous of degree 2p+2, so the slice b = 1 over a wide ratio
-    range is exhaustive,
+    homogeneous of degree 2p+2 and symmetric in (a, b), so the half-slice
+    0 <= a <= b = 1 is exhaustive, and its smallest constant has a closed
+    form,
   * a four-variable product expansion bound whose correction terms
     admit an explicit sufficient constant built from elementary
     envelope estimates; the defect is bihomogeneous of degree p+1 in
@@ -24,11 +25,11 @@ and an overflowed point certifies nothing: at p = 45 the four-variable scan
 at its sufficient constant would report 36 violations of a bound that holds.
 
 Both interaction defects are affine in their correction constant C,
-base + C weight with weight >= 0, so the smallest C under which a scan
-holds is exact, from one pass over it: the largest (-s SLACK norm - base)
-/ weight over the points with weight > 0, with s just below 1 so that the
-scan at that C holds despite rounding.  A point with weight = 0 holds for
-every C.
+base + C weight with weight >= 0.  The four-variable bound's smallest C
+under which its scan holds is exact on that scan, from one pass over it:
+the largest (-s SLACK norm - base) / weight over the points with
+weight > 0, with s just below 1 so that the scan at that C holds despite
+rounding.  A point with weight = 0 holds for every C.
 
 The four-variable scan never forms the full 2D grid: on its slice the
 defect is evaluated from broadcast x-row and y-column views, a block of
@@ -58,7 +59,7 @@ __all__ = [
 SLACK = 1e-12
 # s: the share of SLACK a minimal constant uses at its binding point.  The
 # rest absorbs the rounding of base + C weight; at s = 1 the L34i scan at
-# its minimal constant fails by rounding at p = 0.9 and 0.95.
+# the constant read off it fails by rounding at p = 0.95.
 _THRESHOLD_SLACK = 1.0 - 1e-3
 MAX_RECORDED = 50
 # 32 rows of a 1001-point axis make 256 KB float64 temporaries, which
@@ -156,37 +157,36 @@ def defect_34i(
     return base + constant * weight
 
 
-def _scan_34i(p, a_max, samples):
-    """The slice b = 1 (exhaustive by homogeneity and symmetry of the
-    defect) as one block: its point count and blocks."""
+def _scan_34i(p, samples):
+    """The half-slice 0 <= a <= b = 1 as one block: its point count and
+    blocks.  It is exhaustive: the defect is homogeneous and symmetric in
+    (a, b), so on b = 1 its sign is symmetric under a -> 1/a."""
     _check_p(p)
-    a = _axis(a_max, samples)
+    a = _axis(1.0, samples)
     norm = np.maximum(1.0, (a + 1.0) ** (2.0 * p + 2.0))
     return a.size, [(*_terms_34i(p, a, 1.0), norm, (a, 1.0))]
 
 
-def check_lemma34i(
-    p: float,
-    constant: float,
-    a_max: float = 1e2,
-    samples: int = 4000,
-) -> InequalityReport:
-    """Scan the expansion bound on the slice b = 1."""
-    points, blocks = _scan_34i(p, a_max, samples)
-    return _report("L34i", {"p": p, "a_max": a_max}, constant, points, _at(constant, blocks))
+def check_lemma34i(p: float, constant: float, samples: int = 4000) -> InequalityReport:
+    """Scan the expansion bound on the half-slice 0 <= a <= b = 1, whose
+    last point, a = 1, is where min_constant_34i binds for p < 1/2 and p > 1."""
+    points, blocks = _scan_34i(p, samples)
+    return _report("L34i", {"p": p}, constant, points, _at(constant, blocks))
 
 
-def min_constant_34i(p: float, a_max: float = 1e2, samples: int = 4000) -> float:
-    """Smallest correction constant making the bound hold on check_lemma34i's
-    scan, from one pass over it; at a = 0 the defect is 0 for every one.
+def min_constant_34i(p: float) -> float:
+    """Smallest correction constant under which the expansion bound holds,
+    in closed form.
 
-    It is floored at the limit of -base/weight as a -> 0, below which no
-    constant holds near a = 0: with q = 2p + 2, base = q (q-1)/2 a^2 -
-    q a^(q-1) + o(a^2), so the limit is 0 for p < 1, -6 at p = 1 and -inf for
-    p > 1.  For 1/2 <= p <= 1 the scan, whose slack binds at its smallest
-    a = 1e-6, reads below it (-1.499 at p = 0.9)."""
-    floor = 0.0 if p < 1.0 else -6.0 if p == 1.0 else -math.inf
-    return _min_constant(_scan_34i(p, a_max, samples)[1], floor)
+    On b = 1 the ratio -base/weight is symmetric under a -> 1/a, and its
+    supremum is its value 2 + 2q - 2^q at a = 1 (q = 2p + 2) or its limit as
+    a -> 0: base = q (q-1)/2 a^2 - q a^(q-1) + o(a^2), so the limit is 0 for
+    p < 1, -6 at p = 1 (where 2 + 2q - 2^q is -6 too) and -inf above.  At
+    50 digits, for p = 0.01, 0.03, ..., 1.99, the larger of that limit and
+    the ratio's maximum over 401 log-spaced a in [1e-8, 1] is this constant."""
+    _check_p(p)
+    q = 2.0 * p + 2.0
+    return max(0.0 if p < 1.0 else -math.inf, 2.0 + 2.0 * q - 2.0**q)
 
 
 def _terms_34ii(p, eta, a1, a2, b1, b2):

@@ -668,7 +668,7 @@ def _work_and_exit(
         os._exit(status)
 
 
-def _run_shares(items: list[Callable[[], object]], what: str, alone: bool = False) -> list:
+def _run_shares(items: list[Callable[[], object]], what: str) -> list:
     """Results of the zero-argument callables items, in order.
 
     The items are flow batches or the task computations of a binorm-gs
@@ -676,8 +676,8 @@ def _run_shares(items: list[Callable[[], object]], what: str, alone: bool = Fals
     at least two items and two usable cores, os.fork available, no
     other Python thread alive (forking a process with threads can deadlock
     the child) and no other call's workers running, here or as this
-    process, the items are dealt round-robin to up to one share per core;
-    with alone, item 0 has share 0 to itself.  This process runs share 0;
+    process, the items are dealt round-robin to up to one share per core.
+    This process runs share 0, which holds item 0;
     every other share runs in a forked child that pickles its results, or
     its first error, into a pipe and always leaves through os._exit.
     Otherwise the items run in turn in this process.
@@ -702,10 +702,7 @@ def _run_shares(items: list[Callable[[], object]], what: str, alone: bool = Fals
     if shares == 1:
         results, error = _run_share(items, range(count))
     else:
-        if alone:
-            deal = [range(1), *(range(s, count, shares - 1) for s in range(1, shares))]
-        else:
-            deal = [range(s, count, shares) for s in range(shares)]
+        deal = [range(s, count, shares) for s in range(shares)]
         pids: dict[int, int] = {}  # children not yet reaped, by share
         pipes: dict[int, int] = {}  # read ends not yet closed, by share
         _forked = True

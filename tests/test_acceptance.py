@@ -287,10 +287,10 @@ def test_criterion_09_virial_identity(crit1, grid_1d, report):
 
 
 def test_criterion_10_interaction_inequalities(report):
-    # min_constant_34i(1.0) is floored at -6, the scan's a -> 0 limit, so the
-    # scan itself is checked: unfloored it reads -6, and -6 - 1e-6 fails on it
+    # min_constant_34i(1.0) is the closed form -6, so the scan itself is
+    # checked too: unfloored it reads -6, and -6 - 1e-6 fails on it
     c_min = min_constant_34i(1.0)
-    c_scan = _min_constant(_scan_34i(1.0, 1e2, 4000)[1], -math.inf)
+    c_scan = _min_constant(_scan_34i(1.0, 4000)[1], -math.inf)
     ok = c_min == -6.0 and abs(c_scan + 6.0) <= 1e-9
     ok = ok and check_lemma34i(1.0, c_min).holds and not check_lemma34i(1.0, -6.0 - 1e-6).holds
     details = [f"cubic min constant {c_min:.12f}, scan {c_scan:.12f} (-6 +/- 1e-9)"]

@@ -119,7 +119,7 @@ def test_default_config_is_near_decoupled():
     assert cfg.problem.beta == 1e-6
     assert cfg.problem.p1 == 1.0
     assert cfg.tasks == ["solve"]
-    assert cfg.required_tasks() == {"solve"}
+    assert cfg.required is None
 
 
 def test_config_rejects_empty_or_unknown_tasks():
@@ -282,15 +282,26 @@ def test_task_values_default_from_the_problem_and_grid_and_keep_their_kinds():
     assert config_from_dict({}).task_values()["glue_test"]["n_cells"] == [512, 768, 1024]
 
 
-def test_required_tasks_default_excludes_pure_checks():
-    cfg = config_from_dict(
-        {"run": {"tasks": ["solve", "conv_limit", "check_inequalities"]}}
-    )
-    assert cfg.required_tasks() == {"solve"}
-    explicit = config_from_dict(
-        {"run": {"tasks": ["solve"], "required": []}}
-    )
-    assert explicit.required_tasks() == set()
+def test_required_tasks_default_excludes_pure_checks(tmp_path):
+    # without run.required an unconverged solve gives exit code 2 and the
+    # pure checks, which solve nothing, never do
+    unconverged = "solver.max_iters = 3\n"
+    cfg_path = write_config(tmp_path, "solve, conv_limit, check_inequalities", unconverged)
+    assert run(cfg_path, out_dir=tmp_path / "all") == 2
+    assert run(cfg_path, tasks=["conv_limit", "check_inequalities"],
+               out_dir=tmp_path / "checks") == 0
+    explicit = write_config(tmp_path, "solve", unconverged + "run.required = check_inequalities\n",
+                            name="explicit.txt")
+    assert run(explicit, out_dir=tmp_path / "explicit") == 0
+
+
+@pytest.mark.parametrize("listed, ran", [
+    ("check_inequalities", ["solve"]), ("solve", ["decay_fit"]),
+], ids=["solve", "decay_fit"])
+def test_a_task_override_requires_the_solves_it_runs(tmp_path, listed, ran):
+    # the tasks a run runs, not run.tasks, are required by default
+    cfg_path = write_config(tmp_path, listed, "solver.max_iters = 3\n")
+    assert run(cfg_path, tasks=ran, out_dir=tmp_path / "out") == 2
 
 
 def test_config_grid_override():

@@ -266,6 +266,16 @@ def test_energy_rejects_an_overflowing_finite_state(grid_small):
         energy(state, wells_spec())
 
 
+def test_multipliers_reject_an_overflowing_finite_state(grid_small):
+    vals = np.zeros(grid_small.shape)
+    vals[5] = 1e200
+    state = State(Field(grid_small, np.zeros(grid_small.shape)), Field(grid_small, vals))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        ValueError, match="^multipliers: <G2, u2> is not finite"
+    ):
+        multipliers(state, wells_spec())
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     scale=st.floats(min_value=0.1, max_value=3.0),

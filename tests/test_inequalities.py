@@ -53,34 +53,49 @@ def test_expansion_bound_holds_at_zero_and_fails_below_threshold():
 def test_expansion_report_bookkeeping():
     report = check_lemma34i(0.7, 0.0, samples=500)
     assert report.which == "L34i"
-    assert report.points == 501  # zero plus the log sweep
-    assert report.params["p"] == 0.7
+    assert report.points == 501  # zero plus the log sweep up to a = 1
+    assert report.params == {"p": 0.7}
 
 
 def _scan_threshold(p: float) -> float:
-    """min_constant_34i's scan without its small-a floor."""
-    return _min_constant(_scan_34i(p, 1e2, 4000)[1], -math.inf)
+    """The smallest constant under which check_lemma34i's default scan holds."""
+    return _min_constant(_scan_34i(p, 4000)[1], -math.inf)
 
 
 def test_expansion_threshold_cubic():
-    # the defect is (6 + C) (a b)^2: the threshold is -6, and the scan alone
+    # the defect is (6 + C) (a b)^2: the threshold is -6, and the scan
     # reads it less its slack at the binding point
     assert min_constant_34i(1.0) == -6.0
     assert _scan_threshold(1.0) == pytest.approx(-6.0, abs=1e-9)
 
 
 def test_expansion_threshold_at_three_halves():
-    # AM-GM bound -20, sampled off a = 1
-    assert min_constant_34i(1.5) == pytest.approx(-20.0, rel=1e-5)
+    # AM-GM bound -20, at a = b
+    assert min_constant_34i(1.5) == -20.0
+
+
+@pytest.mark.parametrize("p", [0.1, 0.25, 0.4, 1.2, 1.5, 1.9])
+def test_expansion_threshold_holds_at_a_equal_b(p):
+    # below 1/2 and above 1 the threshold binds at a = b, which a scan
+    # sampled off it misses
+    assert defect_34i(p, min_constant_34i(p), 1.0, 1.0) >= 0.0
+
+
+@pytest.mark.parametrize("p", [0.25, 1.5, 1.9])
+def test_expansion_scan_fails_just_below_the_threshold(p):
+    # the half-slice ends at the binding point a = b = 1, so it tells the
+    # threshold 2 + 2q - 2^q from a constant just below it
+    q = 2.0 * p + 2.0
+    c = 2.0 + 2.0 * q - 2.0**q
+    assert check_lemma34i(p, c).holds
+    assert not check_lemma34i(p, c - 1e-9 * max(1.0, abs(c))).holds
 
 
 def test_expansion_threshold_half():
     # p = 1/2 turns the expansion into the exact cube identity, so the
     # correction threshold sits at zero, the limit of -base/weight as a -> 0
-    c = min_constant_34i(0.5)
-    assert -1e-11 <= c <= 0.0
-    again = min_constant_34i(0.5, a_max=2e3)
-    assert abs(again - c) <= 1e-11
+    assert min_constant_34i(0.5) == 0.0
+    assert check_lemma34i(0.5, 0.0).holds
 
 
 @pytest.mark.parametrize("p, exact, scan, tol", [
@@ -105,21 +120,22 @@ def test_expansion_threshold_holds_across_the_window():
     for p in np.linspace(0.05, 1.95, 44).tolist():
         c = min_constant_34i(p)
         assert check_lemma34i(p, c).holds, p
-    # below 1/2 the threshold is interior, above 1 it has no floor
+    # below 1/2 and above 1 the threshold is -base/weight at a = b
     assert min_constant_34i(0.3) == pytest.approx(1.1371, abs=1e-4)
-    assert min_constant_34i(1.5) == pytest.approx(-20.0000033, abs=1e-6)
+    assert min_constant_34i(0.25) == 2.0 + 5.0 - 2.0**2.5
+    assert min_constant_34i(1.5) == -20.0
 
 
 @pytest.mark.parametrize("p", [0.3, 0.5, 0.55, 0.7, 0.9, 0.95, 1.0, 1.5, 1.9])
 def test_expansion_threshold_brackets(p):
-    # on [1/2, 1] the threshold is the small-a limit of -base/weight; at 0.9
-    # and 0.95 the rounding of the defect is what the slack absorbs
-    for scan in ({}, {"a_max": 2e3, "samples": 1000}):
-        c = min_constant_34i(p, **scan)
-        assert math.isfinite(c)
-        assert check_lemma34i(p, c, **scan).holds
-        if abs(c) > 1e-3:  # interior threshold: stepping below must fail
-            assert not check_lemma34i(p, c - 2e-3, **scan).holds
+    # on [1/2, 1] the threshold is the small-a limit of -base/weight, elsewhere
+    # its value at a = b; both scans hold at it
+    c = min_constant_34i(p)
+    assert math.isfinite(c)
+    for samples in (4000, 1000):
+        assert check_lemma34i(p, c, samples).holds
+        if abs(c) > 1e-3:  # away from the a -> 0 limit 0: stepping below must fail
+            assert not check_lemma34i(p, c - 2e-3, samples).holds
 
 
 def test_defects_keep_their_written_formulas_to_the_bit():
@@ -140,12 +156,6 @@ def test_defects_keep_their_written_formulas_to_the_bit():
                    + a1 ** (1.0 + eta) * b2**q * b1 ** (p - eta))
         )
         assert defect_34ii(p, eta, c, a1, a2, b1, b2).tobytes() == written_ii.tobytes()
-
-
-def test_expansion_threshold_stable_under_wider_scans():
-    base = min_constant_34i(1.0, a_max=1e3)
-    wide = min_constant_34i(1.0, a_max=2e3)
-    assert abs(wide - base) < 2e-2 * max(1.0, abs(base))
 
 
 @settings(max_examples=60, deadline=None)
@@ -310,27 +320,18 @@ def test_elementary_bounds_reject_bad_exponent():
 
 
 @pytest.mark.parametrize(
-    "scan",
-    [lambda: check_lemma34i(1.0, 0.0, a_max=1e200),
-     lambda: check_elementary_p3(1.0, a_max=1e200)],
-    ids=["L34i", "elementary"],
+    "scan", [lambda: check_elementary_p3(1.0, a_max=1e200)], ids=["elementary"],
 )
 def test_overflowing_scan_does_not_hold(scan):
-    # Past a ~ 1e77 (L34i) or 1e154 (elementary) the leading power
-    # overflows: the defect is nan and certifies nothing.  Every finite
-    # point holds.
+    # Past a ~ 1e154 the leading power overflows: the defect is nan and
+    # certifies nothing.  Every finite point holds.  (The L34i scan ends at
+    # a = 1 and cannot overflow for p < 2.)
     with np.errstate(over="ignore", invalid="ignore"):
         report = scan()
     assert not report.holds
     assert math.isnan(report.worst_defect)
     assert len(report.violations) == MAX_RECORDED
     assert not any(math.isfinite(v[-1]) for v in report.violations)
-
-
-def test_minimal_constant_of_an_overflowing_scan_is_nan():
-    # no constant makes a non-finite point hold
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert math.isnan(min_constant_34i(1.0, a_max=1e200))
 
 
 @pytest.mark.parametrize("p", [0.0, -1.0, 2.0, 45.0, math.nan])

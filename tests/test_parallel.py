@@ -271,20 +271,20 @@ def test_cli_run_on_two_cores_writes_the_serial_files(monkeypatch, tmp_path):
     calls = []
     run_shares = solver._run_shares
 
-    def spy(items, what, alone=False):
-        calls.append((what, [item.args[0].__name__ for item in items], alone))
-        return run_shares(items, what, alone)
+    def spy(items, what):
+        calls.append((what, [item.args[0].__name__ for item in items]))
+        return run_shares(items, what)
 
     monkeypatch.setattr(cli, "_run_shares", spy)
     tasks = ", ".join(cli.TASK_NAMES)
     extra = "task.scan_subadd.steps = 2\n"
     parallel = _cli_run(monkeypatch, tmp_path, 2, tasks, extra)
     assert len(forks) == 2  # the task computations' worker and the scan's
-    # the main solve has this process to itself
+    # dealt round-robin, the main solve first, in this process
     assert calls == [
         ("task computation", [f"calc_{name}" for name in (
             "solve", "glue_inner", "glue_outer", "check_inequalities", "conv_limit"
-        )], True),
+        )]),
     ]
     serial = _cli_run(monkeypatch, tmp_path, 1, tasks, extra)
     assert len(forks) == 2
@@ -382,14 +382,11 @@ def test_runner_inside_a_runner_forks_nothing(monkeypatch):
     assert [r for r, _ in parallel] == [r for r, _ in serial]
 
 
-def test_alone_gives_item_0_a_share_of_its_own(monkeypatch):
-    pids = [lambda: os.getpid()] * 4
+def test_items_are_dealt_round_robin_from_this_process(monkeypatch):
+    pids = [lambda: os.getpid()] * 5
     _cores(monkeypatch, 2)
-    here, *rest = solver._run_shares(pids, "item", alone=True)
-    assert here == os.getpid() and len(set(rest)) == 1 and here not in rest
-    _cores(monkeypatch, 3)
-    here, a, b, c = solver._run_shares(pids, "item", alone=True)
-    assert here == os.getpid() and a == c and len({here, a, b}) == 3
+    here, a, b, c, d = solver._run_shares(pids, "item")
+    assert here == b == d == os.getpid() and a == c != here
     _assert_no_children()
 
 
